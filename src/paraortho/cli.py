@@ -311,8 +311,13 @@ VERIFY_CSV_COLUMNS = [
 
 
 def _prefetch_zero_sets(ctx: TheoremContext, kinds, n_values):
+    # degrees the sweep cannot resolve stay uncached: their check then
+    # raises ResolutionError inside the per-degree verdict loop
     for kind in kinds:
-        for n, zs in find_zeros_sweep(kind, ctx.lam, ctx.seq, n_values, ctx.zero_cfg).items():
+        sweep = find_zeros_sweep(
+            kind, ctx.lam, ctx.seq, n_values, ctx.zero_cfg, skip_unresolved=True
+        )
+        for n, zs in sweep.items():
             ctx._zero_cache[(kind, n)] = zs
 
 

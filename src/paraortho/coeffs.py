@@ -16,6 +16,7 @@ querying the same index twice returns bit-identical values.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -539,46 +540,67 @@ def exact_arc_mass_moments(
         return out
 
 
+# bits kept below mpmath's binary precision at `dps` by the hp recursion
+HP_GUARD_BITS = 64
+
+
 def verblunsky_from_moments_hp(c, count: int, dps: int = 120) -> list[complex]:
     """High-precision variant of verblunsky_from_moments.
 
     Measures whose support leaves a gap have Toeplitz moment matrices
     with exponentially growing condition number, so double precision
     loses positive definiteness after a few dozen coefficients.  This
-    runs the same recursion in mpmath arithmetic (`c` as produced by
-    exact_arc_mass_moments with matching dps) and rounds the recovered
-    coefficients to complex floats.
+    runs the same recursion in Python-integer fixed point: each moment
+    (`c` as produced by exact_arc_mass_moments with matching dps) is
+    rounded once to mpmath's binary precision at dps and scaled to
+    integers by 2^B, B being that precision plus HP_GUARD_BITS.  Per
+    level the inner product <z Phi_m, 1> is summed exactly at scale
+    2^(2B) and divided once by ||Phi_m||^2, which comes from the norm
+    recurrence ||Phi_{m+1}||^2 = ||Phi_m||^2 (1 - |alpha_m|^2); the
+    monic update shifts each product back to scale 2^B.  Only those
+    divisions and shifts round, each by less than 2^-B.  The recovered
+    coefficients are rounded to complex floats.
     """
     from mpmath import mp, mpc
+    from mpmath.libmp import to_fixed
 
     with mp.workdps(dps):
-        cc = [mpc(v) for v in c]
-        if len(cc) < count + 1:
-            raise ValueError(f"need moments up to c_{count}, got {len(cc) - 1}")
-        line = [mp.conj(v) for v in cc[:0:-1]] + cc
-        origin = len(cc) - 1
+        bits = mp.prec + HP_GUARD_BITS
+        cc = [mpc(v)._mpc_ for v in c]
+    if len(cc) < count + 1:
+        raise ValueError(f"need moments up to c_{count}, got {len(cc) - 1}")
+    # moments c_k = (cr[k] + i ci[k]) / 2^bits
+    cr = [to_fixed(v[0], bits) for v in cc]
+    ci = [to_fixed(v[1], bits) for v in cc]
+    one = 1 << bits
 
-        phi = [mpc(1)]
-        alphas: list[complex] = []
-        for m in range(count):
-            phistar = [mp.conj(v) for v in reversed(phi)]
-            num = mp.fsum(phi[j] * line[origin - (j + 1)] for j in range(len(phi)))
-            den = mp.fsum(phistar[j] * line[origin - j] for j in range(len(phistar)))
-            if mp.re(den) <= 0:
-                raise ConditioningError(
-                    m, f"moment matrix not positive definite at size {m + 1} (hp)"
-                )
-            ca = num / den
-            if 1.0 - float(abs(ca)) ** 2 < EPS_PD:
-                raise ConditioningError(
-                    m, f"predicted coefficient {m} has modulus {float(abs(ca)):.12g} (hp)"
-                )
-            alphas.append(complex(mp.conj(ca)))
-            new = [mpc(0)] + phi
-            for j in range(len(phistar)):
-                new[j] -= ca * phistar[j]
-            phi = new
-        return alphas
+    # monic Phi_m = sum_j (pr[j] + i pi[j]) z^j / 2^bits, ||Phi_m||^2 = den / 2^bits
+    pr, pi = [one], [0]
+    den = cr[0]
+    alphas: list[complex] = []
+    for m in range(count):
+        if den <= 0:
+            raise ConditioningError(
+                m, f"moment matrix not positive definite at size {m + 1} (hp)"
+            )
+        # <z Phi_m, 1> = sum_j phi_j conj(c_{j+1}), at scale 2^(2 bits)
+        sr, si = cr[1 : m + 2], ci[1 : m + 2]
+        num_r = sum(map(mul, pr, sr)) + sum(map(mul, pi, si))
+        num_i = sum(map(mul, pi, sr)) - sum(map(mul, pr, si))
+        # ca = num / ||Phi_m||^2 at scale 2^bits
+        ar, ai = num_r // den, num_i // den
+        mod = math.hypot(ar / one, ai / one)
+        if 1.0 - mod * mod < EPS_PD:
+            raise ConditioningError(
+                m, f"predicted coefficient {m} has modulus {mod:.12g} (hp)"
+            )
+        alphas.append(complex(ar / one, -ai / one))
+        den = (den * (one * one - ar * ar - ai * ai)) >> (2 * bits)
+        # Phi_{m+1} = z Phi_m - ca Phi_m^*, with Phi_m^*_j = conj(phi_{m-j})
+        rr, ri = pr[::-1], pi[::-1]
+        pr = [x - ((ar * u + ai * v) >> bits) for x, u, v in zip([0] + pr, rr, ri)] + [one]
+        pi = [y - ((ai * u - ar * v) >> bits) for y, u, v in zip([0] + pi, rr, ri)] + [0]
+    return alphas
 
 
 # ---------------------------------------------------------------------------

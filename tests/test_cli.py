@@ -168,6 +168,20 @@ class TestVerifyCommand:
         assert code == 1
         assert read_json(out)["all_pass"] is False
 
+    def test_unresolved_degrees_become_error_verdicts(self, tmp_path):
+        # at this theta_tol the zeros of degrees 18..20 cannot be isolated;
+        # the run still writes a verdict for every requested degree
+        out = tmp_path / "r.json"
+        code = run([
+            "verify", "consecutive", "--alpha", "const:0.5", "--n", "18..24",
+            "--theta-tol", "1e-4", "--out", str(out),
+        ])
+        assert code == 1
+        doc = read_json(out)
+        assert doc["all_pass"] is False
+        assert [r["n"] for r in doc["results"]] == list(range(18, 25))
+        assert [r["verdict"] for r in doc["results"]] == ["error"] * 3 + ["pass"] * 4
+
     def test_bounds(self, tmp_path):
         support = tmp_path / "support.json"
         support.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]]}))

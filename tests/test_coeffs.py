@@ -23,6 +23,35 @@ from paraortho.errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+ARC = (np.pi / 3, 5 * np.pi / 3)
+
+
+def mpmath_levinson(c, count, dps):
+    """Reference for verblunsky_from_moments_hp: the same recursion in
+    mpmath complex arithmetic, both inner products summed per level."""
+    from mpmath import mp, mpc
+
+    with mp.workdps(dps):
+        cc = [mpc(v) for v in c]
+        line = [mp.conj(v) for v in cc[:0:-1]] + cc
+        origin = len(cc) - 1
+        phi = [mpc(1)]
+        alphas = []
+        for m in range(count):
+            phistar = [mp.conj(v) for v in reversed(phi)]
+            num = mp.fsum(phi[j] * line[origin - (j + 1)] for j in range(len(phi)))
+            den = mp.fsum(phistar[j] * line[origin - j] for j in range(len(phistar)))
+            if mp.re(den) <= 0:
+                raise ConditioningError(m, f"not positive definite at size {m + 1}")
+            ca = num / den
+            if 1.0 - float(abs(ca)) ** 2 < EPS_PD:
+                raise ConditioningError(m, f"coefficient {m} has modulus {float(abs(ca))}")
+            alphas.append(complex(mp.conj(ca)))
+            new = [mpc(0)] + phi
+            for j in range(len(phistar)):
+                new[j] -= ca * phistar[j]
+            phi = new
+        return alphas
 
 
 class TestProviders:
@@ -186,6 +215,38 @@ class TestLevinson:
         f64 = verblunsky_from_moments(c64, 20)
         assert np.abs(np.array(f64) - np.array(hp[:20])).max() < 1e-8
         assert max(abs(a) for a in hp) < 1.0
+
+    @pytest.mark.parametrize("atom", [(0.0, 0.35), (0.2, 0.3)])
+    def test_high_precision_matches_mpmath_reference(self, atom):
+        c = exact_arc_mass_moments(ARC[0], ARC[1], 1.0 - atom[1], [atom], 120, dps=100)
+        assert verblunsky_from_moments_hp(c, 120, dps=100) == mpmath_levinson(c, 120, 100)
+
+    def test_high_precision_stable_under_raised_precision(self):
+        # the acceptance fixture's dps 260 loses no float digit against dps 300
+        c260, c300 = (
+            exact_arc_mass_moments(ARC[0], ARC[1], 0.65, [(0.0, 0.35)], 401, dps=dps)
+            for dps in (260, 300)
+        )
+        hp260 = verblunsky_from_moments_hp(c260, 401, dps=260)
+        assert len(hp260) == 401
+        assert hp260 == verblunsky_from_moments_hp(c300, 401, dps=300)
+
+    def test_high_precision_conditioning_error_names_index(self):
+        from mpmath import mp
+
+        c = exact_arc_mass_moments(ARC[0], ARC[1], 0.65, [(0.0, 0.35)], 30, dps=100)
+        with mp.workdps(100):
+            c[12] += mp.mpf("0.2")  # the Toeplitz matrix of size 13 is indefinite
+        for recursion in (verblunsky_from_moments_hp, mpmath_levinson):
+            with pytest.raises(ConditioningError) as info:
+                recursion(c, 30, 100)
+            assert info.value.index == 11
+
+    def test_high_precision_rejects_nonpositive_mass(self):
+        with pytest.raises(ConditioningError) as info:
+            verblunsky_from_moments_hp([-1.0, 0.2, 0.1], 2, dps=50)
+        assert info.value.index == 0
+        assert "not positive definite" in str(info.value)
 
     def test_sequence_from_measure(self):
         seq = pa.sequence_from_measure(pa.bernstein_szego_measure([0.3 + 0.2j]), 4)
