@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import VerblunskySequence, unit_circle_point
-from .szego import _as_points, _maybe_scalar, _rho
+from .szego import _as_points, _maybe_scalar, _pair, _szego_levels
 
 DEFINITIONS = ("kernel", "level_n", "level_nm1")
 
@@ -70,32 +70,14 @@ class ParaPolynomial:
     # values of the base-point polynomials, all levels at once
     def _lambda_values(self):
         if self._lam_phi is None:
-            a = self.seq.alphas(self.n)
-            rho = _rho(a)
-            phi = np.empty(self.n + 1, dtype=complex)
-            ps = np.empty(self.n + 1, dtype=complex)
-            phi[0] = ps[0] = 1.0
-            for j in range(self.n):
-                t = self.lam * phi[j]
-                phi[j + 1] = (t - np.conj(a[j]) * ps[j]) / rho[j]
-                ps[j + 1] = (ps[j] - a[j] * t) / rho[j]
-            self._lam_phi = phi
-            self._lam_star = ps
+            rows = _szego_levels(self.seq.alphas(self.n), self.lam, range(self.n + 1))
+            self._lam_phi, self._lam_star = rows[:, 0], rows[:, 1]
         return self._lam_phi, self._lam_star
 
-    def _z_side_pair(self, z: np.ndarray, level: int):
-        """(p_level(z), p*_level(z)) where p = phi (first) or psi (second)."""
-        a = self.seq.alphas(level)
-        if self.kind == "second":
-            a = -a
-        rho = _rho(a)
-        phi = np.ones_like(z)
-        ps = np.ones_like(z)
-        for j in range(level):
-            t = z * phi
-            phi = (t - np.conj(a[j]) * ps) / rho[j]
-            ps = (ps - a[j] * t) / rho[j]
-        return phi, ps
+    def _z_alphas(self, count: int) -> np.ndarray:
+        """Coefficients of the z-side pair: phi (first kind) or psi (second, negated)."""
+        a = self.seq.alphas(count)
+        return -a if self.kind == "second" else a
 
 
 def _eval_with_scale(p: ParaPolynomial, z: np.ndarray, definition: str):
@@ -103,31 +85,19 @@ def _eval_with_scale(p: ParaPolynomial, z: np.ndarray, definition: str):
     lam_phi, lam_star = p._lambda_values()
     sign = -1.0 if p.kind == "first" else 1.0
     if definition == "kernel":
-        a = p.seq.alphas(p.n - 1)
-        ka = -a if p.kind == "second" else a
-        rho = _rho(a)
-        phi = np.ones_like(z)
-        ps = np.ones_like(z)
-        acc = np.conj(lam_phi[0]) * phi
-        scale = np.abs(acc)
-        for j in range(p.n - 1):
-            t = z * phi
-            phi = (t - np.conj(ka[j]) * ps) / rho[j]
-            ps = (ps - ka[j] * t) / rho[j]
-            term = np.conj(lam_phi[j + 1]) * phi
-            acc = acc + term
-            scale = np.maximum(scale, np.abs(term))
+        weights = np.conj(lam_phi[: p.n])
+        _, acc, scale = _szego_levels(p._z_alphas(p.n - 1), z, (), weights=weights)
         factor = np.conj(p.lam) * (p.lam - z)
         if p.kind == "first":
             return factor * acc, np.abs(factor) * scale
         return 2.0 - factor * acc, np.maximum(np.abs(factor) * scale, 2.0)
     if definition == "level_n":
-        phi, ps = p._z_side_pair(z, p.n)
+        phi, ps = _pair(p._z_alphas(p.n), z)
         t1 = np.conj(lam_star[p.n]) * ps
         t2 = np.conj(lam_phi[p.n]) * phi
         return t1 + sign * t2, np.maximum(np.abs(t1), np.abs(t2))
     if definition == "level_nm1":
-        phi, ps = p._z_side_pair(z, p.n - 1)
+        phi, ps = _pair(p._z_alphas(p.n - 1), z)
         t1 = np.conj(lam_star[p.n - 1]) * ps
         t2 = z * np.conj(p.lam) * np.conj(lam_phi[p.n - 1]) * phi
         return t1 + sign * t2, np.maximum(np.abs(t1), np.abs(t2))
@@ -201,36 +171,12 @@ def real_form(p: ParaPolynomial, theta: float) -> RealFormValue:
     return RealFormValue(float(values[0]), float(residuals[0]), float(theta))
 
 
-class _SweepTables:
-    """Shared data for trace evaluation across a whole degree range."""
+def _trace_at_levels(p: ParaPolynomial, thetas, n_for_each) -> np.ndarray:
+    """Real trace where each sample carries its own degree, up to p's.
 
-    def __init__(self, kind: str, lam: complex, seq: VerblunskySequence, max_n: int):
-        self.kind = kind
-        self.lam = unit_circle_point(lam)
-        a = seq.alphas(max_n)
-        self.rho = _rho(a)
-        self.a_z = -a if kind == "second" else a
-        lam_phi = np.empty(max_n + 1, dtype=complex)
-        lam_star = np.empty(max_n + 1, dtype=complex)
-        lam_phi[0] = lam_star[0] = 1.0
-        for j in range(max_n):
-            t = self.lam * lam_phi[j]
-            lam_phi[j + 1] = (t - np.conj(a[j]) * lam_star[j]) / self.rho[j]
-            lam_star[j + 1] = (lam_star[j] - a[j] * t) / self.rho[j]
-        self.lam_phi = lam_phi
-        self.lam_star = lam_star
-        self.max_n = max_n
-
-
-def _sweep_tables(kind: str, lam: complex, seq: VerblunskySequence, max_n: int) -> _SweepTables:
-    return _SweepTables(kind, lam, seq, max_n)
-
-
-def _trace_at_levels(tables: _SweepTables, thetas, n_for_each) -> np.ndarray:
-    """Real trace where each sample carries its own degree.
-
-    One recursion pass to the maximum degree serves every sample; this
-    is what lets degree sweeps batch their bracket refinements.  Samples
+    The samples share p's kind, base point and coefficients.  One
+    recursion pass to the maximum degree serves every sample; this is
+    what lets degree sweeps batch their bracket refinements.  Samples
     are sorted by degree, deepest first, so each level updates a prefix.
     """
     th = np.asarray(thetas, dtype=float)
@@ -239,20 +185,17 @@ def _trace_at_levels(tables: _SweepTables, thetas, n_for_each) -> np.ndarray:
         return np.empty(0)
     order = np.argsort(-nn, kind="stable")
     th, nn = th[order], nn[order]
-    z = tables.lam * np.exp(1j * th)
-    phi = np.ones_like(z)
-    ps = np.ones_like(z)
+    z = p.lam * np.exp(1j * th)
+    lam_phi, lam_star = p._lambda_values()
     want = nn - 1  # z-side values are taken at level n-1
-    active = np.searchsorted(-want, -np.arange(1, int(want[0]) + 1), side="right")
-    for j, c in enumerate(active):
-        t = z[:c] * phi[:c]
-        phi[:c] = (t - np.conj(tables.a_z[j]) * ps[:c]) / tables.rho[j]
-        ps[:c] = (ps[:c] - tables.a_z[j] * t) / tables.rho[j]
-    t1 = np.conj(tables.lam_star[nn - 1]) * ps
-    t2 = z * np.conj(tables.lam) * np.conj(tables.lam_phi[nn - 1]) * phi
-    val = t1 - t2 if tables.kind == "first" else t1 + t2
+    top = int(want[0])
+    active = np.searchsorted(-want, -np.arange(1, top + 1), side="right")
+    phi, ps = _szego_levels(p._z_alphas(top), z, (top,), active)[0]
+    t1 = np.conj(lam_star[want]) * ps
+    t2 = z * np.conj(p.lam) * np.conj(lam_phi[want]) * phi
+    val = t1 - t2 if p.kind == "first" else t1 + t2
     tr = val * np.exp(-0.5j * nn * th)
-    if tables.kind == "first":
+    if p.kind == "first":
         tr = tr * -1j
     out = np.empty(th.size)
     out[order] = tr.real

@@ -9,6 +9,12 @@ with rho_j = (1 - |a_j|^2)^{1/2} produces orthonormal values directly;
 the log of the monic norm is accumulated on the side so that levels in
 the hundreds stay inside double range even for non-decaying
 coefficients.  `z` may be a scalar or any ndarray; results broadcast.
+
+Every float64 pass of the recursion, here and in the para module (the
+second kind on the negated coefficients), runs through `_szego_levels`:
+per level one product z phi and the fixed 2 x 2 step (phi, phi*) <-
+K_j (z phi, phi*), K_j = (1 / rho_j) [[1, -conj(a_j)], [-a_j, 1]], both
+into preallocated buffers, over blocks of BLOCK points at a time.
 """
 
 from __future__ import annotations
@@ -59,15 +65,104 @@ def _rho(alphas: np.ndarray) -> np.ndarray:
     return np.sqrt(1.0 - np.abs(alphas) ** 2)
 
 
-def _recurse(alphas: np.ndarray, rho: np.ndarray, z: np.ndarray):
-    """Run the coupled recursion to level len(alphas); yields nothing, returns final pair."""
-    phi = np.ones_like(z)
-    ps = np.ones_like(z)
-    for j in range(alphas.size):
-        t = z * phi
-        phi = (t - np.conj(alphas[j]) * ps) / rho[j]
-        ps = (ps - alphas[j] * t) / rho[j]
-    return phi, ps
+# points the recursion kernel carries at once: its two (2, BLOCK) complex
+# buffers stay in cache, and its working set does not grow with the
+# number of points
+BLOCK = 4096
+
+
+def _szego_levels(alphas, z, levels, active=None, weights=None):
+    """The pairs (phi_j(z), phi_j*(z)) at the given levels, from one pass.
+
+    alphas holds the m coefficients to run (negated for the second
+    kind), z is a complex array of any shape, and levels increase within
+    0..m.  Returns rows of shape (len(levels), 2) + z.shape.
+
+    active, for a flat z ordered deepest point first: active[j] leading
+    points take step j (level j to j + 1) and the others keep their last
+    values, so the row at level L holds each point at min(L, its depth).
+
+    weights, one per level 0..m (a scalar each, or an array of z's
+    shape), without active: the kernel then returns (rows, sum, largest),
+    the sum over j of weights[j] phi_j(z) and the largest such term in
+    modulus.
+    """
+    a = np.asarray(alphas, dtype=complex)
+    shape = np.shape(z)
+    zf = np.asarray(z, dtype=complex).reshape(-1)
+    size = zf.size
+    r = 1.0 / _rho(a)
+    k = list(np.stack([r, -np.conj(a) * r, -a * r, r], axis=-1).reshape(-1, 2, 2))
+    rows = np.empty((len(levels), 2, size), dtype=complex)
+    row_of = {level: i for i, level in enumerate(levels)}
+    if weights is not None:
+        w = np.asarray(weights, dtype=complex)
+        w = w.reshape(w.shape[0], -1)
+        total, largest = np.zeros(size, dtype=complex), np.zeros(size)
+    buf = np.empty((2, 2, min(size, BLOCK)), dtype=complex)
+    for b0 in range(0, size, BLOCK):
+        zb = zf[b0 : b0 + BLOCK]
+        width = zb.size
+        if active is None:
+            counts = [width] * a.size
+        else:
+            counts = np.clip(np.asarray(active)[: a.size] - b0, 0, width).tolist()
+        steps = sum(c > 0 for c in counts)
+        if weights is not None:
+            wb = w if w.shape[1] == 1 else w[:, b0 : b0 + width]
+            acc, big = total[b0 : b0 + width], largest[b0 : b0 + width]
+            term, mag = np.empty(width, dtype=complex), np.empty(width)
+        # the pair alternates between the two buffers, level j in full[j % 2];
+        # a point holds the same values in both once it has left the
+        # prefix, and views are cut again only when the prefix shrinks
+        full = buf[0, :, :width], buf[1, :, :width]
+        cur, nxt = full
+        cur.fill(1.0)
+        live, zc, head, head_nxt = width, zb, cur[0], nxt[0]
+        for j in range(steps + 1):
+            if j in row_of:
+                rows[row_of[j], :, b0 : b0 + width] = full[j % 2]
+            if weights is not None:
+                np.multiply(wb[j], full[j % 2][0], out=term)
+                np.add(acc, term, out=acc)
+                np.maximum(big, np.abs(term, out=mag), out=big)
+            if j == steps:
+                break
+            c = counts[j]
+            if c < live:
+                nxt[:, c:live] = cur[:, c:live]
+                live = c
+                zc, cur, nxt = zb[:c], cur[:, :c], nxt[:, :c]
+                head, head_nxt = cur[0], nxt[0]
+            np.multiply(zc, head, out=head)
+            np.matmul(k[j], cur, out=nxt)
+            cur, nxt, head, head_nxt = nxt, cur, head_nxt, head
+        for level in levels:
+            if level > steps:
+                rows[row_of[level], :, b0 : b0 + width] = full[steps % 2]
+    rows = rows.reshape((len(levels), 2) + shape)
+    if weights is None:
+        return rows
+    return rows, total.reshape(shape), largest.reshape(shape)
+
+
+def _pair(alphas, z):
+    """(phi, phi*) at level len(alphas)."""
+    return _szego_levels(alphas, z, (len(alphas),))[0]
+
+
+def _kernel_sum(a_z, z, a_y, y):
+    """sum_{j <= m} conj(p_j(y)) q_j(z) over broadcast z and y.
+
+    p runs on the coefficients a_y and q on a_z, m of each.  Every level
+    of p at y is held (m + 1 values per point when y is an array); z goes
+    through the kernel's weighted sum.
+    """
+    shape = np.broadcast_shapes(z.shape, y.shape)
+    w = np.conj(_szego_levels(a_y, y, range(a_y.size + 1))[:, 0])
+    if y.ndim:
+        w = np.broadcast_to(w, w.shape[:1] + shape)
+    return _szego_levels(a_z, np.broadcast_to(z, shape), (), weights=w)[1]
 
 
 def eval_pair(seq: "VerblunskySequence", n: int, z) -> PolyPairValue:
@@ -76,9 +171,8 @@ def eval_pair(seq: "VerblunskySequence", n: int, z) -> PolyPairValue:
         raise ValueError(f"level must be >= 0, got {n}")
     zz, scalar = _as_points(z)
     a = seq.alphas(n)
-    rho = _rho(a)
-    phi, ps = _recurse(a, rho, zz)
-    log_norm = float(np.log(rho).sum()) if n else 0.0
+    phi, ps = _pair(a, zz)
+    log_norm = float(np.log(_rho(a)).sum()) if n else 0.0
     return PolyPairValue(_maybe_scalar(phi, scalar), _maybe_scalar(ps, scalar), log_norm)
 
 
@@ -92,24 +186,6 @@ def monic_norm(seq: "VerblunskySequence", n: int) -> float:
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     return float(np.prod(_rho(seq.alphas(n)))) if n else 1.0
-
-
-def _level_values(seq, n: int, z: np.ndarray, levels: tuple[int, ...]):
-    """Pairs (phi_j, phi_j*) at the requested levels, one pass."""
-    a = seq.alphas(max(levels))
-    rho = _rho(a)
-    phi = np.ones_like(z)
-    ps = np.ones_like(z)
-    out = {}
-    if 0 in levels:
-        out[0] = (phi, ps)
-    for j in range(a.size):
-        t = z * phi
-        phi = (t - np.conj(a[j]) * ps) / rho[j]
-        ps = (ps - a[j] * t) / rho[j]
-        if j + 1 in levels:
-            out[j + 1] = (phi, ps)
-    return out
 
 
 def _guard_diagonal(y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -137,29 +213,15 @@ def cd_kernel(seq: "VerblunskySequence", n: int, z, y, mode: str = "sum") -> Ker
     scalar = scalar_z and scalar_y
     if mode == "sum":
         a = seq.alphas(n - 1)
-        rho = _rho(a)
-        phi_z = np.ones_like(zz)
-        ps_z = np.ones_like(zz)
-        phi_y = np.ones_like(yy)
-        ps_y = np.ones_like(yy)
-        acc = phi_z * np.conj(phi_y)
-        for j in range(a.size):
-            tz = zz * phi_z
-            phi_z = (tz - np.conj(a[j]) * ps_z) / rho[j]
-            ps_z = (ps_z - a[j] * tz) / rho[j]
-            ty = yy * phi_y
-            phi_y = (ty - np.conj(a[j]) * ps_y) / rho[j]
-            ps_y = (ps_y - a[j] * ty) / rho[j]
-            acc = acc + phi_z * np.conj(phi_y)
-        return KernelValue(_maybe_scalar(acc, scalar), n, mode)
+        return KernelValue(_maybe_scalar(_kernel_sum(a, zz, a, yy), scalar), n, mode)
     denom = _guard_diagonal(yy, zz)
     if mode == "closed_level_n":
-        vz = _level_values(seq, n, zz, (n,))[n]
-        vy = _level_values(seq, n, yy, (n,))[n]
+        vz = _pair(seq.alphas(n), zz)
+        vy = _pair(seq.alphas(n), yy)
         num = np.conj(vy[1]) * vz[1] - np.conj(vy[0]) * vz[0]
     else:  # closed_level_nm1
-        vz = _level_values(seq, n, zz, (n - 1,))[n - 1]
-        vy = _level_values(seq, n, yy, (n - 1,))[n - 1]
+        vz = _pair(seq.alphas(n - 1), zz)
+        vy = _pair(seq.alphas(n - 1), yy)
         num = np.conj(vy[1]) * vz[1] - np.conj(yy) * zz * np.conj(vy[0]) * vz[0]
     return KernelValue(_maybe_scalar(num / denom, scalar), n, mode)
 
@@ -177,27 +239,13 @@ def mixed_kernel(seq: "VerblunskySequence", n: int, z, y, mode: str = "sum"):
     zz, scalar_z = _as_points(z)
     yy, scalar_y = _as_points(y)
     scalar = scalar_z and scalar_y
-    fseq = seq.flipped()
     if mode == "sum":
         a = seq.alphas(n - 1)
-        rho = _rho(a)
-        phi_y = np.ones_like(yy)
-        ps_y = np.ones_like(yy)
-        psi_z = np.ones_like(zz)
-        psst_z = np.ones_like(zz)
-        acc = np.conj(phi_y) * psi_z
-        for j in range(a.size):
-            ty = yy * phi_y
-            phi_y = (ty - np.conj(a[j]) * ps_y) / rho[j]
-            ps_y = (ps_y - a[j] * ty) / rho[j]
-            tz = zz * psi_z
-            psi_z = (tz + np.conj(a[j]) * psst_z) / rho[j]
-            psst_z = (psst_z + a[j] * tz) / rho[j]
-            acc = acc + np.conj(phi_y) * psi_z
-        return _maybe_scalar(acc, scalar)
+        return _maybe_scalar(_kernel_sum(-a, zz, a, yy), scalar)
     denom = _guard_diagonal(yy, zz)
-    vy = _level_values(seq, n, yy, (n,))[n]
-    vz = _level_values(fseq, n, zz, (n,))[n]
+    a = seq.alphas(n)
+    vy = _pair(a, yy)
+    vz = _pair(-a, zz)
     num = 2.0 - np.conj(vy[1]) * vz[1] - np.conj(vy[0]) * vz[0]
     return _maybe_scalar(num / denom, scalar)
 
@@ -218,13 +266,11 @@ def mixed_form(seq: "VerblunskySequence", n: int, z, y, level: str = "n"):
     zz, scalar_z = _as_points(z)
     yy, scalar_y = _as_points(y)
     scalar = scalar_z and scalar_y
-    fseq = seq.flipped()
+    a = seq.alphas(n if level == "n" else n - 1)
+    vy = _pair(a, yy)
+    vz = _pair(-a, zz)
     if level == "n":
-        vy = _level_values(seq, n, yy, (n,))[n]
-        vz = _level_values(fseq, n, zz, (n,))[n]
         out = np.conj(vy[1]) * vz[1] + np.conj(vy[0]) * vz[0]
     else:
-        vy = _level_values(seq, n, yy, (n - 1,))[n - 1]
-        vz = _level_values(fseq, n, zz, (n - 1,))[n - 1]
         out = np.conj(vy[1]) * vz[1] + zz * np.conj(yy) * np.conj(vy[0]) * vz[0]
     return _maybe_scalar(out, scalar)

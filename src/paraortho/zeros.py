@@ -35,7 +35,7 @@ import numpy as np
 
 from . import precision
 from .errors import AmbiguousMinimaError, ResolutionError
-from .para import ParaPolynomial, beta_coefficient, para_eval, real_form_grid
+from .para import ParaPolynomial, _trace_at_levels, beta_coefficient, para_eval, real_form_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -315,17 +315,15 @@ def _placements(p: ParaPolynomial, t: np.ndarray, cfg: ZeroFindConfig):
         yield np.sort(np.where(t < w, t + TWO_PI, np.where(t > TWO_PI - w, t - TWO_PI, t)))
 
 
-def _eigen_brackets(p: ParaPolynomial, t: np.ndarray, cfg: ZeroFindConfig, first_values=None):
+def _eigen_brackets(p: ParaPolynomial, t: np.ndarray, cfg: ZeroFindConfig, first_values):
     """Certified brackets around the estimates t, trying each placement in turn.
 
-    first_values, if given, are the trace values at the search points of
-    the first placement (the sweep evaluates those in one batch).
+    first_values are the trace values at the search points of the first
+    placement (the zero path evaluates those in one batch).
     """
     for i, cand in enumerate(_placements(p, t, cfg)):
         points = _search_points(p, cand, cfg)
-        values = first_values if i == 0 and first_values is not None else None
-        if values is None:
-            values = real_form_grid(p, _search_thetas(points))[0]
+        values = first_values if i == 0 else real_form_grid(p, _search_thetas(points))[0]
         brackets = _certified_brackets(p, points, values)
         if brackets is not None:
             return brackets
@@ -399,18 +397,10 @@ def find_zeros(p: ParaPolynomial, cfg: ZeroFindConfig | None = None) -> ZeroSet:
     _grid_brackets takes over.
     Brackets are then bisected to theta_tol.  A degree whose zeros
     cannot be isolated is a ResolutionError reporting the found count; a
-    short list is never returned silently.
+    short list is never returned silently.  This is find_zeros_sweep on
+    the one degree of p.
     """
-    cfg = cfg or ZeroFindConfig()
-    brackets = _eigen_brackets(p, _cmv_angles(p), cfg) if p.n <= EIGEN_MAX_N else None
-    lo, hi, flo, scale = brackets or _grid_brackets(p, cfg)
-
-    def fun(thetas, sel):
-        return real_form_grid(p, thetas)[0]
-
-    roots = _all_roots(p, _bisect(fun, lo, hi, flo, cfg.theta_tol))
-    values = real_form_grid(p, np.concatenate([roots, _midpoints(roots)]))[0]
-    return _assemble(p, roots, values, scale, cfg)
+    return _zero_sets({p.n: p}, cfg or ZeroFindConfig(), skip_unresolved=False)[p.n]
 
 
 def _all_roots(p: ParaPolynomial, roots: np.ndarray) -> np.ndarray:
@@ -464,12 +454,24 @@ def find_zeros_sweep(
     left out of the result instead of aborting the sweep; callers must
     treat missing keys as explicit resolution failures.
     """
-    from .para import _sweep_tables, _trace_at_levels
+    polys = {n: ParaPolynomial(kind, n, lam, seq) for n in sorted(set(int(n) for n in n_values))}
+    return _zero_sets(polys, cfg or ZeroFindConfig(), skip_unresolved)
 
-    cfg = cfg or ZeroFindConfig()
-    n_values = sorted(set(int(n) for n in n_values))
-    tables = _sweep_tables(kind, lam, seq, max(n_values))
-    polys = {n: ParaPolynomial(kind, n, lam, seq) for n in n_values}
+
+def _zero_sets(polys: dict[int, ParaPolynomial], cfg: ZeroFindConfig,
+               skip_unresolved: bool) -> dict[int, ZeroSet]:
+    """The zero path of find_zeros and find_zeros_sweep.
+
+    polys maps increasing degrees to polynomials of one family (kind,
+    base point and coefficients).  The highest one evaluates the trace of
+    every degree, and its base-point values, one recursion pass, serve
+    every degree: level j does not depend on the degree.
+    """
+    top = polys[max(polys)]
+    lam_phi, lam_star = top._lambda_values()
+    for n, p in polys.items():
+        if p._lam_phi is None:
+            p._lam_phi, p._lam_star = lam_phi[: n + 1], lam_star[: n + 1]
 
     def trace(parts):
         """Trace at per-degree point lists, returned split the same way.
@@ -485,7 +487,7 @@ def find_zeros_sweep(
                 size += parts[batch[-1]].size
             th = np.concatenate([parts[n] for n in batch])
             nn = np.concatenate([np.full(parts[n].size, n) for n in batch])
-            flat = _trace_at_levels(tables, th, nn)
+            flat = _trace_at_levels(top, th, nn)
             out.update(zip(batch, np.split(flat, np.cumsum([parts[n].size for n in batch])[:-1])))
         return out
 
@@ -505,7 +507,7 @@ def find_zeros_sweep(
         return out
     lo, hi, flo = (np.concatenate([b[i] for b in found.values()]) for i in range(3))
     nn = np.concatenate([np.full(b[0].size, n) for n, b in found.items()])
-    roots = _bisect(lambda th, sel: _trace_at_levels(tables, th, nn[sel]), lo, hi, flo, cfg.theta_tol)
+    roots = _bisect(lambda th, sel: _trace_at_levels(top, th, nn[sel]), lo, hi, flo, cfg.theta_tol)
     roots = {n: _all_roots(polys[n], roots[nn == n]) for n in found}
     checks = trace({n: np.concatenate([r, _midpoints(r)]) for n, r in roots.items()})
     for n, r in roots.items():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -251,11 +252,17 @@ class TestExitCodes:
 
 
 def test_reports_deterministic_modulo_timestamp(tmp_path):
+    # reruns must write the same bytes apart from the timestamp line
     out = tmp_path / "r.json"
-    argv = ["zeros", "--alpha", "random:0.6:seed=9", "--n", "8", "--out", str(out)]
-    assert run(argv) == 0
-    first = read_json(out)
-    assert run(argv) == 0
-    second = read_json(out)
-    first.pop("generated_at"), second.pop("generated_at")
-    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+    runs = (
+        ["zeros", "--alpha", "random:0.6:seed=9", "--n", "8"],
+        ["verify", "theorem2", "--alpha", "const:-0.5", "--lambda-theta", "pi", "--n", "2..12"],
+    )
+    for argv in runs:
+        reports = []
+        for _ in range(2):
+            assert run(argv + ["--out", str(out)]) == 0
+            text, stamps = re.subn(rb'"generated_at": "[^"]*"', b'"generated_at": ""', out.read_bytes())
+            assert stamps == 1
+            reports.append(text)
+        assert reports[0] == reports[1], argv[0]

@@ -5,13 +5,113 @@ import pytest
 
 import paraortho as pa
 from paraortho.errors import SingularKernelError
-from paraortho.szego import mixed_form
+from paraortho.precision import ROUNDING_FACTOR, U_DOUBLE
+from paraortho.szego import BLOCK, _szego_levels, mixed_form
 
 TWO_PI = 2.0 * math.pi
+# kernel against the reference loop: both are float64 passes, each
+# trusted to ROUNDING_FACTOR * level * u * (running magnitude), the
+# package's stated rounding bound for an n-level pass
+KERNEL_TOL = 2.0 * ROUNDING_FACTOR * U_DOUBLE
 
 
 def circle_points(rng, count):
     return np.exp(1j * rng.uniform(0.0, TWO_PI, count))
+
+
+def reference_levels(alphas, z, levels):
+    """The per-level loop the recursion kernel replaced, kept as a reference.
+
+    Returns {level: (phi, phi*, running magnitude)}, the running
+    magnitude being the largest pair modulus reached up to that level.
+    """
+    rho = np.sqrt(1.0 - np.abs(alphas) ** 2)
+    phi = np.ones_like(z)
+    ps = np.ones_like(z)
+    mag = np.ones(z.shape)
+    out = {0: (phi, ps, mag)}
+    for j in range(alphas.size):
+        t = z * phi
+        phi = (t - np.conj(alphas[j]) * ps) / rho[j]
+        ps = (ps - alphas[j] * t) / rho[j]
+        mag = np.maximum(mag, np.maximum(np.abs(phi), np.abs(ps)))
+        out[j + 1] = (phi, ps, mag)
+    return {level: out[level] for level in levels}
+
+
+def assert_matches_reference(pair, ref, level):
+    phi, ps, mag = ref
+    tol = KERNEL_TOL * max(level, 1) * mag
+    assert np.all(np.abs(pair[0] - phi) <= tol)
+    assert np.all(np.abs(pair[1] - ps) <= tol)
+
+
+def mixed_points(rng, count):
+    """Points on the circle and inside the disk, alternating."""
+    z = circle_points(rng, count)
+    z[1::2] *= 0.98 * np.sqrt(rng.uniform(0.0, 1.0, z[1::2].size))
+    return z
+
+
+class TestRecursionKernel:
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plain", "flipped"])
+    def test_levels_match_reference(self, sign):
+        # more points than one block, so a block boundary is crossed
+        rng = np.random.default_rng(41)
+        a = sign * pa.RandomSequence(0.7, 31).alphas(90)
+        z = mixed_points(rng, BLOCK + 100)
+        levels = (0, 1, 89, 90)
+        rows = _szego_levels(a, z, levels)
+        ref = reference_levels(a, z, levels)
+        assert rows.shape == (4, 2, z.size)
+        for row, level in zip(rows, levels):
+            assert_matches_reference(row, ref[level], level)
+
+    def test_prefix_counts_match_reference(self):
+        # each point stops at its own depth (some never step), so the row
+        # at level L holds every point at min(L, depth); every level is
+        # checked, on both sides of a block boundary
+        rng = np.random.default_rng(42)
+        n = 60
+        a = pa.RandomSequence(0.7, 32).alphas(n)
+        depth = np.sort(rng.integers(0, n + 1, BLOCK + 700))[::-1]
+        z = mixed_points(rng, depth.size)
+        active = np.searchsorted(-depth, -np.arange(1, n + 1), side="right")
+        rows = _szego_levels(a, z, range(n + 1), active)
+        ref = reference_levels(a, z, range(n + 1))
+        table = [np.array([ref[level][i] for level in range(n + 1)]) for i in range(3)]
+        points = np.arange(depth.size)
+        for level in range(n + 1):
+            at = np.minimum(depth, level)
+            want = tuple(t[at, points] for t in table)
+            assert_matches_reference(rows[level], want, level)
+
+    def test_scalar_and_2d_points(self):
+        rng = np.random.default_rng(43)
+        a = pa.RandomSequence(0.7, 33).alphas(40)
+        z = mixed_points(rng, 15).reshape(3, 5)
+        rows = _szego_levels(a, z, (39, 40))
+        assert rows.shape == (2, 2, 3, 5)
+        ref = reference_levels(a, z, (39, 40))
+        assert_matches_reference(rows[0], ref[39], 39)
+        assert_matches_reference(rows[1], ref[40], 40)
+        one = _szego_levels(a, complex(z[1, 2]), (40,))
+        assert one.shape == (1, 2)
+        assert_matches_reference(one[0], tuple(v[1, 2] for v in ref[40]), 40)
+
+    def test_weighted_sum_matches_reference(self):
+        rng = np.random.default_rng(44)
+        n = 50
+        a = -pa.RandomSequence(0.7, 34).alphas(n)
+        z = mixed_points(rng, BLOCK + 64)
+        w = circle_points(rng, (n + 1) * z.size).reshape(n + 1, z.size)
+        rows, total, largest = _szego_levels(a, z, (), weights=w)
+        assert rows.shape == (0, 2, z.size)
+        ref = reference_levels(a, z, range(n + 1))
+        terms = np.array([w[j] * ref[j][0] for j in range(n + 1)])
+        tol = KERNEL_TOL * n * ref[n][2] * (n + 1)
+        assert np.all(np.abs(total - terms.sum(axis=0)) <= tol)
+        assert np.all(np.abs(largest - np.abs(terms).max(axis=0)) <= tol)
 
 
 class TestPairEvaluation:
