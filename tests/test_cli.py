@@ -252,7 +252,7 @@ class TestExitCodes:
 
 
 def test_reports_deterministic_modulo_timestamp(tmp_path):
-    # reruns must write the same bytes apart from the timestamp line
+    # reruns must write the same bytes apart from the timestamp value
     out = tmp_path / "r.json"
     runs = (
         ["zeros", "--alpha", "random:0.6:seed=9", "--n", "8"],
