@@ -8,9 +8,9 @@ sign pattern G has between its own zeros, says on which side of G's
 colliding zero x lies.  A zero paired with the pinned base-point zero is
 placed instead by the side of lambda its refined position lies on.  A
 sign is accepted only where the value exceeds the stated bound on
-everything that could have moved it; a pair still open goes to the next
-precision of LADDER: long double, double-double, then mpmath at rising
-precision.
+everything that could have moved it; the points still open go on to the
+next precision of LADDER.  Each precision is one pass over every open
+point of an `order` call, with lambda as one more row.
 
 All evaluations use the monic Szego recursion
 
@@ -28,33 +28,38 @@ sign, and the polynomial of either kind reads
 with (P, Q) the z-side pair at level n - 1, (L, L*) the plain pair at
 lambda, and sigma = +1 (first kind) or -1 (second kind).
 
-Refinement: float64 derivatives F', F'', G', G'' at z0 = lambda e^{i x}
-and a long double value F(z0) give the second-order Newton step
-d0 = -F/F' - F'' F^2 / (2 F'^3) to z1 = z0 + d0.  At each precision of
-the ladder a value pass gives F(z1) and G(z1); with the derivatives
-carried over to z1, the last offset is d1 = -F(z1)/F'(z1) and G at the
-zero is G(z1) + G'(z1) d1.  Only the value pass needs the precision:
-everything else is multiplied by the small offsets.  The mpmath stages
-first continue the Newton steps in mpmath until they fall below the
-working precision.
+Passes: long double carries [value, d/dz, d2/dz2] of the pairs as (3,
+rows) stacks (z P has the derivatives [z P, P + z P', 2 P' + z P'']),
+decides at z0 = lambda e^{i x} from F, F', F'', G, G', G'' there, and
+its second-order Newton step d0 = -F/F' - F'' F^2 / (2 F'^3) gives z1 =
+z0 + d0.  Double-double, then Python-integer fixed point at the binary
+precision p of 40 and 80 mpmath digits, evaluate values only, at z1 (the
+fixed-point stages first continue the Newton steps in mpmath until they
+fall below 2^-p).  With the derivatives at z0 carried to z1, the last
+offset is d1 = -F(z1)/F'(z1) and G at the zero is G(z1) + G'(z1) d1.
 
 Rounding bound: an n-level pass at unit roundoff u is trusted to
-ROUNDING_FACTOR * n * u * S, where S combines the running magnitudes of
-the pass (the largest pair magnitude reached, not the final one: near
-colliding zeros the recursion follows a decaying solution, and the
-errors made at its peak dominate).  The factor is empirical, with a
-wide margin: on zeros of the radius-0.7 corpus (seeds 1 to 15, degrees
-60 to 150, both kinds) the float64 error stayed below 7 n u S (320
-zeros) and the double-double pairs below 12 n u S (240 zeros); on 3,058
-colliding pairs and 33 pinned-zero sides the long double and
-double-double decisions all agreed with mpmath at 80 digits.
+ROUNDING_FACTOR * n * u * S, where S >= 1 combines the running
+magnitudes of the pass (the largest pair magnitude reached, not the
+final one: near colliding zeros the recursion follows a decaying
+solution, and the errors made at its peak dominate).  The factor is
+empirical, with a wide margin: on zeros of the radius-0.7 corpus (seeds
+1 to 15, degrees 60 to 150, both kinds) the float64 error stayed below
+7 n u S (320 zeros) and the double-double pairs below 12 n u S (240
+zeros).  Fixed point holds every number as an integer at scale 2^B, B =
+p + FIXED_GUARD_BITS: sums are exact and each product, shifted back to
+2^B, rounds by at most 2^-B <= u S, so the bound covers it too; the
+pairs are then combined in mpmath, and the value bounds are the long
+double ones rescaled by u / U_LONG.  Every decided sign agreed with
+mpmath at 80 digits on 10,646 colliding pairs and pinned-zero sides
+(seeds 1 to 15, same and consecutive degrees 60, 70, ..., 150).
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .para import ParaPolynomial
+import numpy as np
 
 ROUNDING_FACTOR = 1024.0
 # precisions in the order they are tried: (label, value pass), where the
@@ -65,9 +70,11 @@ LONG = np.longdouble
 U_LONG = float(np.finfo(LONG).eps) / 2  # 2^-64 where long double is x87 extended
 U_DOUBLE = 2.0**-53
 U_DD = 2.0**-104
+FIXED_GUARD_BITS = 16  # bits of the fixed-point scale below the working precision
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
 _CHUNK = 16  # levels whose product factors are prepared at once
 _CONJ = np.array([[1.0], [-1.0]])
+_DERIVATIVE = np.array([[1.0], [2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -191,33 +198,75 @@ def _dd_pairs(alphas: np.ndarray, z: np.ndarray, star0, levels: set[int]):
         mag = np.maximum(mag, np.abs(hi[:, :k]).sum(axis=0))
 
 
-def _rows(polys, z):
-    """Evaluation rows: the points once per kind among polys, then lambda."""
-    kinds = sorted({p.kind for p in polys})
-    k = len(z)
-    pts = np.concatenate([z] * len(kinds) + [np.array([polys[0].lam], dtype=z.dtype)])
-    star0 = np.concatenate([np.full(k, 1.0 if kind == "first" else -1.0) for kind in kinds] + [[1.0]])
-    cols = {kind: slice(i * k, (i + 1) * k) for i, kind in enumerate(kinds)}
-    return pts, star0, cols
+def _rows(groups, z):
+    """Rows of one pass: the points z[i] of group (f, g, ...) once per kind
+    among f and g, then lambda.  Returns the points, the start of Phi* per
+    row (1 first kind, -1 second) and per group the (polynomial, columns)
+    of f and, if not None, g, and the levels they need."""
+    blocks, star0, requests = [], [], []
+    start = 0
+    for (f, g, *_), zk in zip(groups, z):
+        cols = {}
+        for p in (f, g):
+            if p is not None and p.kind not in cols:
+                cols[p.kind] = slice(start, start + zk.size)
+                start += zk.size
+                blocks.append(zk)
+                star0.append(np.full(zk.size, 1.0 if p.kind == "first" else -1.0))
+        requests.append([(p, cols[p.kind]) for p in (f, g) if p is not None])
+    blocks.append(np.array([groups[0][0].lam], dtype=z[0].dtype))
+    levels = {p.n - 1 for r in requests for p, _ in r}
+    return np.concatenate(blocks), np.concatenate(star0 + [[1.0]]), requests, levels
 
 
-def _dd_values(polys, z):
-    """Values at the long double points z of polynomials sharing seq and lambda.
+def _long_values(groups, z):
+    """F, F', F'' and their bounds at the long double points z, in one long
+    double pass: per group one (F, F', F'', bound, bound, bound) per
+    polynomial, values in long double, bounds in float64."""
+    pts, star0, requests, levels = _rows(groups, z)
+    top = max(levels)
+    alphas = groups[0][0].seq.alphas(top).astype(np.clongdouble)
+    phi = np.zeros((3, pts.size), dtype=np.clongdouble)
+    star = phi.copy()
+    phi[0], star[0] = 1.0, star0
+    mag = np.ones(phi.shape, dtype=LONG)
+    saved = {}
+    for j in range(top + 1):
+        t = pts * phi  # z Phi with its derivatives
+        t[1:] += _DERIVATIVE * phi[:2]
+        if j in levels:
+            saved[j] = phi, star, t, mag
+        if j < top:
+            phi, star = t - np.conj(alphas[j]) * star, star - alphas[j] * t
+            mag = np.maximum(mag, np.abs(phi))
+    cl = np.conj(groups[0][0].lam)
 
-    The pass runs in double-double; returns one (value, bound) per
-    polynomial, values rounded to long double (the bound covers that).
-    """
-    pts, star0, cols = _rows(polys, z)
+    def values(p, c):
+        phi, star, t, mag = saved[p.n - 1]
+        lp, ls = np.conj(phi[0, -1]), np.conj(star[0, -1])
+        sigma = 1.0 if p.kind == "first" else -1.0
+        f = sigma * (ls * star[:, c] - cl * lp * t[:, c])
+        size = (abs(lp) * mag[:, c] + mag[0, -1] * np.abs(phi[:, c])).astype(float)
+        scale = ROUNDING_FACTOR * p.n * U_LONG
+        return (*f, scale * size[0], scale * (size[0] + size[1]), scale * (size[1] + size[2]))
+
+    return [[values(p, c) for p, c in r] for r in requests]
+
+
+def _dd_values(groups, z):
+    """Values at the long double points z in one double-double pass: per
+    group one (value, bound) per polynomial, values rounded to long double
+    (the bound covers that)."""
+    pts, star0, requests, levels = _rows(groups, z)
     m = pts.size
-    levels = {p.n - 1 for p in polys}
-    pairs = _dd_pairs(polys[0].seq.alphas(max(levels)), pts, star0, levels)
-    cl = np.conj(polys[0].lam)
+    f = groups[0][0]
+    pairs = _dd_pairs(f.seq.alphas(max(levels)), pts, star0, levels)
+    cl = np.conj(f.lam)
     zhi, zlo = _dd_point(pts)
     w = _times_dd(zhi, zlo, np.array([[cl.real], [cl.imag]]), np.zeros((2, 1)))  # z conj(lam)
-    out = []
-    for p in polys:
+
+    def value(p, c):
         hi, lo, mag = pairs[p.n - 1]
-        c = cols[p.kind]
         cs = slice(m + c.start, m + c.stop)
         lam_phi = (hi[:, m - 1 : m] * _CONJ, lo[:, m - 1 : m] * _CONJ)
         lam_star = (hi[:, 2 * m - 1 :] * _CONJ, lo[:, 2 * m - 1 :] * _CONJ)
@@ -228,92 +277,61 @@ def _dd_values(polys, z):
         sigma = 1.0 if p.kind == "first" else -1.0
         value = sigma * ((vh[0].astype(LONG) + vl[0]) + 1j * (vh[1].astype(LONG) + vl[1]))
         size = np.hypot(*hi[:, m - 1]) * mag[c] + mag[m - 1] * np.hypot(*hi[:, c])
-        out.append((value, ROUNDING_FACTOR * p.n * U_DD * size + U_LONG * abs(value)))
-    return out
+        return value, ROUNDING_FACTOR * p.n * U_DD * size + U_LONG * abs(value)
+
+    return [[value(p, c) for p, c in r] for r in requests]
 
 
-def _numpy_pass(polys, z, dtype, derivatives: bool):
-    """F, F', F'' at the points z in the given complex dtype, with rounding
-    bounds, one tuple per polynomial (derivatives zero unless asked for)."""
-    u = float(np.finfo(dtype).eps) / 2
-    pts, star0, cols = _rows(polys, np.asarray(z, dtype=dtype))
-    levels = {p.n - 1 for p in polys}
-    alphas = polys[0].seq.alphas(max(levels)).astype(dtype)
-    zero = np.zeros(pts.size, dtype=dtype)
-    phi, star = zero + 1, zero + star0
-    d1, s1, d2, s2 = zero, zero, zero, zero
-    mag = np.ones((3, pts.size), dtype=zero.real.dtype)
-    saved = {}
-    for j in range(max(levels) + 1):
+# ---------------------------------------------------------------------------
+# integer fixed point: a complex number is a pair of ints at scale 2^bits
+
+
+def _fixed_pairs(alphas, x, star0: int, levels: set[int], bits: int):
+    """Monic pairs {level: (Phi_l, Phi*_l)} at the fixed-point point x."""
+    (xr, xi), top = x, max(levels)
+    pr, pi, sr, si = 1 << bits, 0, star0 << bits, 0
+    out = {}
+    for j in range(top + 1):
         if j in levels:
-            saved[j] = (phi, star, d1, s1, d2, s2, mag.copy())
-        if j == max(levels):
-            break
-        a, ca = alphas[j], np.conj(alphas[j])
-        if derivatives:
-            t1, t2 = phi + pts * d1, 2 * d1 + pts * d2
-            d1, s1 = t1 - ca * s1, s1 - a * t1
-            d2, s2 = t2 - ca * s2, s2 - a * t2
-            mag[1:] = np.maximum(mag[1:], np.abs([d1, d2]))
-        t = pts * phi
-        phi, star = t - ca * star, star - a * t
-        mag[0] = np.maximum(mag[0], np.abs(phi))
-    lam = pts[-1]
-    out = []
-    for p in polys:
-        phi, star, d1, s1, d2, s2, mag = saved[p.n - 1]
-        c = cols[p.kind]
-        pairs = (phi[c], star[c], d1[c], s1[c], d2[c], s2[c])
-        out.append(_combine(p, pts[c], lam, np.conj(phi[-1]), np.conj(star[-1]), pairs,
-                            mag[0, -1], mag[:, c], u))
+            out[j] = (pr, pi), (sr, si)
+        if j < top:
+            ar, ai = alphas[j]
+            tr, ti = (xr * pr - xi * pi) >> bits, (xr * pi + xi * pr) >> bits
+            # Phi <- z Phi - conj(a) Phi*,  Phi* <- Phi* - a z Phi
+            pr, pi, sr, si = (tr - ((ar * sr + ai * si) >> bits), ti - ((ar * si - ai * sr) >> bits),
+                              sr - ((ar * tr - ai * ti) >> bits), si - ((ar * ti + ai * tr) >> bits))
     return out
 
 
-def _long_values(polys, z):
-    """Values at the points z in long double, one (value, bound) per polynomial."""
-    return [v[::3] for v in _numpy_pass(polys, z, np.clongdouble, False)]
-
-
-def _combine(p, z, lam, lp, ls, pairs, lmag, mag, u):
-    """F, F', F'' and their rounding bounds from the z-side pairs and derivatives."""
-    phi, star, d1, s1, d2, s2 = pairs
-    sigma = 1 if p.kind == "first" else -1
-    cl = lam.conjugate()
-    f0 = sigma * (ls * star - z * cl * lp * phi)
-    f1 = sigma * (ls * s1 - cl * lp * (phi + z * d1))
-    f2 = sigma * (ls * s2 - cl * lp * (2 * d1 + z * d2))
-    scale = ROUNDING_FACTOR * p.n * u
-    size = [abs(lp) * mag[i] + lmag * abs(v) for i, v in enumerate((phi, d1, d2))]
-    return f0, f1, f2, scale * size[0], scale * (size[0] + size[1]), scale * (size[1] + size[2])
-
-
-def _mp_pairs(alphas, x, star0):
-    """Monic pair at level len(alphas) at one point, at the working mpmath precision."""
+def _fixed_evaluator(f, levels: set[int]):
+    """value(p, z): at the working mpmath precision, p (sharing f's
+    coefficients and lambda, p.n - 1 among levels) at the mpc point z, from
+    a fixed-point pass; the lambda-side pairs are computed once, here."""
     import mpmath
+    from mpmath.libmp import to_fixed
 
-    phi, star = mpmath.mpc(1), mpmath.mpc(star0)
-    for a in alphas:
-        t = x * phi
-        phi, star = t - a.conjugate() * star, star - a * t
-    return phi, star
+    bits = mpmath.mp.prec + FIXED_GUARD_BITS
 
+    def from_double(z):
+        return int(math.ldexp(z.real, bits)), int(math.ldexp(z.imag, bits))
 
-class _MpPolynomial:
-    """A polynomial's coefficients and lambda-side pair at the working mpmath precision."""
+    def to_mp(v):
+        return mpmath.mpc(mpmath.mpf((v[0], -bits)), mpmath.mpf((v[1], -bits)))
 
-    def __init__(self, p: ParaPolynomial):
-        import mpmath
+    alphas = [from_double(a) for a in f.seq.alphas(max(levels))]
+    lam_pairs = _fixed_pairs(alphas, from_double(f.lam), 1, levels, bits)
+    lam_pairs = {j: tuple(map(to_mp, v)) for j, v in lam_pairs.items()}
+    cl = mpmath.mpc(f.lam).conjugate()
 
-        self.p = p
-        self.alphas = [mpmath.mpc(a) for a in p.seq.alphas(p.n - 1)]
-        self.cl = mpmath.mpc(p.lam).conjugate()
-        phi, star = _mp_pairs(self.alphas, mpmath.mpc(p.lam), 1)
-        self.lp, self.ls = phi.conjugate(), star.conjugate()
+    def value(p, z):
+        x = to_fixed(z.real._mpf_, bits), to_fixed(z.imag._mpf_, bits)
+        pairs = _fixed_pairs(alphas, x, 1 if p.kind == "first" else -1, {p.n - 1}, bits)
+        phi, star = map(to_mp, pairs[p.n - 1])
+        lp, ls = lam_pairs[p.n - 1]
+        v = ls.conjugate() * star - z * cl * lp.conjugate() * phi
+        return v if p.kind == "first" else -v
 
-    def __call__(self, z):
-        phi, star = _mp_pairs(self.alphas, z, 1 if self.p.kind == "first" else -1)
-        value = self.ls * star - z * self.cl * self.lp * phi
-        return value if self.p.kind == "first" else -value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -347,28 +365,25 @@ def _at_zero(d0, fz, ef, f1, f2, e1, e2, g=None):
     return gz + g1z * d1, eg + abs(d1) * h1z + abs(g1z) * (err + k_g * abs(d1) ** 2)
 
 
-def _trace_factor(p: ParaPolynomial, theta):
-    """Unimodular factor that makes the value at lambda e^{i theta} real."""
-    f = np.exp(-0.5j * p.n * np.asarray(theta, dtype=float))
-    return -1j * f if p.kind == "first" else f
-
-
-def _judge(f, g, theta, z0, z1, fz, ef, fd, gv, u):
+def _judge(f, g, theta, z0, z1, values, derivs, u):
     """Sign and decision at one precision, for arrays or mpmath scalars.
 
-    z1 is where F(z1) = fz (bound ef) was taken, fd = (F', F'', bounds)
-    at z0 in float64, gv = (G(z1), bound, G', G'', bounds) or None for a
-    side-of-lambda decision; u is the unit roundoff of the arithmetic
-    that combines them.
+    values holds (F(z1), bound) and, unless g is None (a side-of-lambda
+    decision), (G(z1), bound); derivs the matching (value, first and
+    second derivative, their bounds) at z0 from the long double pass; u
+    is the unit roundoff of the arithmetic that combines them.
     """
+    (fz, ef), *gv = values
+    (_, f1, f2, _, e1, e2), *gd = derivs
     d0 = z1 - z0
     if g is None:
-        d1, err = _at_zero(d0, fz, ef, *fd)
-        lam = z1 * 0 + complex(f.lam)
-        offset = (lam.conjugate() * (z1 + d1)).imag
+        d1, err = _at_zero(d0, fz, ef, f1, f2, e1, e2)
+        offset = ((z1 + d1) * complex(f.lam).conjugate()).imag
         return (offset > 0) * 2.0 - 1.0, abs(offset) > err + 8 * u
-    value, bound = _at_zero(d0, fz, ef, *fd, gv)
-    trace = (value * _trace_factor(g, theta)).real
+    (gz, eg), (_, g1, g2, _, h1, h2) = gv[0], gd[0]
+    value, bound = _at_zero(d0, fz, ef, f1, f2, e1, e2, (gz, eg, g1, g2, h1, h2))
+    factor = np.exp(-0.5j * g.n * np.asarray(theta, dtype=float))  # makes g real on the circle
+    trace = (value * (-1j * factor if g.kind == "first" else factor)).real
     return (trace > 0) * 2.0 - 1.0, abs(trace) > bound + 8 * u * abs(value)
 
 
@@ -379,88 +394,72 @@ def _ld_to_mp(z):
     return mpmath.mpc(mpmath.mpf(re) + float(z.real - re), mpmath.mpf(im) + float(z.imag - im))
 
 
-def _mp_decide(f, g, theta, z0, z1, derivs):
-    """_judge at the working mpmath precision, point by point.
-
-    Newton steps in mpmath (with the float64 derivative) continue from
-    the long double point z1 until they fall below the precision.
-    """
+def _fixed_decide(groups, z0, z1, derivs):
+    """_judge at the working mpmath precision, point by point, after Newton
+    steps in mpmath from z1 (long double derivatives) have fallen below
+    it; every value comes from one fixed-point evaluator."""
     import mpmath
 
-    mpc = mpmath.mpc
     u = mpmath.mpf(2) ** (-mpmath.mp.prec)
-    ratio = float(u) / U_DOUBLE  # value bounds scale with the unit roundoff
-    mf = _MpPolynomial(f)
-    mg = None if g is None else _MpPolynomial(g)
-    signs, decided = [], []
-    for i in range(theta.size):
-        (_, f1, f2, e0, e1, e2), *rest = [tuple(v[i] for v in d) for d in derivs]
-        f1, f2 = mpc(f1), mpc(f2)
-        zs, z = mpc(complex(z0[i])), _ld_to_mp(z1[i])
-        for _ in range(mpmath.mp.dps // 6):
-            fz = mf(z)
-            step = -fz / (f1 + f2 * (z - zs))
-            if abs(step) < 8 * u:
-                break
-            z += step
-        else:
-            fz = mf(z)
-        gv = None
-        if mg is not None:
-            (_, g1, g2, h0, h1, h2), = rest
-            gv = (mg(z), h0 * ratio, mpc(g1), mpc(g2), h1, h2)
-        sign, ok = _judge(f, g, theta[i], zs, z, fz, e0 * ratio, (f1, f2, e1, e2), gv, u)
-        signs.append(float(sign))
-        decided.append(bool(ok))
-    return np.array(signs), np.array(decided)
+    ratio = float(u) / U_LONG  # value bounds scale with the unit roundoff
+    value = _fixed_evaluator(groups[0][0], {p.n - 1 for f, g, _ in groups for p in (f, g) if p is not None})
+    out = []
+    for (f, g, theta), zs0, zs1, d in zip(groups, z0, z1, derivs):
+        result = []
+        for i in range(theta.size):
+            dv = [(*(_ld_to_mp(v[i]) for v in t[:3]), *(float(v[i]) for v in t[3:])) for t in d]
+            zs, z = mpmath.mpc(complex(zs0[i])), _ld_to_mp(zs1[i])
+            for _ in range(mpmath.mp.dps // 6):
+                fz = value(f, z)
+                step = -fz / (dv[0][1] + dv[0][2] * (z - zs))
+                if abs(step) < 8 * u:
+                    break
+                z += step
+            else:
+                fz = value(f, z)
+            values = [(fz, dv[0][3] * ratio)] + ([] if g is None else [(value(g, z), dv[1][3] * ratio)])
+            result.append(_judge(f, g, theta[i], zs, z, values, dv, u))
+        sign, ok = np.array(result, dtype=float).reshape(-1, 2).T
+        out.append((sign, ok > 0))
+    return out
 
 
-def _ladder(f, g, theta):
-    """Sign and deciding precision (LADDER label, "" if none) per point."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    polys = [f] if g is None else [f, g]
-    z0 = f.lam * np.exp(1j * theta)
-    derivs = _numpy_pass(polys, z0, complex, True)
-    ((f0, *_),) = _numpy_pass([f], z0, np.clongdouble, False)
-    _, f1, f2, _, e1, e2 = derivs[0]
-    z0 = z0.astype(np.clongdouble)
-    z1 = z0 + _newton(f0, f1.astype(np.clongdouble), f2)
-    signs = np.zeros(theta.size)
-    labels = np.full(theta.size, "", dtype=object)
+def order(groups):
+    """Order zeros near given angles against another family or lambda.
+
+    groups lists (f, g, theta), all polynomials sharing one coefficient
+    sequence and base point.  With g a polynomial, the sign of g's real
+    trace at the zeros of f near the angles theta; with g None, the side
+    of lambda (+1 counterclockwise, -1 clockwise) those zeros lie on.
+    Each point is decided at the first precision of LADDER whose value
+    clears its rounding bound.  Returns one (signs, labels) per group:
+    labels name that precision, "" where none did.
+    """
+    groups = [(f, g, np.atleast_1d(np.asarray(t, dtype=float))) for f, g, t in groups]
+    z0 = [(f.lam * np.exp(1j * t)).astype(np.clongdouble) for f, _, t in groups]
+    derivs = _long_values(groups, z0)
+    z1 = [z + _newton(*d[0][:3]) for z, d in zip(z0, derivs)]
+    signs = [np.zeros(t.size) for *_, t in groups]
+    labels = [np.full(t.size, "", dtype=object) for *_, t in groups]
     for label, prec in LADDER:
-        k = np.nonzero(labels == "")[0]
-        if not k.size:
+        live = [(i, k) for i, lab in enumerate(labels) if (k := np.nonzero(lab == "")[0]).size]
+        if not live:
             break
-        sub = [tuple(v[k] for v in d) for d in derivs]
-        if prec in ("long", "dd"):
-            values = (_long_values if prec == "long" else _dd_values)(polys, z1[k])
-            (fz, ef), *gvals = values
-            gv = None
-            if g is not None:
-                (gz, eg), (_, g1, g2, _, h1, h2) = gvals[0], sub[1]
-                gv = (gz, eg, g1, g2, h1, h2)
-            sign, ok = _judge(f, g, theta[k], z0[k], z1[k], fz, ef, (f1[k], f2[k], e1[k], e2[k]), gv, U_LONG)
+        sub = [(groups[i][0], groups[i][1], groups[i][2][k]) for i, k in live]
+        z0k, z1k = [z0[i][k] for i, k in live], [z1[i][k] for i, k in live]
+        dk = [[tuple(v[k] for v in d) for d in derivs[i]] for i, k in live]
+        if prec == "long":  # decided at z0 itself
+            results = [_judge(*grp, z, z, [(v[0], v[3]) for v in d], d, U_LONG)
+                       for grp, z, d in zip(sub, z0k, dk)]
+        elif prec == "dd":
+            results = [_judge(*grp, za, zb, v, d, U_LONG)
+                       for grp, za, zb, v, d in zip(sub, z0k, z1k, _dd_values(sub, z1k), dk)]
         else:
             import mpmath
 
             with mpmath.workdps(prec):
-                sign, ok = _mp_decide(f, g, theta[k], z0[k], z1[k], sub)
-        signs[k[ok]] = sign[ok]
-        labels[k[ok]] = label
-    return signs, labels
-
-
-def order(f: ParaPolynomial, g: ParaPolynomial, theta):
-    """Sign of g's real trace at the zeros of f near the angles theta.
-
-    Each point is decided at the first precision of LADDER whose value
-    clears its rounding bound.  Returns (signs, labels): labels name
-    that precision, "" where none did.
-    """
-    return _ladder(f, g, theta)
-
-
-def side(f: ParaPolynomial, theta):
-    """Side of lambda (+1 counterclockwise, -1 clockwise) of the zeros of f
-    near the angles theta, with the conventions of order()."""
-    return _ladder(f, None, theta)
+                results = _fixed_decide(sub, z0k, z1k, dk)
+        for (i, k), (sign, ok) in zip(live, results):
+            signs[i][k[ok]] = sign[ok]
+            labels[i][k[ok]] = label
+    return list(zip(signs, labels))

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .para import ParaPolynomial, para_eval
 from .szego import cd_kernel, eval_pair
-from .zeros import ZeroFindConfig, ZeroSet, find_zeros, interlace
+from .zeros import ZeroFindConfig, ZeroSet, find_zeros, find_zeros_sweep, interlace
 
 TWO_PI = 2.0 * math.pi
 
@@ -611,8 +611,7 @@ def estimate_support(
         raise ValueError(f"support estimation needs degree >= 50, got {n_estimate}")
     lam = unit_circle_point(lam)
     eps = TWO_PI / n_estimate if eps is None else float(eps)
-    za = find_zeros(ParaPolynomial("first", n_estimate, lam, seq), zero_cfg)
-    zb = find_zeros(ParaPolynomial("first", n_estimate + 1, lam, seq), zero_cfg)
+    za, zb = find_zeros_sweep("first", lam, seq, [n_estimate, n_estimate + 1], zero_cfg).values()
     a = np.sort((za.interior_angles() + za.lambda_theta) % TWO_PI)
     b = np.sort((zb.interior_angles() + zb.lambda_theta) % TWO_PI)
     marked = []

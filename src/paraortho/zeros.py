@@ -629,15 +629,16 @@ def _order_collisions(a: ZeroSet, b: ZeroSet, xa, xb, pairs, collision_tol: floa
     zero lies between the two (as at a symmetric gap in the support).
 
     Returns (xa, xb, decided), or None if a pair stays open, a set has
-    no source polynomial, a non-pinned zero lies within collision_tol of
-    lambda, a zero of b takes part in two pairs, or a zero of a in more
-    than two or lies outside its two partners.
+    no source polynomial, the sources differ in coefficient sequence or
+    base point, a non-pinned zero lies within collision_tol of lambda, a
+    zero of b takes part in two pairs, or a zero of a in more than two or
+    lies outside its two partners.
     """
     fa, fb = a.source, b.source
     i, j = pairs[:, 0], pairs[:, 1]
     first, repeats = np.unique(i, return_counts=True)
-    if (fa is None or fb is None or fa.seq is not fb.seq or not (a.simplicity and b.simplicity)
-            or repeats.max() > 2 or np.unique(j).size < j.size):
+    if (fa is None or fb is None or fa.seq is not fb.seq or fa.lam != fb.lam or repeats.max() > 2
+            or not (a.simplicity and b.simplicity) or np.unique(j).size < j.size):
         return None
     pinned_a = (a.kind == "first") & (xa[i] == 0.0)
     pinned_b = (b.kind == "first") & (xb[j] == 0.0)
@@ -648,17 +649,17 @@ def _order_collisions(a: ZeroSet, b: ZeroSet, xa, xb, pairs, collision_tol: floa
         return None
     below = (-1.0 if b.kind == "first" else 1.0) * (-1.0) ** np.searchsorted(b.interior_angles(), xb[j])
 
-    relation = np.zeros(len(pairs))
-    label = np.full(len(pairs), "", dtype=object)
-    if ordinary.any():
-        sign, label[ordinary] = precision.order(fa, fb, xa[i[ordinary]])
-        relation[ordinary] = np.where(sign == below[ordinary], 1.0, -1.0)
     # b's zero after a's pinned one lies after lambda; a's zero after b's
     # pinned one puts b's zero before it
-    for pinned, f, theta, flip in ((pinned_a, fb, xb[j], 1.0), (pinned_b, fa, xa[i], -1.0)):
-        if pinned.any():
-            sign, label[pinned] = precision.side(f, theta[pinned])
-            relation[pinned] = flip * sign
+    one = np.ones(len(pairs))
+    cases = [c for c in ((ordinary, fa, fb, xa[i], below), (pinned_a, fb, None, xb[j], one),
+                         (pinned_b, fa, None, xa[i], -one)) if c[0].any()]
+    relation = np.zeros(len(pairs))
+    label = np.full(len(pairs), "", dtype=object)
+    results = precision.order([(f, g, theta[m]) for m, f, g, theta, _ in cases])
+    for (m, *_, ref), (sign, stage) in zip(cases, results):
+        relation[m] = sign * ref[m]
+        label[m] = stage
     if np.any(label == ""):
         return None
     for k in np.nonzero(repeats == 2)[0]:

@@ -378,9 +378,12 @@ class TestAcceptance:
         coefficient lists within 1e-7.
 
         Lists with several moduli near 0.9 push polynomial zeros close to
-        the circle, so the density develops spikes of width ~1e-3; the
-        panel count is sized for that worst case (2048 panels would leave
-        ~1e-2 errors on such draws).
+        the circle, so the density develops spikes as narrow as the
+        outermost zero lies inside it.  65536 panels resolve lists whose
+        outermost zero lies at least one panel width, 2pi/65536, inside
+        the circle; the ten lists of seed 424242 do (the closest lies 1.6
+        panel widths inside; 2048 panels would leave ~1e-2 errors on such
+        draws).  Not every draw does: some need more than 262144 panels.
         """
         rng = np.random.default_rng(424242)
         worst = 0.0

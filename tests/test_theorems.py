@@ -13,6 +13,7 @@ from paraortho.theorems import (
     rho_radius,
     rho_tilde_radius,
 )
+from paraortho.zeros import find_zeros_sweep
 
 TWO_PI = 2.0 * math.pi
 ARC = (np.pi / 3, 5 * np.pi / 3)  # essential support of constant |alpha| = 0.5
@@ -338,6 +339,17 @@ class TestEstimateSupport:
     def test_degree_floor(self):
         with pytest.raises(ValueError):
             pa.estimate_support(pa.ConstantSequence(0.0), 1.0, 20)
+
+    def test_sweep_of_both_degrees_matches_single_degrees(self):
+        # estimate_support finds both degrees' zeros in one sweep; the
+        # zeros must be those of one find_zeros call per degree
+        seq = pa.ConstantSequence(-0.5)
+        lam = np.exp(1j * np.pi)
+        swept = find_zeros_sweep("first", lam, seq, [400, 401])
+        for n in (400, 401):
+            single = pa.find_zeros(pa.ParaPolynomial("first", n, lam, seq))
+            assert np.array_equal(swept[n].angles, single.angles)
+            assert swept[n].scale == single.scale
 
 
 def test_reports_are_reproducible(geronimus_ctx):

@@ -155,16 +155,20 @@ class TestInterlace:
         assert pa.interlace(h, s).verdict == "pass"
 
     def test_consecutive_collisions_need_mpmath(self):
-        # seed 5, h_150 against h_151: one pair is 9.4e-32 apart
-        seq = pa.RandomSequence(0.7, 5)
-        a = pa.find_zeros(pa.ParaPolynomial("first", 150, 1.0, seq))
-        b = pa.find_zeros(pa.ParaPolynomial("first", 151, 1.0, seq))
-        res = pa.interlace(*(
-            dataclasses.replace(zs, angles=zs.interior_angles(), residuals=zs.residuals[1:])
-            for zs in (a, b)
-        ))
-        assert res.verdict == "pass"
-        assert res.decided.get("mpmath-40", 0) > 0
+        # seed 5, h_150 against h_151: one pair is 9.4e-32 apart, within
+        # double-double reach once the derivatives are long double ones;
+        # seed 2, h_179 against h_180: pairs that only the 40-digit
+        # fixed-point stage decides
+        for seed, n, stage in ((5, 150, "double-double"), (2, 179, "mpmath-40")):
+            seq = pa.RandomSequence(0.7, seed)
+            a = pa.find_zeros(pa.ParaPolynomial("first", n, 1.0, seq))
+            b = pa.find_zeros(pa.ParaPolynomial("first", n + 1, 1.0, seq))
+            res = pa.interlace(*(
+                dataclasses.replace(zs, angles=zs.interior_angles(), residuals=zs.residuals[1:])
+                for zs in (a, b)
+            ))
+            assert res.verdict == "pass"
+            assert res.decided.get(stage, 0) > 0
 
     def test_consecutive_variant(self):
         # interior zeros of degrees n and n+1, base-point zero stripped
