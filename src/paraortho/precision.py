@@ -219,7 +219,7 @@ def _rows(groups, z):
     return np.concatenate(blocks), np.concatenate(star0 + [[1.0]]), requests, levels
 
 
-def _long_values(groups, z):
+def _fused_values(groups, z):
     """F, F', F'' and their bounds at the long double points z, in one long
     double pass: per group one (F, F', F'', bound, bound, bound) per
     polynomial, values in long double, bounds in float64."""
@@ -437,7 +437,7 @@ def order(groups):
     """
     groups = [(f, g, np.atleast_1d(np.asarray(t, dtype=float))) for f, g, t in groups]
     z0 = [(f.lam * np.exp(1j * t)).astype(np.clongdouble) for f, _, t in groups]
-    derivs = _long_values(groups, z0)
+    derivs = _fused_values(groups, z0)
     z1 = [z + _newton(*d[0][:3]) for z, d in zip(z0, derivs)]
     signs = [np.zeros(t.size) for *_, t in groups]
     labels = [np.full(t.size, "", dtype=object) for *_, t in groups]

@@ -57,7 +57,7 @@ def test_long_double_and_double_double_passes_match_mpmath(colliding):
               (polys["first", 101], polys["first", 100]),
               (polys["second", 101], None)]
     z = (1.0 * np.exp(1j * theta[::4])).astype(np.clongdouble)
-    values = precision._long_values(groups, [z] * len(groups))
+    values = precision._fused_values(groups, [z] * len(groups))
     dd = precision._dd_values(groups, [z] * len(groups))
     with mpmath.workdps(60):
         for (f, g), per_poly, dd_per_poly in zip(groups, values, dd):
@@ -81,7 +81,7 @@ def test_fixed_point_pass_matches_mpmath(colliding, dps):
         for p in polys.values():
             # the stated bound ROUNDING_FACTOR n u S: the long double
             # pass's value bound rescaled to the working precision
-            ((_, _, _, e0, _, _),), = precision._long_values([(p, None)], [z])
+            ((_, _, _, e0, _, _),), = precision._fused_values([(p, None)], [z])
             for i in range(theta.size):
                 x = precision._ld_to_mp(z[i])
                 assert abs(value(p, x) - mp_value(p, x)) <= e0[i] * float(u) / U_LONG
