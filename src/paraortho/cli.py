@@ -156,8 +156,6 @@ class RunConfig:
     max_n: int = 100
     points: int = 32
     tol: float = 1e-9
-    grid_multiplier: int = 8
-    max_refinements: int = 6
     theta_tol: float = 1e-12
     residual_tol: float = 1e-6
     out: str | None = None
@@ -167,8 +165,6 @@ class RunConfig:
 
 def _zero_cfg(cfg: RunConfig) -> ZeroFindConfig:
     return ZeroFindConfig(
-        initial_grid_multiplier=cfg.grid_multiplier,
-        max_refinements=cfg.max_refinements,
         theta_tol=cfg.theta_tol,
         residual_tol=cfg.residual_tol,
     )
@@ -506,8 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--lambda-theta", dest="lambda_theta", default="0", help="base point angle (radians or '0.5pi')")
         p.add_argument("--panels", type=int, default=1024)
         p.add_argument("--out", help="JSON output path (default stdout)")
-        p.add_argument("--grid-multiplier", dest="grid_multiplier", type=int, default=8)
-        p.add_argument("--max-refinements", dest="max_refinements", type=int, default=6)
         p.add_argument("--theta-tol", dest="theta_tol", type=float, default=1e-12)
         p.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-6)
 

@@ -171,25 +171,33 @@ def real_form(p: ParaPolynomial, theta: float) -> RealFormValue:
     return RealFormValue(float(values[0]), float(residuals[0]), float(theta))
 
 
+def _deepest_first(thetas, n_for_each):
+    """Samples sorted by degree, deepest first, for a pass to level n - 1.
+
+    Returns (order, thetas, degrees, active): active[j] leading samples
+    take step j of the pass (level j to j + 1), so each level updates a
+    prefix.
+    """
+    nn = np.asarray(n_for_each, dtype=int)
+    order = np.argsort(-nn, kind="stable")
+    nn = nn[order]
+    active = np.searchsorted(1 - nn, -np.arange(1, nn[0]), side="right")
+    return order, np.asarray(thetas, dtype=float)[order], nn, active
+
+
 def _trace_at_levels(p: ParaPolynomial, thetas, n_for_each) -> np.ndarray:
     """Real trace where each sample carries its own degree, up to p's.
 
     The samples share p's kind, base point and coefficients.  One
     recursion pass to the maximum degree serves every sample; this is
-    what lets degree sweeps batch their bracket refinements.  Samples
-    are sorted by degree, deepest first, so each level updates a prefix.
+    what lets degree sweeps batch their bracket refinements.
     """
-    th = np.asarray(thetas, dtype=float)
-    nn = np.asarray(n_for_each, dtype=int)
-    if th.size == 0:
+    if np.size(thetas) == 0:
         return np.empty(0)
-    order = np.argsort(-nn, kind="stable")
-    th, nn = th[order], nn[order]
+    order, th, nn, active = _deepest_first(thetas, n_for_each)
     z = p.lam * np.exp(1j * th)
     lam_phi, lam_star = p._lambda_values()
-    want = nn - 1  # z-side values are taken at level n-1
-    top = int(want[0])
-    active = np.searchsorted(-want, -np.arange(1, top + 1), side="right")
+    want, top = nn - 1, int(nn[0]) - 1  # z-side values are taken at level n-1
     phi, ps = _szego_levels(p._z_alphas(top), z, (top,), active)[0]
     t1 = np.conj(lam_star[want]) * ps
     t2 = z * np.conj(p.lam) * np.conj(lam_phi[want]) * phi
@@ -199,4 +207,33 @@ def _trace_at_levels(p: ParaPolynomial, thetas, n_for_each) -> np.ndarray:
         tr = tr * -1j
     out = np.empty(th.size)
     out[order] = tr.real
+    return out
+
+
+def _phase_at_levels(p: ParaPolynomial, thetas, n_for_each) -> np.ndarray:
+    """Lifted argument, in turns, of b(z) = z phi_{n-1}(z) / phi*_{n-1}(z)
+    at z = lambda e^{i theta}, each sample at its own degree n up to p's.
+
+    The pair is the z-side one of the trace (psi for the second kind).
+    b is a Blaschke product of degree n, so its argument rises strictly,
+    by n turns per turn of z (Simon, OPUC, AMS 2005), and the trace
+    vanishes exactly where b takes one unimodular value.  With b_0 = z
+    and q_k = 1 - alpha_k b_k, b_{k+1} = z b_k conj(q_k) / q_k; since Re
+    q_k >= 1 - |alpha_k| > 0, each arg q_k lies in (-pi/2, pi/2) and the
+    lift is arg b = n arg z - 2 sum_{k < n-1} arg q_k with no unwrapping,
+    where arg z = arg lambda + theta.  Every factor is unimodular, so
+    nothing overflows whatever the degree.
+    """
+    if np.size(thetas) == 0:
+        return np.empty(0)
+    order, th, nn, active = _deepest_first(thetas, n_for_each)
+    z = p.lam * np.exp(1j * th)
+    a = p._z_alphas(int(nn[0]) - 1)
+    b, acc = z.copy(), np.zeros(th.size)
+    for k, c in enumerate(active):
+        q = 1.0 - a[k] * b[:c]
+        acc[:c] += np.arctan2(q.imag, q.real)
+        b[:c] *= z[:c] * np.conj(q) / q
+    out = np.empty(th.size)
+    out[order] = (nn * (np.angle(p.lam) + th) - 2.0 * acc) / (2.0 * np.pi)
     return out

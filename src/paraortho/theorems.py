@@ -165,6 +165,7 @@ class TheoremContext:
     def __post_init__(self):
         self.lam = unit_circle_point(self.lam)
         self._zero_cache: dict[tuple[str, int], ZeroSet] = {}
+        self._nu_estimate: SupportModel | None = None
 
     def zero_set(self, kind: str, n: int) -> ZeroSet:
         key = (kind, n)
@@ -175,14 +176,19 @@ class TheoremContext:
         return self._zero_cache[key]
 
     def nu_model(self) -> tuple[SupportModel, str]:
-        """The nu support model and where it came from."""
+        """The nu support model and where it came from.
+
+        Without a given model it is estimated once per context, with the
+        context's zero-finding configuration.
+        """
         if self.nu_support is not None:
             return self.nu_support, self.nu_support.provenance
-        eps = self.nu_estimate_eps
-        model = estimate_support(
-            self.seq.flipped(), self.lam, self.nu_estimate_n, eps
-        )
-        return model, "estimated"
+        if self._nu_estimate is None:
+            self._nu_estimate = estimate_support(
+                self.seq.flipped(), self.lam, self.nu_estimate_n, self.nu_estimate_eps,
+                zero_cfg=self.zero_cfg,
+            )
+        return self._nu_estimate, "estimated"
 
 
 @dataclass

@@ -4,12 +4,17 @@ Zero location works on the rotated real-valued trace (see para.real_form):
 its zeros on [0, 2pi) are exactly the polynomial's zeros relative to the
 base point, they are simple, and the sign alternates between consecutive
 zeros, so sign-change bracketing plus bisection is a complete detector.
-The brackets come from the eigenvalues of the cut-off CMV matrix, which
-are the zeros; the trace must change sign across every cell between
-consecutive eigenvalues, which certifies that each cell holds exactly
-one zero.  Where that certificate fails, a doubling grid scan with a
-cluster zoom looks for the sign changes instead.  The base point itself
-is handled out of band: for the first kind it is a known zero pinned at
+Up to degree EIGEN_MAX_N the brackets come from the eigenvalues of the
+cut-off CMV matrix, which are the zeros; the trace must change sign
+across every cell between consecutive eigenvalues, which certifies that
+each cell holds exactly one zero.  Above it, and where that certificate
+fails, they come from a phase count: the lifted argument of the
+Blaschke product z phi_{n-1} / phi*_{n-1} rises strictly by n turns per
+turn of z, and the zeros are exactly where it passes a fixed value
+modulo one turn, so one O(n) pass at a point counts the zeros before it,
+as a Sturm sequence does on the line, and a few points per zero split
+the circle into cells of one zero each.  The base point itself is
+handled out of band: for the first kind it is a known zero pinned at
 theta = 0; for the second kind the trace equals +2 at theta = 0 and
 2(-1)^n as theta -> 2pi, and those exact values are used as endpoint
 signs (the evaluated trace loses all precision there once magnitudes
@@ -35,7 +40,8 @@ import numpy as np
 
 from . import precision
 from .errors import AmbiguousMinimaError, ResolutionError
-from .para import ParaPolynomial, _trace_at_levels, beta_coefficient, para_eval, real_form_grid
+from .para import (ParaPolynomial, _phase_at_levels, _trace_at_levels, beta_coefficient, para_eval,
+                   real_form_grid)
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,18 +55,27 @@ CAYLEY_LIMIT = 1e3
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # largest degree whose brackets come from the CMV eigenvalues; the dense
 # eigenproblem holds several n x n complex matrices at once (10 MB at
-# n = 400), so higher degrees keep to the grid scan, whose memory is O(n)
+# n = 400), so higher degrees take the phase count, whose memory is O(n);
+# below it the eigensolver is the faster of the two
 EIGEN_MAX_N = 200
+# trace samples per zero that measure its size around the CMV brackets
+GRID_MULTIPLIER = 8
+# phase samples per zero of the first phase pass, and the points each
+# further pass puts into a cell that holds more than one zero
+PHASE_GRID = 4
+PHASE_SPLIT = 7
+# a phase within this many turns of a whole turn marks a sample on a
+# zero, where the trace sign decides the count: the lifted phase sums n
+# arctangents, so its rounding is some n u turns (1e-13 at n = 600)
+ON_ZERO = 1e-9
 # most trace samples one batched evaluation of find_zeros_sweep takes
 SWEEP_BATCH = 16384
 
 
 @dataclass
 class ZeroFindConfig:
-    initial_grid_multiplier: int = 8
-    max_refinements: int = 6
     theta_tol: float = 1e-12
-    residual_tol: float = 1e-6  # relative to the grid evaluation scale
+    residual_tol: float = 1e-6  # relative to the largest trace sampled
 
 
 @dataclass
@@ -129,56 +144,11 @@ def _bisect(fun, lo, hi, flo, tol):
         sel = np.nonzero(steps > step)[0]
         mid = 0.5 * (lo[sel] + hi[sel])
         fm = fun(mid, sel)
-        left = flo[sel] * fm <= 0.0
+        left = np.sign(flo[sel]) * np.sign(fm) <= 0.0  # the product of two large traces overflows
         hi[sel] = np.where(left, mid, hi[sel])
         lo[sel] = np.where(left, lo[sel], mid)
         flo[sel] = np.where(left, flo[sel], fm)
     return 0.5 * (lo + hi)
-
-
-def _grid_values(p: ParaPolynomial, m: int):
-    """Trace values on the m+1 point grid with exact endpoint pinning."""
-    th = np.linspace(0.0, TWO_PI, m + 1)
-    f = np.empty(m + 1)
-    inner, _, _ = real_form_grid(p, th[1:-1])
-    f[1:-1] = inner
-    if p.kind == "first":
-        f[0] = 0.0
-        f[-1] = 0.0
-    else:
-        f[0] = 2.0
-        f[-1] = 2.0 if p.n % 2 == 0 else -2.0
-    return th, f
-
-
-def _sign_brackets(p: ParaPolynomial, th: np.ndarray, f: np.ndarray):
-    """Indices i with a sign change in cell (th_i, th_{i+1})."""
-    prod = f[:-1] * f[1:]
-    idx = np.nonzero(prod < 0.0)[0]
-    if p.kind == "first":
-        # endpoint cells border the pinned zero; interior zeros there are
-        # caught by the count check and grid refinement
-        idx = idx[(idx != 0) & (idx != len(f) - 2)]
-    return idx
-
-
-def _zoom_cell(p: ParaPolynomial, a: float, b: float, tol: float, depth: int = 60):
-    """Search one no-sign-change cell for an even cluster of zeros.
-
-    Subdivides, following the smallest |trace| subcell; returns bracket
-    triples (lo, hi, f_lo) for any sign changes uncovered.
-    """
-    for _ in range(depth):
-        th = np.linspace(a, b, 17)
-        v, _, _ = real_form_grid(p, th)
-        hits = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
-        if hits.size:
-            return [(th[i], th[i + 1], v[i]) for i in hits]
-        if b - a < 4.0 * tol:
-            return []
-        j = int(np.argmin(np.abs(v)))
-        a, b = th[max(j - 1, 0)], th[min(j + 1, 16)]
-    return []
 
 
 def _cmv_matrix(p: ParaPolynomial) -> np.ndarray:
@@ -253,8 +223,8 @@ def _search_points(p: ParaPolynomial, t: np.ndarray, cfg: ZeroFindConfig):
     Cells end at the midpoints between consecutive estimates; for the
     second kind the outer cells end at the base point, where the trace
     is known exactly.  The narrow bracket is t +- max(NARROW, theta_tol),
-    clipped to the cell.  The interior points of the initial grid of
-    initial_grid_multiplier * n cells only measure the trace's size: a
+    clipped to the cell.  The interior points of a grid of
+    GRID_MULTIPLIER * n cells only measure the trace's size: a
     midpoint can sit far below the peak of a wide cell (a gap in the
     support).  Returns (midpoints, cell lo, cell hi, narrow lo, narrow
     hi, grid).
@@ -267,7 +237,7 @@ def _search_points(p: ParaPolynomial, t: np.ndarray, cfg: ZeroFindConfig):
         mids = 0.5 * (t[:-1] + t[1:])
         lo, hi = np.concatenate([[0.0], mids]), np.concatenate([mids, [TWO_PI]])
     w = max(NARROW, cfg.theta_tol)
-    grid = np.linspace(0.0, TWO_PI, cfg.initial_grid_multiplier * p.n + 1)[1:-1]
+    grid = np.linspace(0.0, TWO_PI, GRID_MULTIPLIER * p.n + 1)[1:-1]
     return mids, lo, hi, np.maximum(t - w, lo), np.minimum(t + w, hi), grid
 
 
@@ -293,112 +263,114 @@ def _certified_brackets(p: ParaPolynomial, points, values):
     else:
         f = np.concatenate([[2.0], fmid, [2.0 if p.n % 2 == 0 else -2.0]])
     scale = float(np.max(np.abs(np.concatenate([f, fgrid]))))
-    if np.any(f[:-1] * f[1:] >= 0.0):
+    if np.any(np.sign(f[:-1]) * np.sign(f[1:]) >= 0.0):  # signs: products overflow
         return None
     flo, fhi = f[:-1], f[1:]
     fnlo = np.where(nlo == lo, flo, fnlo)
     fnhi = np.where(nhi == hi, fhi, fnhi)
-    narrow = fnlo * fnhi < 0.0
+    narrow = np.sign(fnlo) * np.sign(fnhi) < 0.0
     return (np.where(narrow, nlo, lo), np.where(narrow, nhi, hi),
             np.where(narrow, fnlo, flo), scale)
 
 
-def _placements(p: ParaPolynomial, t: np.ndarray, cfg: ZeroFindConfig):
-    """The zero estimates t, then t with an estimate at the base point moved across it.
+def _batched(fun, parts):
+    """fun(thetas, degrees) at per-degree point lists, returned split the same way.
 
-    A second-kind zero closer to lambda than the eigenvalue accuracy can
-    come out on either side of the cut at theta = 0; only the signs tell.
+    Degrees go in batches of at most SWEEP_BATCH points, which bounds the
+    memory of the multi-level evaluation.
     """
-    yield t
-    w = max(NARROW, cfg.theta_tol)
-    if p.kind == "second" and t.size > 1 and (t[0] < w or t[-1] > TWO_PI - w):
-        yield np.sort(np.where(t < w, t + TWO_PI, np.where(t > TWO_PI - w, t - TWO_PI, t)))
+    out, degrees = {}, list(parts)
+    while degrees:
+        batch, size = [], 0
+        while degrees and (not batch or size + parts[degrees[0]].size <= SWEEP_BATCH):
+            batch.append(degrees.pop(0))
+            size += parts[batch[-1]].size
+        th = np.concatenate([parts[n] for n in batch])
+        nn = np.concatenate([np.full(parts[n].size, n) for n in batch])
+        flat = fun(th, nn)
+        out.update(zip(batch, np.split(flat, np.cumsum([parts[n].size for n in batch])[:-1])))
+    return out
 
 
-def _eigen_brackets(p: ParaPolynomial, t: np.ndarray, cfg: ZeroFindConfig, first_values):
-    """Certified brackets around the estimates t, trying each placement in turn.
+def _phase_brackets(polys: dict[int, ParaPolynomial], trace, phase) -> dict:
+    """One bracket per zero from the phase count, for every degree of polys.
 
-    first_values are the trace values at the search points of the first
-    placement (the zero path evaluates those in one batch).
+    phase(parts) and trace(parts) evaluate per-degree point lists.  In
+    turns of the lifted phase (para._phase_at_levels) from an origin, the
+    zeros lie at whole turns: the first kind's origin is its pinned zero;
+    the second kind's puts lambda at u0 in [1/2, 3/2) turns, and h = 1
+    drops the first whole turn as lying before lambda.  The count of
+    zeros in (0, t) is the phase's integer part less h.  h is the choice
+    the trace signs at the first samples back more often, which puts a
+    zero within rounding of lambda on its true side; on a whole turn (to
+    ON_ZERO; the phase is flat across a gap in the support) the trace
+    sign picks the count.  The first pass takes PHASE_GRID samples per
+    zero; each further one cuts every cell of several zeros into
+    PHASE_SPLIT + 1 parts while they are distinct doubles, and one left
+    makes the degree a ResolutionError.  The trace at a cell's low end
+    has the sign of the count: s0 (-1 first kind, +1 second) before the
+    first zero, flipping at each.  Returns {n: (lo, hi, f_lo, scale)},
+    scale the largest |trace| sampled.
     """
-    for i, cand in enumerate(_placements(p, t, cfg)):
-        points = _search_points(p, cand, cfg)
-        values = first_values if i == 0 else real_form_grid(p, _search_thetas(points))[0]
-        brackets = _certified_brackets(p, points, values)
-        if brackets is not None:
-            return brackets
-    return None
-
-
-def _grid_brackets(p: ParaPolynomial, cfg: ZeroFindConfig):
-    """Sign-change brackets from a doubling grid scan and a cluster zoom.
-
-    The grid starts at initial_grid_multiplier * n points and doubles up
-    to max_refinements times until the expected sign-change count is
-    seen; cells whose trace dips without changing sign are then zoomed
-    as a last resort (tight even clusters).  Anything still missing is a
-    ResolutionError reporting the found count.  Returns (lo, hi, f_lo,
-    scale).
-    """
-    n = p.n
-    target = n - 1 if p.kind == "first" else n
-
-    th = f = None
-    idx = np.empty(0, dtype=int)
-    for level in range(cfg.max_refinements + 1):
-        m = cfg.initial_grid_multiplier * n * (1 << level)
-        th, f = _grid_values(p, m)
-        if np.any(f[1:-1] == 0.0):
-            # exact grid hit: shift interior points deterministically
-            shifted = th[1:-1] + (th[1] - th[0]) * 0.37
-            inner, _, _ = real_form_grid(p, shifted)
-            th = np.concatenate([[0.0], shifted, [TWO_PI]])
-            f = np.concatenate([[f[0]], inner, [f[-1]]])
-        idx = _sign_brackets(p, th, f)
-        if idx.size == target:
-            break
-    scale = float(np.max(np.abs(f[1:-1]))) if len(f) > 2 else 1.0
-
-    lo, hi, flo = th[idx], th[idx + 1], f[idx]
-    if idx.size != target:
-        extra = []
-        if idx.size < target:
-            quiet = np.setdiff1d(np.arange(len(f) - 1), idx)
-            if p.kind == "first":
-                quiet = quiet[(quiet != 0) & (quiet != len(f) - 2)]
-            dip = np.minimum(np.abs(f[quiet]), np.abs(f[quiet + 1]))
-            order = quiet[np.argsort(dip)]
-            for cell in order[: 4 * (target - idx.size) + 8]:
-                extra.extend(_zoom_cell(p, th[cell], th[cell + 1], cfg.theta_tol))
-                if idx.size + len(extra) >= target:
-                    break
-        if idx.size + len(extra) != target:
-            found = idx.size + len(extra) + (1 if p.kind == "first" else 0)
-            raise ResolutionError(
-                n,
-                found,
-                f"{p.kind}-kind degree {n}: isolated {found} of {n} zeros after "
-                f"{cfg.max_refinements} grid doublings (base point "
-                f"lambda = {p.lam})",
-            )
-        if extra:
-            lo = np.concatenate([lo, [e[0] for e in extra]])
-            hi = np.concatenate([hi, [e[1] for e in extra]])
-            flo = np.concatenate([flo, [e[2] for e in extra]])
-    return lo, hi, flo, scale
+    frac = np.arange(1, PHASE_SPLIT + 1) / (PHASE_SPLIT + 1)
+    grids = {n: np.linspace(0.0, TWO_PI, PHASE_GRID * n + 1)[:-1] for n in polys}
+    fresh_u = phase(grids)
+    grids = {n: g[1:] for n, g in grids.items()}
+    fresh_f = trace(grids)
+    count, samples, scale = {}, {}, {}
+    for n, u in fresh_u.items():
+        p, origin, s0, h, total = polys[n], -u[0], -1.0, 0, n - 1
+        fresh_u[n] = u[1:]
+        if p.kind == "second":
+            lam_phi, lam_star = p._lambda_values()
+            origin += (u[0] - np.angle(-p.lam * lam_phi[n - 1] / lam_star[n - 1]) / TWO_PI - 0.5) % 1.0 + 0.5
+            s0, total, w = 1.0, n, u[1:] + origin
+            clear = np.abs(w - np.rint(w)) >= ON_ZERO
+            h = int(np.sum((np.sign(fresh_f[n]) * (-1.0) ** np.floor(w))[clear]) < 0)
+        count[n] = origin, s0, h, total
+        samples[n] = np.array([0.0, TWO_PI]), np.array([0.0, total])
+        scale[n] = 2.0 if s0 > 0 else 0.0
+    while grids:
+        for n, t in grids.items():
+            (origin, s0, h, total), f = count[n], fresh_f[n]
+            v = fresh_u[n] + origin
+            near = np.rint(v)
+            on = (np.abs(v - near) < ON_ZERO) & (f != 0.0)
+            c = np.where(on, near - h - (np.sign(f) == s0 * (-1.0) ** (near - h - 1)), np.floor(v) - h)
+            x, c = np.append(samples[n][0], t), np.append(samples[n][1], np.clip(c, 0, total))
+            order = np.argsort(x, kind="stable")
+            x, c = samples[n] = x[order], np.maximum.accumulate(c[order])
+            scale[n] = max(scale[n], float(np.max(np.abs(f))))
+            split = np.nonzero((np.diff(c) > 1) & (np.diff(x) > (PHASE_SPLIT + 1) * np.spacing(x[1:])))[0]
+            grids[n] = (x[split, None] + (x[split + 1] - x[split])[:, None] * frac).ravel()
+        grids = {n: t for n, t in grids.items() if t.size}
+        fresh_u, fresh_f = phase(grids), trace(grids)
+    out = {}
+    for n, (x, c) in samples.items():
+        cell = np.nonzero(np.diff(c))[0]
+        found = int(np.sum(np.diff(c) == 1)) + (polys[n].kind == "first")
+        if found == n:
+            out[n] = (x[cell], x[cell + 1], count[n][1] * (-1.0) ** c[cell], scale[n])
+        else:
+            why = f"isolated {found} of {n} zeros, the rest closer than double angles resolve"
+            out[n] = ResolutionError(n, found, f"{polys[n].kind}-kind degree {n}: {why} (lambda = {polys[n].lam})")
+    return out
 
 
 def find_zeros(p: ParaPolynomial, cfg: ZeroFindConfig | None = None) -> ZeroSet:
     """All n zeros of the polynomial, bracketed by sign changes of the trace.
 
-    The brackets come from the eigenvalues of the cut-off CMV matrix and
-    are certified by a sign change of the trace across every cell; where
-    that certificate fails, or above EIGEN_MAX_N, the grid scan of
-    _grid_brackets takes over.
-    Brackets are then bisected to theta_tol.  A degree whose zeros
-    cannot be isolated is a ResolutionError reporting the found count; a
-    short list is never returned silently.  This is find_zeros_sweep on
-    the one degree of p.
+    Up to EIGEN_MAX_N the brackets come from the eigenvalues of the
+    cut-off CMV matrix and are certified by a sign change of the trace
+    across every cell.  Above it, and where that certificate fails, they
+    come from the phase count: one O(n) pass of the unimodular phase
+    recursion (para._phase_at_levels) counts the zeros before a point
+    exactly, so a few points per zero, and a few more inside the cells
+    that hold several, bracket every zero on its own (see
+    _phase_brackets).  Brackets are then bisected to theta_tol.  A degree
+    whose zeros cannot be isolated is a ResolutionError reporting the
+    found count; a short list is never returned silently.  This is
+    find_zeros_sweep on the one degree of p.
     """
     return _zero_sets({p.n: p}, cfg or ZeroFindConfig(), skip_unresolved=False)[p.n]
 
@@ -445,7 +417,7 @@ def find_zeros_sweep(
 ) -> dict[int, ZeroSet]:
     """find_zeros for a whole range of degrees of one family at once.
 
-    Eigenvalues and grid fallbacks run per degree, but the certificate,
+    Eigenvalues run per degree, but the phase count, the certificate,
     all bracket refinements and the final checks are batched through
     one multi-level evaluation per step, which is what makes long degree
     sweeps affordable.  Results match find_zeros.
@@ -474,33 +446,22 @@ def _zero_sets(polys: dict[int, ParaPolynomial], cfg: ZeroFindConfig,
             p._lam_phi, p._lam_star = lam_phi[: n + 1], lam_star[: n + 1]
 
     def trace(parts):
-        """Trace at per-degree point lists, returned split the same way.
+        return _batched(lambda th, nn: _trace_at_levels(top, th, nn), parts)
 
-        Degrees go in batches of at most SWEEP_BATCH points, which bounds
-        the memory of the multi-level evaluation.
-        """
-        out, degrees = {}, list(parts)
-        while degrees:
-            batch, size = [], 0
-            while degrees and (not batch or size + parts[degrees[0]].size <= SWEEP_BATCH):
-                batch.append(degrees.pop(0))
-                size += parts[batch[-1]].size
-            th = np.concatenate([parts[n] for n in batch])
-            nn = np.concatenate([np.full(parts[n].size, n) for n in batch])
-            flat = _trace_at_levels(top, th, nn)
-            out.update(zip(batch, np.split(flat, np.cumsum([parts[n].size for n in batch])[:-1])))
-        return out
+    def phase(parts):
+        return _batched(lambda th, nn: _phase_at_levels(top, th, nn), parts)
 
     estimates = {n: _cmv_angles(p) for n, p in polys.items() if n <= EIGEN_MAX_N}
     values = trace({n: _search_thetas(_search_points(polys[n], t, cfg)) for n, t in estimates.items()})
-    found: dict[int, tuple] = {}
-    for n, p in polys.items():
-        try:
-            brackets = _eigen_brackets(p, estimates[n], cfg, values[n]) if n in estimates else None
-            found[n] = brackets or _grid_brackets(p, cfg)
-        except ResolutionError:
-            if not skip_unresolved:
-                raise
+    found = {n: _certified_brackets(polys[n], _search_points(polys[n], t, cfg), values[n])
+             for n, t in estimates.items()}
+    rest = {n: p for n, p in polys.items() if found.get(n) is None}
+    if rest:
+        found.update(_phase_brackets(rest, trace, phase))
+    failed = [n for n in polys if isinstance(found[n], ResolutionError)]
+    if failed and not skip_unresolved:
+        raise found[failed[0]]
+    found = {n: found[n] for n in polys if n not in failed}
 
     out: dict[int, ZeroSet] = {}
     if not found:

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import paraortho as pa
+from paraortho import theorems
 from paraortho.coeffs import exact_arc_mass_moments, verblunsky_from_moments_hp
 from paraortho.errors import DomainError, PreconditionError, SupportModelError
 from paraortho.theorems import (
     count_zeros_in_ball,
+    estimate_support,
     rho_prime_radius,
     rho_radius,
     rho_tilde_radius,
@@ -339,6 +341,36 @@ class TestEstimateSupport:
     def test_degree_floor(self):
         with pytest.raises(ValueError):
             pa.estimate_support(pa.ConstantSequence(0.0), 1.0, 20)
+
+    def test_flipped_estimate_of_geronimus_case(self):
+        # the flipped side of constant -0.5 is constant +0.5: the arc plus
+        # an atom at angle 0, next to which h_401 has two zeros 6e-14 apart
+        # (at lambda = -1 exactly they are 3e-95 apart, which no double
+        # angle resolves)
+        ctx = pa.TheoremContext(seq=pa.ConstantSequence(-0.5), lam=np.exp(1j * np.pi))
+        model, provenance = ctx.nu_model()
+        assert provenance == "estimated"
+        assert len(model.arcs) == 1 and len(model.points) == 1
+        assert abs(model.arcs[0][0] - ARC[0]) <= TWO_PI / 400
+        assert abs(model.arcs[0][1] - ARC[1]) <= TWO_PI / 400
+        assert min(model.points[0], TWO_PI - model.points[0]) < 0.05
+
+    def test_nu_model_estimated_once_with_context_config(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("zero_cfg"))
+            return estimate_support(*args, **kwargs)
+
+        monkeypatch.setattr(theorems, "estimate_support", counting)
+        cfg = pa.ZeroFindConfig(theta_tol=1e-11)
+        ctx = pa.TheoremContext(
+            seq=pa.ConstantSequence(0.5), lam=np.exp(1j * np.pi),
+            support=pa.support_model([ARC], points=[0.0]), zero_cfg=cfg, nu_estimate_n=60,
+        )
+        for n in (5, 6):
+            assert pa.check_theorem3(ctx, 1.0, n).notes["nu_support"] == "estimated"
+        assert len(calls) == 1 and calls[0] is cfg
 
     def test_sweep_of_both_degrees_matches_single_degrees(self):
         # estimate_support finds both degrees' zeros in one sweep; the

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import paraortho as pa
+from paraortho import zeros
 from paraortho.errors import ResolutionError
 from paraortho.zeros import ZeroSet, find_zeros_sweep
 
@@ -69,11 +70,8 @@ class TestFindZeros:
             assert np.max(circ_dist(a.angles, b.angles)) <= 1e-8
 
     def test_resolution_error_reports_found_count(self):
-        # starve the search: one grid point per zero, no refinement, and a
-        # theta tolerance so coarse the cluster zoom gives up immediately
-        cfg = pa.ZeroFindConfig(
-            initial_grid_multiplier=1, max_refinements=0, theta_tol=0.5
-        )
+        # a theta tolerance so coarse that no bisected zero meets its residual
+        cfg = pa.ZeroFindConfig(theta_tol=0.5)
         p = pa.ParaPolynomial("second", 9, 1.0, pa.ConstantSequence(0.5))
         with pytest.raises(ResolutionError) as info:
             pa.find_zeros(p, cfg)
@@ -97,6 +95,80 @@ class TestFindZeros:
             for n in (2, 7, 19, 30):
                 single = pa.find_zeros(pa.ParaPolynomial(kind, n, lam, seq))
                 assert np.max(np.abs(swept[n].angles - single.angles)) <= 1e-9
+
+
+class TestPhaseRoute:
+    # above EIGEN_MAX_N the brackets come from the phase count
+
+    @pytest.mark.parametrize("alpha, lam, kind, n", [
+        (("const", 0.5), np.exp(1j * np.pi), "first", 401),
+        (("const", -0.5), np.exp(1j * np.pi), "second", 400),
+        (("random", 0.9), 1.0, "first", 401),
+        (("random", 0.9), 1.0, "second", 401),
+        (("random", 0.9), 1.0, "first", 600),
+        (("random", 0.9), 1.0, "second", 600),
+        (("random", 0.9), -1.0, "first", 401),
+        (("random", 0.9), -1.0, "second", 401),
+    ])
+    def test_clustered_zeros(self, alpha, lam, kind, n):
+        # zeros next to an atom and traces past 1e154 (random radius 0.9,
+        # seed 2), where the phase count splits cells down to single ulps
+        seq = pa.ConstantSequence(alpha[1]) if alpha[0] == "const" else pa.RandomSequence(alpha[1], 2)
+        zs = pa.find_zeros(pa.ParaPolynomial(kind, n, lam, seq))
+        assert zs.angles.size == n
+        assert np.all(np.diff(zs.angles) > 0.0)
+        assert zs.simplicity
+
+    def test_pair_across_a_flat_phase(self):
+        # const -0.5 at lambda = pi: s_n has two zeros about 1e-14 apart
+        # in the support gap, where the phase stays within 1e-13 turns of
+        # a whole turn and the CMV certificate fails for these degrees;
+        # the trace signs at the samples count them
+        seq = pa.ConstantSequence(-0.5)
+        for n, zs in find_zeros_sweep("second", np.exp(1j * np.pi), seq, [62, 86, 92]).items():
+            assert zs.angles.size == n and zs.simplicity
+
+    def test_unresolvable_pair_reports_found_count(self):
+        # at lambda = -1 exactly h_401's two zeros next to the atom of
+        # const 0.5 are 3e-95 apart: no double angle lies between them
+        p = pa.ParaPolynomial("first", 401, -1.0, pa.ConstantSequence(0.5))
+        with pytest.raises(ResolutionError) as info:
+            pa.find_zeros(p)
+        assert (info.value.expected, info.value.found) == (401, 399)
+
+    @pytest.mark.parametrize("kind, offset", [("first", 0.0), ("second", 0.5)])
+    def test_zeros_on_grid_points(self, kind, offset):
+        # the free case's zeros sit on points of the first phase pass
+        n = 256
+        zs = pa.find_zeros(free_poly(kind, n))
+        assert np.max(np.abs(zs.angles - TWO_PI * (np.arange(n) + offset) / n)) <= 1e-12
+        assert zs.simplicity
+
+    def test_zero_at_antipode(self):
+        # const -0.5 at lambda = pi: h_400 vanishes at t = pi, a point of
+        # the first phase pass, inside the support gap
+        seq = pa.ConstantSequence(-0.5)
+        zs = pa.find_zeros(pa.ParaPolynomial("first", 400, -1.0, seq))
+        assert zs.angles.size == 400 and zs.simplicity
+        assert np.min(np.abs(zs.angles - math.pi)) <= 1e-12
+
+    def test_second_kind_zero_within_rounding_of_lambda(self, monkeypatch):
+        # one zero of s_n lies 4.9e-13 after lambda, where the phase alone
+        # cannot tell its side (it comes out just above or below a whole
+        # turn); the trace is +2 at lambda and must be negative after it
+        monkeypatch.setattr(zeros, "EIGEN_MAX_N", 0)
+        for seed in (18, 19, 20):
+            seq = pa.RandomSequence(0.7, seed)
+            for n, zs in find_zeros_sweep("second", 1.0, seq, range(122, 143, 5)).items():
+                assert zs.angles[0] < 1e-12 and zs.simplicity
+                mid = 0.5 * (zs.angles[0] + zs.angles[1])
+                assert pa.real_form(zs.source, mid).value < 0.0
+
+    def test_sweep_above_eigen_max_n_matches_single(self):
+        seq = pa.RandomSequence(0.9, 2)
+        swept = find_zeros_sweep("second", 1.0, seq, [300, 401])
+        single = pa.find_zeros(pa.ParaPolynomial("second", 401, 1.0, seq))
+        assert np.array_equal(swept[401].angles, single.angles)
 
 
 class TestOracle:
