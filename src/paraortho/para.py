@@ -21,7 +21,7 @@ The pinned-point prefactor is written conj(lam)(lam - z) rather than
 agree up to the admission tolerance of lambda.
 
 Values at the base point are cached on the polynomial, so sweeps over z
-(grids, bisection) cost one recursion pass each.
+(grids, bracket refinement) cost one recursion pass each.
 """
 
 from __future__ import annotations

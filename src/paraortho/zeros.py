@@ -3,17 +3,15 @@
 Zero location works on the rotated real-valued trace (see para.real_form):
 its zeros on [0, 2pi) are exactly the polynomial's zeros relative to the
 base point, they are simple, and the sign alternates between consecutive
-zeros, so sign-change bracketing plus bisection is a complete detector.
-Up to degree EIGEN_MAX_N the brackets come from the eigenvalues of the
-cut-off CMV matrix, which are the zeros; the trace must change sign
-across every cell between consecutive eigenvalues, which certifies that
-each cell holds exactly one zero.  Above it, and where that certificate
-fails, they come from a phase count: the lifted argument of the
+zeros, so sign-change bracketing plus refinement is a complete detector.
+The brackets come from a phase count: the lifted argument of the
 Blaschke product z phi_{n-1} / phi*_{n-1} rises strictly by n turns per
 turn of z, and the zeros are exactly where it passes a fixed value
 modulo one turn, so one O(n) pass at a point counts the zeros before it,
 as a Sturm sequence does on the line, and a few points per zero split
-the circle into cells of one zero each.  The base point itself is
+the circle into cells of one zero each.  Each cell is then narrowed by a
+safeguarded regula falsi on the trace, whose signs alone decide which
+part holds the zero.  The base point itself is
 handled out of band: for the first kind it is a known zero pinned at
 theta = 0; for the second kind the trace equals +2 at theta = 0 and
 2(-1)^n as theta -> 2pi, and those exact values are used as endpoint
@@ -40,26 +38,14 @@ import numpy as np
 
 from . import precision
 from .errors import AmbiguousMinimaError, ResolutionError
-from .para import (ParaPolynomial, _phase_at_levels, _trace_at_levels, beta_coefficient, para_eval,
-                   real_form_grid)
+from .para import ParaPolynomial, _phase_at_levels, _trace_at_levels, para_eval, real_form_grid
 
 TWO_PI = 2.0 * math.pi
 
 # collision threshold between distinct zero sets, below which float64
 # angles cannot order two zeros and interlace raises the precision
 COLLISION_TOL = 1e-10
-# half-width of the bracket tried around each CMV eigenvalue angle
-NARROW = 1e-9
-# largest Cayley-transform eigenvalue accepted, and the pole's step
-CAYLEY_LIMIT = 1e3
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# largest degree whose brackets come from the CMV eigenvalues; the dense
-# eigenproblem holds several n x n complex matrices at once (10 MB at
-# n = 400), so higher degrees take the phase count, whose memory is O(n);
-# below it the eigensolver is the faster of the two
-EIGEN_MAX_N = 200
-# trace samples per zero that measure its size around the CMV brackets
-GRID_MULTIPLIER = 8
 # phase samples per zero of the first phase pass, and the points each
 # further pass puts into a cell that holds more than one zero
 PHASE_GRID = 4
@@ -128,149 +114,51 @@ class ZeroSet:
 CSV_COLUMNS = ["index", "theta", "theta_abs", "residual"]
 
 
-def _bisect(fun, lo, hi, flo, tol):
-    """Vectorized bisection on sign changes; returns bracket midpoints.
+def _polish(fun, lo, hi, side, flo, fhi, tol):
+    """Vectorized safeguarded regula falsi on sign changes; returns bracket midpoints.
 
-    Each bracket is halved until it is narrower than tol; fun(thetas,
-    sel) evaluates the trace at the midpoints of the brackets `sel`.
+    side is the sign of the trace just above lo, flo and fhi are its
+    values at the bracket ends, and fun(thetas, sel) evaluates it at one
+    point in each of the brackets `sel`.  As in bisection, the sign at
+    the new point against side alone decides which part keeps the zero.
+    The values only place the point: where the chord through (lo, |flo|)
+    and (hi, -|fhi|) crosses zero, but at least tol/2 inside the bracket,
+    so that a point on the zero closes the bracket one pass later.  An
+    end kept by a pass that also kept it at the last chord step has its
+    value halved (the Illinois method: Dowell and Jarratt, BIT 11, 1971),
+    so both ends close in on a simple zero.  The point is the midpoint
+    instead where an end value is zero or not finite (t below is then 0,
+    1 or nan), or where the bracket is not half as wide as two passes
+    before.  Every three passes therefore at least halve a bracket: one
+    of width w is at most tol wide after at most 3 ceil(log2(w / tol))
+    passes, three times bisection's count.
     """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    flo = np.asarray(flo, dtype=float).copy()
+    lo, hi, side = (np.array(v, dtype=float) for v in (lo, hi, side))
+    flo, fhi = np.abs(flo), np.abs(fhi)
     if lo.size == 0:
         return lo
-    steps = np.maximum(1, np.ceil(np.log2(np.maximum(hi - lo, tol) / tol))).astype(int)
-    for step in range(int(steps.max())):
-        sel = np.nonzero(steps > step)[0]
-        mid = 0.5 * (lo[sel] + hi[sel])
-        fm = fun(mid, sel)
-        left = np.sign(flo[sel]) * np.sign(fm) <= 0.0  # the product of two large traces overflows
-        hi[sel] = np.where(left, mid, hi[sel])
-        lo[sel] = np.where(left, lo[sel], mid)
-        flo[sel] = np.where(left, flo[sel], fm)
-    return 0.5 * (lo + hi)
-
-
-def _cmv_matrix(p: ParaPolynomial) -> np.ndarray:
-    """The n x n cut-off CMV matrix L M whose eigenvalues are the zeros of p.
-
-    Its coefficients are alpha_0..alpha_{n-2} (flipped for the second
-    kind) and, in place of alpha_{n-1}, the unimodular
-    beta_coefficient(p), which makes it unitary; its characteristic
-    polynomial is then the monic paraorthogonal polynomial (Cantero,
-    Moral and Velazquez, LAA 362, 2003).  With L = Theta_0 + Theta_2 +
-    ... and M = 1 + Theta_1 + Theta_3 + ..., Theta_j = [[conj(a_j),
-    rho_j], [rho_j, -a_j]], rows 2i, 2i+1 of L M are Theta_{2i} times
-    rows 2i, 2i+1 of M, which sit on columns 2i-1 .. 2i+2.
-    """
-    n = p.n
-    a = p.seq.alphas(n - 1)
-    if p.kind == "second":
-        a = -a
-    m = n + n % 2
-    al = np.zeros(m + 2, dtype=complex)  # al[j + 1] = alpha_j; alpha_{-1} = -1 makes M's 1 x 1 block
-    al[0] = -1.0
-    al[1:n] = a
-    al[n] = beta_coefficient(p)
-    rho = np.sqrt(np.maximum(1.0 - np.abs(al) ** 2, 0.0))
-    rho[n:] = 0.0
-    i = np.arange(0, m, 2)
-    theta = np.array([[np.conj(al[i + 1]), rho[i + 1]], [rho[i + 1], -al[i + 1]]]).transpose(2, 0, 1)
-    rows_m = np.zeros((i.size, 2, 4), dtype=complex)
-    rows_m[:, 0, 0], rows_m[:, 0, 1] = rho[i], -al[i]
-    rows_m[:, 1, 2], rows_m[:, 1, 3] = np.conj(al[i + 2]), rho[i + 2]
-    blocks = np.einsum("kab,kbc->kac", theta, rows_m)
-    rows = np.broadcast_to((i[:, None] + np.arange(2))[:, :, None], blocks.shape)
-    cols = np.broadcast_to((i[:, None] - 1 + np.arange(4))[:, None, :], blocks.shape)
-    keep = (rows < n) & (cols >= 0) & (cols < n)
-    c = np.zeros((n, n), dtype=complex)
-    c[rows[keep], cols[keep]] = blocks[keep]
-    return c
-
-
-def _cmv_angles(p: ParaPolynomial) -> np.ndarray:
-    """Zero angles relative to lambda, sorted in [0, 2pi), from the CMV matrix.
-
-    The unitary matrix C is turned Hermitian by the Cayley transform
-    H = i (I - V)(I + V)^-1 of V = -conj(zeta) C, whose eigenvalues
-    tan(phi / 2) give those of C as zeta e^{i (phi + pi)}; a Hermitian
-    eigensolver is several times faster than the general one.  The pole
-    zeta must stay clear of every eigenvalue, since the absolute error
-    of the angles grows like |H|: it starts opposite lambda and moves by
-    golden-ratio turns while |H| exceeds CAYLEY_LIMIT (after eight poles
-    the last is kept: coarse angles only make the certificate fail).  For
-    the first kind the eigenvalue at lambda itself is dropped.
-    """
-    c = _cmv_matrix(p)
-    eye = np.eye(p.n)
-    for k in range(8):
-        psi = math.pi + TWO_PI * ((k * GOLDEN) % 1.0)
-        v = -np.exp(-1j * psi) * np.conj(p.lam) * c
-        h = 1j * np.linalg.solve(eye + v, eye - v)
-        mu = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
-        if np.max(np.abs(mu)) <= CAYLEY_LIMIT:
+    last = np.zeros(lo.size)  # -1 where the last pass moved hi, +1 where it moved lo
+    w1, w2 = np.full(lo.size, np.inf), np.full(lo.size, np.inf)  # widths one and two passes before
+    for _ in range(3 * max(0, math.ceil(math.log2(np.max(hi - lo) / tol)))):
+        sel = np.nonzero(hi - lo > tol)[0]
+        if sel.size == 0:
             break
-    th = np.sort((psi + math.pi + 2.0 * np.arctan(mu)) % TWO_PI)
-    if p.kind == "first":
-        th = np.delete(th, np.argmin(np.minimum(th, TWO_PI - th)))
-    return th
-
-
-def _search_points(p: ParaPolynomial, t: np.ndarray, cfg: ZeroFindConfig):
-    """Cells around the sorted zero estimates t, a narrow bracket in each,
-    and the grid that sets the scale.
-
-    Cells end at the midpoints between consecutive estimates; for the
-    second kind the outer cells end at the base point, where the trace
-    is known exactly.  The narrow bracket is t +- max(NARROW, theta_tol),
-    clipped to the cell.  The interior points of a grid of
-    GRID_MULTIPLIER * n cells only measure the trace's size: a
-    midpoint can sit far below the peak of a wide cell (a gap in the
-    support).  Returns (midpoints, cell lo, cell hi, narrow lo, narrow
-    hi, grid).
-    """
-    if p.kind == "first":
-        edges = np.concatenate([[0.0], t, [TWO_PI]])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        lo, hi = mids[:-1], mids[1:]
-    else:
-        mids = 0.5 * (t[:-1] + t[1:])
-        lo, hi = np.concatenate([[0.0], mids]), np.concatenate([mids, [TWO_PI]])
-    w = max(NARROW, cfg.theta_tol)
-    grid = np.linspace(0.0, TWO_PI, GRID_MULTIPLIER * p.n + 1)[1:-1]
-    return mids, lo, hi, np.maximum(t - w, lo), np.minimum(t + w, hi), grid
-
-
-def _search_thetas(points) -> np.ndarray:
-    """Where the search samples the trace: midpoints, narrow ends, grid."""
-    mids, _, _, nlo, nhi, grid = points
-    return np.concatenate([mids, nlo, nhi, grid])
-
-
-def _certified_brackets(p: ParaPolynomial, points, values):
-    """Brackets from the search points, or None without a sign-change certificate.
-
-    The trace must change sign across every cell; the n cells then hold
-    the n zeros one each (n - 1 interior ones for the first kind).  A
-    narrow bracket replaces its cell where the trace changes sign across
-    it too.  Returns (lo, hi, f_lo, scale), scale the largest |trace|
-    sampled.
-    """
-    mids, lo, hi, nlo, nhi, _ = points
-    fmid, fnlo, fnhi, fgrid = np.split(values, np.cumsum([mids.size, nlo.size, nhi.size]))
-    if p.kind == "first":
-        f = fmid
-    else:
-        f = np.concatenate([[2.0], fmid, [2.0 if p.n % 2 == 0 else -2.0]])
-    scale = float(np.max(np.abs(np.concatenate([f, fgrid]))))
-    if np.any(np.sign(f[:-1]) * np.sign(f[1:]) >= 0.0):  # signs: products overflow
-        return None
-    flo, fhi = f[:-1], f[1:]
-    fnlo = np.where(nlo == lo, flo, fnlo)
-    fnhi = np.where(nhi == hi, fhi, fnhi)
-    narrow = np.sign(fnlo) * np.sign(fnhi) < 0.0
-    return (np.where(narrow, nlo, lo), np.where(narrow, nhi, hi),
-            np.where(narrow, fnlo, flo), scale)
+        l, h, a, b = lo[sel], hi[sel], flo[sel], fhi[sel]
+        w = h - l
+        with np.errstate(all="ignore"):
+            t = a / (a + b)
+            regular = (t > 0.0) & (t < 1.0) & (w <= 0.5 * w2[sel])
+            x = np.where(regular, np.clip(l + w * t, l + 0.5 * tol, h - 0.5 * tol), 0.5 * (l + h))
+        fx = fun(x, sel)
+        left = side[sel] * np.sign(fx) <= 0.0
+        moved = np.where(left, -1.0, 1.0)
+        kept = np.where(moved == last[sel], 0.5, 1.0)
+        lo[sel], flo[sel] = np.where(left, l, x), np.where(left, kept * a, np.abs(fx))
+        hi[sel], fhi[sel] = np.where(left, x, h), np.where(left, np.abs(fx), kept * b)
+        side[sel] = np.where(left, side[sel], np.sign(fx))
+        last[sel] = np.where(regular, moved, last[sel])
+        w2[sel], w1[sel] = w1[sel], w
+    return 0.5 * (lo + hi)
 
 
 def _batched(fun, parts):
@@ -309,8 +197,11 @@ def _phase_brackets(polys: dict[int, ParaPolynomial], trace, phase) -> dict:
     PHASE_SPLIT + 1 parts while they are distinct doubles, and one left
     makes the degree a ResolutionError.  The trace at a cell's low end
     has the sign of the count: s0 (-1 first kind, +1 second) before the
-    first zero, flipping at each.  Returns {n: (lo, hi, f_lo, scale)},
-    scale the largest |trace| sampled.
+    first zero, flipping at each.  Returns {n: (lo, hi, side, f_lo, f_hi,
+    scale)}: side that sign, f_lo and f_hi the trace sampled at the cell
+    ends (at the base point its exact value: 0 for the first kind, 2 and
+    2(-1)^n at theta = 0 and 2pi for the second), and scale the largest
+    |trace| sampled.
     """
     frac = np.arange(1, PHASE_SPLIT + 1) / (PHASE_SPLIT + 1)
     grids = {n: np.linspace(0.0, TWO_PI, PHASE_GRID * n + 1)[:-1] for n in polys}
@@ -328,7 +219,8 @@ def _phase_brackets(polys: dict[int, ParaPolynomial], trace, phase) -> dict:
             clear = np.abs(w - np.rint(w)) >= ON_ZERO
             h = int(np.sum((np.sign(fresh_f[n]) * (-1.0) ** np.floor(w))[clear]) < 0)
         count[n] = origin, s0, h, total
-        samples[n] = np.array([0.0, TWO_PI]), np.array([0.0, total])
+        ends = np.array([2.0, 2.0 * (-1.0) ** n]) if s0 > 0 else np.zeros(2)
+        samples[n] = np.array([0.0, TWO_PI]), np.array([0.0, total]), ends
         scale[n] = 2.0 if s0 > 0 else 0.0
     while grids:
         for n, t in grids.items():
@@ -337,20 +229,21 @@ def _phase_brackets(polys: dict[int, ParaPolynomial], trace, phase) -> dict:
             near = np.rint(v)
             on = (np.abs(v - near) < ON_ZERO) & (f != 0.0)
             c = np.where(on, near - h - (np.sign(f) == s0 * (-1.0) ** (near - h - 1)), np.floor(v) - h)
-            x, c = np.append(samples[n][0], t), np.append(samples[n][1], np.clip(c, 0, total))
+            x, c, y = (np.append(old, new) for old, new in zip(samples[n], (t, np.clip(c, 0, total), f)))
             order = np.argsort(x, kind="stable")
-            x, c = samples[n] = x[order], np.maximum.accumulate(c[order])
+            x, c, y = samples[n] = x[order], np.maximum.accumulate(c[order]), y[order]
             scale[n] = max(scale[n], float(np.max(np.abs(f))))
             split = np.nonzero((np.diff(c) > 1) & (np.diff(x) > (PHASE_SPLIT + 1) * np.spacing(x[1:])))[0]
             grids[n] = (x[split, None] + (x[split + 1] - x[split])[:, None] * frac).ravel()
         grids = {n: t for n, t in grids.items() if t.size}
         fresh_u, fresh_f = phase(grids), trace(grids)
     out = {}
-    for n, (x, c) in samples.items():
+    for n, (x, c, y) in samples.items():
         cell = np.nonzero(np.diff(c))[0]
         found = int(np.sum(np.diff(c) == 1)) + (polys[n].kind == "first")
         if found == n:
-            out[n] = (x[cell], x[cell + 1], count[n][1] * (-1.0) ** c[cell], scale[n])
+            side = count[n][1] * (-1.0) ** c[cell]
+            out[n] = (x[cell], x[cell + 1], side, y[cell], y[cell + 1], scale[n])
         else:
             why = f"isolated {found} of {n} zeros, the rest closer than double angles resolve"
             out[n] = ResolutionError(n, found, f"{polys[n].kind}-kind degree {n}: {why} (lambda = {polys[n].lam})")
@@ -360,14 +253,12 @@ def _phase_brackets(polys: dict[int, ParaPolynomial], trace, phase) -> dict:
 def find_zeros(p: ParaPolynomial, cfg: ZeroFindConfig | None = None) -> ZeroSet:
     """All n zeros of the polynomial, bracketed by sign changes of the trace.
 
-    Up to EIGEN_MAX_N the brackets come from the eigenvalues of the
-    cut-off CMV matrix and are certified by a sign change of the trace
-    across every cell.  Above it, and where that certificate fails, they
-    come from the phase count: one O(n) pass of the unimodular phase
-    recursion (para._phase_at_levels) counts the zeros before a point
-    exactly, so a few points per zero, and a few more inside the cells
-    that hold several, bracket every zero on its own (see
-    _phase_brackets).  Brackets are then bisected to theta_tol.  A degree
+    The brackets come from the phase count: one O(n) pass of the
+    unimodular phase recursion (para._phase_at_levels) counts the zeros
+    before a point exactly, so a few points per zero, and a few more
+    inside the cells that hold several, bracket every zero on its own
+    (see _phase_brackets).  Brackets are then narrowed to theta_tol by a
+    safeguarded regula falsi on the trace (see _polish).  A degree
     whose zeros cannot be isolated is a ResolutionError reporting the
     found count; a short list is never returned silently.  This is
     find_zeros_sweep on the one degree of p.
@@ -417,10 +308,9 @@ def find_zeros_sweep(
 ) -> dict[int, ZeroSet]:
     """find_zeros for a whole range of degrees of one family at once.
 
-    Eigenvalues run per degree, but the phase count, the certificate,
-    all bracket refinements and the final checks are batched through
-    one multi-level evaluation per step, which is what makes long degree
-    sweeps affordable.  Results match find_zeros.
+    The phase count, all bracket refinements and the final checks are
+    batched through one multi-level evaluation per step, which is what
+    makes long degree sweeps affordable.  Results match find_zeros.
 
     With skip_unresolved, degrees whose zeros cannot be isolated are
     left out of the result instead of aborting the sweep; callers must
@@ -439,6 +329,8 @@ def _zero_sets(polys: dict[int, ParaPolynomial], cfg: ZeroFindConfig,
     every degree, and its base-point values, one recursion pass, serve
     every degree: level j does not depend on the degree.
     """
+    if not polys:
+        return {}
     top = polys[max(polys)]
     lam_phi, lam_star = top._lambda_values()
     for n, p in polys.items():
@@ -451,13 +343,7 @@ def _zero_sets(polys: dict[int, ParaPolynomial], cfg: ZeroFindConfig,
     def phase(parts):
         return _batched(lambda th, nn: _phase_at_levels(top, th, nn), parts)
 
-    estimates = {n: _cmv_angles(p) for n, p in polys.items() if n <= EIGEN_MAX_N}
-    values = trace({n: _search_thetas(_search_points(polys[n], t, cfg)) for n, t in estimates.items()})
-    found = {n: _certified_brackets(polys[n], _search_points(polys[n], t, cfg), values[n])
-             for n, t in estimates.items()}
-    rest = {n: p for n, p in polys.items() if found.get(n) is None}
-    if rest:
-        found.update(_phase_brackets(rest, trace, phase))
+    found = _phase_brackets(polys, trace, phase)
     failed = [n for n in polys if isinstance(found[n], ResolutionError)]
     if failed and not skip_unresolved:
         raise found[failed[0]]
@@ -466,14 +352,15 @@ def _zero_sets(polys: dict[int, ParaPolynomial], cfg: ZeroFindConfig,
     out: dict[int, ZeroSet] = {}
     if not found:
         return out
-    lo, hi, flo = (np.concatenate([b[i] for b in found.values()]) for i in range(3))
+    lo, hi, side, flo, fhi = (np.concatenate([b[i] for b in found.values()]) for i in range(5))
     nn = np.concatenate([np.full(b[0].size, n) for n, b in found.items()])
-    roots = _bisect(lambda th, sel: _trace_at_levels(top, th, nn[sel]), lo, hi, flo, cfg.theta_tol)
+    roots = _polish(lambda th, sel: _trace_at_levels(top, th, nn[sel]), lo, hi, side, flo, fhi,
+                    cfg.theta_tol)
     roots = {n: _all_roots(polys[n], roots[nn == n]) for n in found}
     checks = trace({n: np.concatenate([r, _midpoints(r)]) for n, r in roots.items()})
     for n, r in roots.items():
         try:
-            out[n] = _assemble(polys[n], r, checks[n], found[n][3], cfg)
+            out[n] = _assemble(polys[n], r, checks[n], found[n][-1], cfg)
         except ResolutionError:
             if not skip_unresolved:
                 raise
@@ -508,16 +395,15 @@ def oracle_zeros(p: ParaPolynomial, grid_points: int | None = None) -> ZeroSet:
     a = th[cand] - TWO_PI / m
     b = th[cand] + TWO_PI / m
     local_scale = np.maximum(g(a), g(b))
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
     fc, fd = g(c), g(d)
     while float(np.max(b - a)) > 1e-11:
         take_left = fc < fd
         b = np.where(take_left, d, b)
         a = np.where(take_left, a, c)
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
+        c = b - GOLDEN * (b - a)
+        d = a + GOLDEN * (b - a)
         fc, fd = g(c), g(d)
     mins = 0.5 * (a + b)
     vals = g(mins)

@@ -170,12 +170,12 @@ class TestVerifyCommand:
         assert read_json(out)["all_pass"] is False
 
     def test_unresolved_degrees_become_error_verdicts(self, tmp_path):
-        # at this theta_tol the zeros of degrees 18..20 cannot be isolated;
-        # the run still writes a verdict for every requested degree
+        # at this theta_tol the zeros of degrees 18..20 miss the residual
+        # bound; the run still writes a verdict for every requested degree
         out = tmp_path / "r.json"
         code = run([
             "verify", "consecutive", "--alpha", "const:0.5", "--n", "18..24",
-            "--theta-tol", "1e-4", "--out", str(out),
+            "--theta-tol", "3e-4", "--out", str(out),
         ])
         assert code == 1
         doc = read_json(out)

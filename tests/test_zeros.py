@@ -8,6 +8,7 @@ import pytest
 import paraortho as pa
 from paraortho import zeros
 from paraortho.errors import ResolutionError
+from paraortho.para import _phase_at_levels, _trace_at_levels
 from paraortho.zeros import ZeroSet, find_zeros_sweep
 
 TWO_PI = 2.0 * math.pi
@@ -19,6 +20,29 @@ def free_poly(kind, n, lam=1.0):
 
 def circ_dist(a, b):
     return np.abs((np.asarray(a) - np.asarray(b) + math.pi) % TWO_PI - math.pi)
+
+
+def reference_bisect(fun, lo, hi, flo, tol):
+    """Plain vectorized bisection on sign changes; returns bracket midpoints.
+
+    Each bracket is halved until it is narrower than tol; fun(thetas,
+    sel) evaluates the trace at the midpoints of the brackets `sel`.
+    """
+    lo = np.asarray(lo, dtype=float).copy()
+    hi = np.asarray(hi, dtype=float).copy()
+    flo = np.asarray(flo, dtype=float).copy()
+    if lo.size == 0:
+        return lo
+    steps = np.maximum(1, np.ceil(np.log2(np.maximum(hi - lo, tol) / tol))).astype(int)
+    for step in range(int(steps.max())):
+        sel = np.nonzero(steps > step)[0]
+        mid = 0.5 * (lo[sel] + hi[sel])
+        fm = fun(mid, sel)
+        left = np.sign(flo[sel]) * np.sign(fm) <= 0.0  # the product of two large traces overflows
+        hi[sel] = np.where(left, mid, hi[sel])
+        lo[sel] = np.where(left, lo[sel], mid)
+        flo[sel] = np.where(left, flo[sel], fm)
+    return 0.5 * (lo + hi)
 
 
 class TestFindZeros:
@@ -80,12 +104,15 @@ class TestFindZeros:
 
     @pytest.mark.parametrize("seed, kind, n", [(17, "second", 65), (5, "first", 140)])
     def test_isolates_close_pairs(self, seed, kind, n):
-        # two zeros 1.5e-4 and 5.5e-6 apart share one cell of the densest
-        # grid; the CMV eigenvalues bracket them apart
+        # two zeros 1.5e-4 and 5.5e-6 apart share a cell of the first
+        # phase pass; the further passes bracket them apart
         zs = pa.find_zeros(pa.ParaPolynomial(kind, n, 1.0, pa.RandomSequence(0.7, seed)))
         assert zs.angles.size == n
         assert np.all(np.diff(zs.angles) > 0.0)
         assert zs.simplicity
+
+    def test_empty_degree_list(self):
+        assert find_zeros_sweep("first", 1.0, pa.ConstantSequence(0.5), []) == {}
 
     def test_sweep_matches_single(self):
         seq = pa.RandomSequence(0.6, 5)
@@ -98,7 +125,8 @@ class TestFindZeros:
 
 
 class TestPhaseRoute:
-    # above EIGEN_MAX_N the brackets come from the phase count
+    # brackets from the phase count where zeros crowd, meet grid points
+    # or sit within rounding of lambda
 
     @pytest.mark.parametrize("alpha, lam, kind, n", [
         (("const", 0.5), np.exp(1j * np.pi), "first", 401),
@@ -122,8 +150,7 @@ class TestPhaseRoute:
     def test_pair_across_a_flat_phase(self):
         # const -0.5 at lambda = pi: s_n has two zeros about 1e-14 apart
         # in the support gap, where the phase stays within 1e-13 turns of
-        # a whole turn and the CMV certificate fails for these degrees;
-        # the trace signs at the samples count them
+        # a whole turn; the trace signs at the samples count them
         seq = pa.ConstantSequence(-0.5)
         for n, zs in find_zeros_sweep("second", np.exp(1j * np.pi), seq, [62, 86, 92]).items():
             assert zs.angles.size == n and zs.simplicity
@@ -152,11 +179,10 @@ class TestPhaseRoute:
         assert zs.angles.size == 400 and zs.simplicity
         assert np.min(np.abs(zs.angles - math.pi)) <= 1e-12
 
-    def test_second_kind_zero_within_rounding_of_lambda(self, monkeypatch):
+    def test_second_kind_zero_within_rounding_of_lambda(self):
         # one zero of s_n lies 4.9e-13 after lambda, where the phase alone
         # cannot tell its side (it comes out just above or below a whole
         # turn); the trace is +2 at lambda and must be negative after it
-        monkeypatch.setattr(zeros, "EIGEN_MAX_N", 0)
         for seed in (18, 19, 20):
             seq = pa.RandomSequence(0.7, seed)
             for n, zs in find_zeros_sweep("second", 1.0, seq, range(122, 143, 5)).items():
@@ -169,6 +195,59 @@ class TestPhaseRoute:
         swept = find_zeros_sweep("second", 1.0, seq, [300, 401])
         single = pa.find_zeros(pa.ParaPolynomial("second", 401, 1.0, seq))
         assert np.array_equal(swept[401].angles, single.angles)
+
+
+class TestPolish:
+    def test_matches_bisection(self):
+        # phase brackets of both kinds, traces past 1e123 at radius 0.9,
+        # and first-kind cells whose low end is the pinned zero (value 0)
+        tol, pinned = zeros.ZeroFindConfig().theta_tol, 0
+        for radius, seed, n in [(0.7, 3, 30), (0.7, 3, 80), (0.7, 3, 140), (0.7, 5, 30),
+                                (0.7, 5, 80), (0.7, 5, 140), (0.9, 2, 401)]:
+            for kind in ("first", "second"):
+                p = pa.ParaPolynomial(kind, n, 1.0, pa.RandomSequence(radius, seed))
+
+                def at(level_fun):
+                    return lambda parts: zeros._batched(lambda th, nn: level_fun(p, th, nn), parts)
+
+                lo, hi, side, flo, fhi, _ = zeros._phase_brackets(
+                    {n: p}, at(_trace_at_levels), at(_phase_at_levels))[n]
+                pinned += kind == "first" and lo[0] == 0.0 and flo[0] == 0.0
+
+                def trace(thetas, sel):
+                    passes.append(thetas.size)
+                    return _trace_at_levels(p, thetas, np.full(thetas.size, n))
+
+                passes = []
+                want = reference_bisect(trace, lo, hi, side, tol)
+                bisection = len(passes)
+                worst = 3 * math.ceil(math.log2(np.max(hi - lo) / tol))
+                case = f"{kind} radius {radius} seed {seed} n {n}"
+                # the low ends once more as if the trace had overflowed there
+                for ends in (flo, np.where(flo == 0.0, 0.0, np.inf)):
+                    passes = []
+                    roots = zeros._polish(trace, lo, hi, side, ends, fhi, tol)
+                    assert np.max(np.abs(roots - want)) <= tol, case
+                    assert len(passes) <= worst, case
+                    if ends is flo:
+                        assert len(passes) < bisection, case
+        assert pinned == 3
+
+    def test_worst_case_on_a_steep_trace(self):
+        # a zero between values 1 and 1e262 in size, as at the edge of a
+        # support gap: chord steps alone would creep from the low end
+        tol, zero = 1e-12, 0.1234
+
+        def steep(thetas, sel=None):
+            passes.append(thetas.size)
+            return np.expm1(690.0 * (thetas - zero))
+
+        passes, lo, hi = [], np.array([0.0]), np.array([1.0])
+        flo, fhi = steep(lo), steep(hi)
+        passes.clear()
+        root = zeros._polish(steep, lo, hi, [-1.0], flo, fhi, tol)
+        assert abs(root[0] - zero) <= tol
+        assert len(passes) <= 3 * math.ceil(math.log2(1.0 / tol))
 
 
 class TestOracle:
