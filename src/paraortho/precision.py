@@ -17,7 +17,7 @@ All evaluations use the monic Szego recursion
     Phi_{j+1} = z Phi_j - conj(a_j) Phi*_j,    Phi*_{j+1} = Phi*_j - a_j z Phi_j,
 
 which needs no square root and no division, so with double coefficients
-every step is a product or a sum that double-double carries to 2^-104.
+every step is a product or a sum.
 The flipped (second-kind) polynomials come from the same recursion
 started at (1, -1): psi_j = Phi_j and psi*_j = -Phi*_j.  Monic values
 differ from the orthonormal ones by positive factors, which changes no
@@ -32,10 +32,11 @@ Passes: long double carries [value, d/dz, d2/dz2] of the pairs as (3,
 rows) stacks (z P has the derivatives [z P, P + z P', 2 P' + z P'']),
 decides at z0 = lambda e^{i x} from F, F', F'', G, G', G'' there, and
 its second-order Newton step d0 = -F/F' - F'' F^2 / (2 F'^3) gives z1 =
-z0 + d0.  Double-double, then Python-integer fixed point at the binary
-precision p of 40 and 80 mpmath digits, evaluate values only, at z1 (the
-fixed-point stages first continue the Newton steps in mpmath until they
-fall below 2^-p).  With the derivatives at z0 carried to z1, the last
+z0 + d0.  The stages above long double evaluate values only, in
+Python-integer fixed point at a binary precision p: p = 104 at z1 itself,
+each value rounded once to long double, then the p of 40 and 80 mpmath
+digits at points that Newton steps in mpmath continue from z1 until they
+fall below 2^-p.  With the derivatives at z0 carried to z1, the last
 offset is d1 = -F(z1)/F'(z1) and G at the zero is G(z1) + G'(z1) d1.
 
 Rounding bound: an n-level pass at unit roundoff u is trusted to
@@ -45,14 +46,16 @@ final one: near colliding zeros the recursion follows a decaying
 solution, and the errors made at its peak dominate).  The factor is
 empirical, with a wide margin: on zeros of the radius-0.7 corpus (seeds
 1 to 15, degrees 60 to 150, both kinds) the float64 error stayed below
-7 n u S (320 zeros) and the double-double pairs below 12 n u S (240
-zeros).  Fixed point holds every number as an integer at scale 2^B, B =
-p + FIXED_GUARD_BITS: sums are exact and each product, shifted back to
-2^B, rounds by at most 2^-B <= u S, so the bound covers it too; the
-pairs are then combined in mpmath, and the value bounds are the long
-double ones rescaled by u / U_LONG.  Every decided sign agreed with
-mpmath at 80 digits on 10,646 colliding pairs and pinned-zero sides
-(seeds 1 to 15, same and consecutive degrees 60, 70, ..., 150).
+7 n u S (320 zeros).  One argument covers every stage above long
+double, u = 2^-p: fixed point holds each number as an integer at scale
+2^B, B = p + FIXED_GUARD_BITS, so sums are exact and each product,
+shifted back to 2^B, rounds by at most 2^-B <= u S.  The pairs and the
+combine that forms a value from them are the long double pass's
+products and sums rounded more finely, so its value bound, rescaled by
+u / U_LONG, covers them; the 2^-104 stage adds U_LONG |v| for its
+rounding to long double.  Every decided sign agreed with mpmath at 80
+digits on 10,644 colliding pairs and pinned-zero sides (seeds 1 to 15,
+same and consecutive degrees 60, 70, ..., 150).
 """
 
 from __future__ import annotations
@@ -63,139 +66,17 @@ import numpy as np
 
 ROUNDING_FACTOR = 1024.0
 # precisions in the order they are tried: (label, value pass), where the
-# value pass is "long", "dd" or the mpmath decimal digits
-LADDER = (("long double", "long"), ("double-double", "dd"), ("mpmath-40", 40), ("mpmath-80", 80))
+# value pass is "long", "fixed" (fixed point at U_FIXED) or the mpmath
+# decimal digits
+LADDER = (("long double", "long"), ("fixed-104", "fixed"), ("mpmath-40", 40), ("mpmath-80", 80))
 
 LONG = np.longdouble
 U_LONG = float(np.finfo(LONG).eps) / 2  # 2^-64 where long double is x87 extended
 U_DOUBLE = 2.0**-53
-U_DD = 2.0**-104
+U_FIXED = 2.0**-104
 FIXED_GUARD_BITS = 16  # bits of the fixed-point scale below the working precision
-_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
-_CHUNK = 16  # levels whose product factors are prepared at once
-_CONJ = np.array([[1.0], [-1.0]])
+_FIXED_BITS = 104 + FIXED_GUARD_BITS  # scale of the "fixed" stage, at U_FIXED
 _DERIVATIVE = np.array([[1.0], [2.0]])
-
-
-# ---------------------------------------------------------------------------
-# double-double arithmetic on arrays (Dekker 1971; Hida, Li and Bailey 2001)
-#
-# A complex double-double vector of N entries is a pair (hi, lo) of real
-# arrays of shape (2, N): row 0 the real parts, row 1 the imaginary parts.
-
-
-def _split(a):
-    t = _SPLIT * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_diff(a, b):
-    s = a - b
-    bb = s - a
-    return s, (a - (s - bb)) - (b + bb)
-
-
-def _quick_two_sum(a, b):
-    s = a + b
-    return s, b - (s - a)
-
-
-def _times_dd(ahi, alo, bhi, blo):
-    """Entrywise complex double-double product (broadcasting), normalized.
-
-    With a stacked as [ar, ai, ar, ai] against b's factors [br, -bi, bi,
-    br], the pairwise sums of the exact products are the real and
-    imaginary parts of the product.
-    """
-    ahi, alo, bhi, blo = np.broadcast_arrays(ahi, alo, bhi, blo)
-    f = np.stack([bhi[0], -bhi[1], bhi[1], bhi[0]])
-    flo = np.stack([blo[0], -blo[1], blo[1], blo[0]])
-    x = np.concatenate([ahi, ahi])
-    p = x * f
-    xh, xl = _split(x)
-    fh, fl = _split(f)
-    e = (((xh * fh - p) + xh * fl + xl * fh) + xl * fl) + (x * flo + np.concatenate([alo, alo]) * f)
-    s, t = _two_sum(p[0::2], p[1::2])
-    return _quick_two_sum(s, t + (e[0::2] + e[1::2]))
-
-
-def _dd_point(z):
-    """Long double complex points as double-double (hi, lo) of shape (2, N)."""
-    hi = z.astype(complex)
-    lo = (z - hi).astype(complex)
-    return np.stack([hi.real, hi.imag]), np.stack([lo.real, lo.imag])
-
-
-def _dd_pairs(alphas: np.ndarray, z: np.ndarray, star0, levels: set[int]):
-    """Monic pairs (Phi_l, Phi*_l) at the long double points z, in double-double.
-
-    Each level is one stacked product [z Phi | conj(a) Phi* | (a z) Phi]
-    against factors prepared _CHUNK levels at a time, a z among them as
-    an exact double-double product.  Returns {level: (hi, lo, mag)}: hi
-    and lo have shape (2, 2k), the first k columns Phi and the last k
-    Phi*; mag is the running magnitude of each point.
-    """
-    k = z.size
-    top = max(levels)
-    (zr, zi), (zr_lo, zi_lo) = _dd_point(z)
-    a = alphas[:top, None]
-    ar, ai = a.real, a.imag
-
-    def two_prod(x, y):
-        p = x * y
-        (xh, xl), (yh, yl) = _split(x), _split(y)
-        return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-
-    (p1, e1), (p2, e2), (p3, e3), (p4, e4) = (two_prod(ar, zr), two_prod(ai, zi),
-                                              two_prod(ar, zi), two_prod(ai, zr))
-    az_r, ez_r = _two_diff(p1, p2)
-    az_i, ez_i = _two_sum(p3, p4)
-    az_rl = ez_r + (e1 - e2) + (ar * zr_lo - ai * zi_lo)
-    az_il = ez_i + (e3 + e4) + (ar * zi_lo + ai * zr_lo)
-    hi = np.zeros((2, 2 * k))
-    hi[0, :k] = 1.0
-    hi[0, k:] = star0
-    lo = np.zeros_like(hi)
-    mag = np.ones(k)
-    out = {}
-    for j in range(top + 1):
-        if j in levels:
-            out[j] = (hi, lo, mag)
-        if j == top:
-            return out
-        if j % _CHUNK == 0:
-            # factors [cr, -ci, ci, cr] of every column for the next levels: (chunk, 4, 3k)
-            c = slice(j, min(j + _CHUNK, top))
-            size = c.stop - c.start
-            f = np.empty((size, 4, 3 * k))
-            flo = np.zeros_like(f)
-            for dest, col, re, im in ((f, 0, zr, zi), (f, 1, ar[c], -ai[c]), (f, 2, az_r[c], az_i[c]),
-                                      (flo, 0, zr_lo, zi_lo), (flo, 2, az_rl[c], az_il[c])):
-                dest[:, :, col * k : (col + 1) * k] = np.stack(
-                    [np.broadcast_to(v, (size, k)) for v in (re, -im, im, re)], axis=1)
-            fh, fl = _split(f)
-        q = j % _CHUNK
-        xhi = np.concatenate([hi, hi[:, :k]], axis=1)
-        x = np.concatenate([xhi, xhi])
-        xlo = np.concatenate([lo, lo[:, :k]], axis=1)
-        p = x * f[q]
-        xh, xl = _split(x)
-        e = (((xh * fh[q] - p) + xh * fl[q] + xl * fh[q]) + xl * fl[q]) + (
-            np.concatenate([xlo, xlo]) * f[q] + x * flo[q])
-        s, t = _two_sum(p[0::2], p[1::2])  # [z Phi | conj(a) Phi* | a z Phi], unnormalized
-        t += e[0::2] + e[1::2]
-        # Phi <- z Phi - conj(a) Phi*,  Phi* <- Phi* - a z Phi
-        d, e = _two_diff(np.concatenate([s[:, :k], hi[:, k:]], axis=1), s[:, k:])
-        e += np.concatenate([t[:, :k], lo[:, k:]], axis=1) - t[:, k:]
-        hi, lo = _quick_two_sum(d, e)
-        mag = np.maximum(mag, np.abs(hi[:, :k]).sum(axis=0))
 
 
 def _rows(groups, z):
@@ -253,37 +134,17 @@ def _fused_values(groups, z):
     return [[values(p, c) for p, c in r] for r in requests]
 
 
-def _dd_values(groups, z):
-    """Values at the long double points z in one double-double pass: per
-    group one (value, bound) per polynomial, values rounded to long double
-    (the bound covers that)."""
-    pts, star0, requests, levels = _rows(groups, z)
-    m = pts.size
-    f = groups[0][0]
-    pairs = _dd_pairs(f.seq.alphas(max(levels)), pts, star0, levels)
-    cl = np.conj(f.lam)
-    zhi, zlo = _dd_point(pts)
-    w = _times_dd(zhi, zlo, np.array([[cl.real], [cl.imag]]), np.zeros((2, 1)))  # z conj(lam)
-
-    def value(p, c):
-        hi, lo, mag = pairs[p.n - 1]
-        cs = slice(m + c.start, m + c.stop)
-        lam_phi = (hi[:, m - 1 : m] * _CONJ, lo[:, m - 1 : m] * _CONJ)
-        lam_star = (hi[:, 2 * m - 1 :] * _CONJ, lo[:, 2 * m - 1 :] * _CONJ)
-        t1 = _times_dd(*lam_star, hi[:, cs], lo[:, cs])
-        t2 = _times_dd(*_times_dd(w[0][:, c], w[1][:, c], *lam_phi), hi[:, c], lo[:, c])
-        s, e = _two_diff(t1[0], t2[0])
-        vh, vl = _quick_two_sum(s, e + (t1[1] - t2[1]))
-        sigma = 1.0 if p.kind == "first" else -1.0
-        value = sigma * ((vh[0].astype(LONG) + vl[0]) + 1j * (vh[1].astype(LONG) + vl[1]))
-        size = np.hypot(*hi[:, m - 1]) * mag[c] + mag[m - 1] * np.hypot(*hi[:, c])
-        return value, ROUNDING_FACTOR * p.n * U_DD * size + U_LONG * abs(value)
-
-    return [[value(p, c) for p, c in r] for r in requests]
-
-
 # ---------------------------------------------------------------------------
 # integer fixed point: a complex number is a pair of ints at scale 2^bits
+
+
+def _to_fixed(z, bits: int):
+    """A double or long double complex number as a fixed-point pair, exact
+    down to 2^-bits (the long double by its hi/lo double split)."""
+    hi = complex(z)
+    lo = complex(z - hi)
+    return (int(math.ldexp(hi.real, bits)) + int(math.ldexp(lo.real, bits)),
+            int(math.ldexp(hi.imag, bits)) + int(math.ldexp(lo.imag, bits)))
 
 
 def _fixed_pairs(alphas, x, star0: int, levels: set[int], bits: int):
@@ -303,6 +164,41 @@ def _fixed_pairs(alphas, x, star0: int, levels: set[int], bits: int):
     return out
 
 
+def _fixed_value(p, x, pair, lam_pair, cl, bits: int):
+    """p at the fixed-point point x from its pair (P, Q) there, the pair
+    (L, L*) at lambda and cl = conj(lambda): sigma (conj(L*) Q - x cl
+    conj(L) P), the products summed exactly and shifted back once."""
+    (xr, xi), ((pr, pi), (qr, qi)), ((lr, li), (mr, mi)), (cr, ci) = x, pair, lam_pair, cl
+    wr, wi = (xr * cr - xi * ci) >> bits, (xr * ci + xi * cr) >> bits
+    wr, wi = (wr * lr + wi * li) >> bits, (wi * lr - wr * li) >> bits  # x cl conj(L)
+    vr = (mr * qr + mi * qi - wr * pr + wi * pi) >> bits
+    vi = (mr * qi - mi * qr - wr * pi - wi * pr) >> bits
+    return (vr, vi) if p.kind == "first" else (-vr, -vi)
+
+
+def _fixed_values(groups, z):
+    """Values at the long double points z in one fixed-point pass at unit
+    roundoff U_FIXED, one _fixed_pairs walk per row: per group one value
+    per polynomial, rounded once to long double."""
+    pts, star0, requests, levels = _rows(groups, z)
+    f = groups[0][0]
+    alphas = [_to_fixed(a, _FIXED_BITS) for a in f.seq.alphas(max(levels))]
+    xs = [_to_fixed(x, _FIXED_BITS) for x in pts]
+    pairs = [_fixed_pairs(alphas, x, int(s), levels, _FIXED_BITS) for x, s in zip(xs, star0)]
+    cl = _to_fixed(np.conj(f.lam), _FIXED_BITS)
+
+    def value(p, c):
+        j = p.n - 1
+        v = [n for i in range(c.start, c.stop)
+             for n in _fixed_value(p, xs[i], pairs[i][j], pairs[-1][j], cl, _FIXED_BITS)]
+        hi = [float(n) for n in v]
+        lo = [float(n - int(h)) for n, h in zip(v, hi)]
+        x = (np.array(hi, dtype=LONG) + np.array(lo)).reshape(-1, 2) * 2.0**-_FIXED_BITS
+        return x[:, 0] + 1j * x[:, 1]
+
+    return [[value(p, c) for p, c in r] for r in requests]
+
+
 def _fixed_evaluator(f, levels: set[int]):
     """value(p, z): at the working mpmath precision, p (sharing f's
     coefficients and lambda, p.n - 1 among levels) at the mpc point z, from
@@ -311,25 +207,15 @@ def _fixed_evaluator(f, levels: set[int]):
     from mpmath.libmp import to_fixed
 
     bits = mpmath.mp.prec + FIXED_GUARD_BITS
-
-    def from_double(z):
-        return int(math.ldexp(z.real, bits)), int(math.ldexp(z.imag, bits))
-
-    def to_mp(v):
-        return mpmath.mpc(mpmath.mpf((v[0], -bits)), mpmath.mpf((v[1], -bits)))
-
-    alphas = [from_double(a) for a in f.seq.alphas(max(levels))]
-    lam_pairs = _fixed_pairs(alphas, from_double(f.lam), 1, levels, bits)
-    lam_pairs = {j: tuple(map(to_mp, v)) for j, v in lam_pairs.items()}
-    cl = mpmath.mpc(f.lam).conjugate()
+    alphas = [_to_fixed(a, bits) for a in f.seq.alphas(max(levels))]
+    lam_pairs = _fixed_pairs(alphas, _to_fixed(f.lam, bits), 1, levels, bits)
+    cl = _to_fixed(np.conj(f.lam), bits)
 
     def value(p, z):
         x = to_fixed(z.real._mpf_, bits), to_fixed(z.imag._mpf_, bits)
         pairs = _fixed_pairs(alphas, x, 1 if p.kind == "first" else -1, {p.n - 1}, bits)
-        phi, star = map(to_mp, pairs[p.n - 1])
-        lp, ls = lam_pairs[p.n - 1]
-        v = ls.conjugate() * star - z * cl * lp.conjugate() * phi
-        return v if p.kind == "first" else -v
+        vr, vi = _fixed_value(p, x, pairs[p.n - 1], lam_pairs[p.n - 1], cl, bits)
+        return mpmath.mpc(mpmath.mpf((vr, -bits)), mpmath.mpf((vi, -bits)))
 
     return value
 
@@ -451,9 +337,10 @@ def order(groups):
         if prec == "long":  # decided at z0 itself
             results = [_judge(*grp, z, z, [(v[0], v[3]) for v in d], d, U_LONG)
                        for grp, z, d in zip(sub, z0k, dk)]
-        elif prec == "dd":
-            results = [_judge(*grp, za, zb, v, d, U_LONG)
-                       for grp, za, zb, v, d in zip(sub, z0k, z1k, _dd_values(sub, z1k), dk)]
+        elif prec == "fixed":  # value bounds: long double's rescaled, plus the rounding to long double
+            ratio = U_FIXED / U_LONG
+            results = [_judge(*grp, za, zb, [(v, t[3] * ratio + U_LONG * abs(v)) for v, t in zip(vs, d)], d, U_LONG)
+                       for grp, za, zb, vs, d in zip(sub, z0k, z1k, _fixed_values(sub, z1k), dk)]
         else:
             import mpmath
 

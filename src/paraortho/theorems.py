@@ -377,64 +377,45 @@ def _isolated_point_radius(ctx: TheoremContext, z0: complex):
     return z0, theta0, delta_nu, d_lam, radius, degenerate, nu_prov
 
 
-def check_second_kind_exclusion(ctx: TheoremContext, z0: complex, n: int) -> TheoremReport:
-    """Around an isolated support point: s_n or s_{n+1} has no zero in
-    B(z0, rho_tilde)."""
+def _isolated_point_count(ctx: TheoremContext, z0: complex, n: int, theorem: str, kind: str,
+                          labels: tuple[str, str], allowed: int) -> TheoremReport:
+    """Pass when the zeros of kind at degree n or n + 1 in B(z0, rho_tilde)
+    number at most `allowed`, counted under `labels`."""
     z0, theta0, delta_nu, d_lam, radius, degenerate, nu_prov = _isolated_point_radius(ctx, z0)
     if degenerate:
         return TheoremReport(
-            "main_lemma", n, "pass", degenerate=True, z0_theta=theta0,
+            theorem, n, "pass", degenerate=True, z0_theta=theta0,
             delta_nu=delta_nu, radii={"rho_tilde": 0.0},
             warnings=["z0 coincides with the base point: zero radius, vacuous"],
             notes={"nu_support": nu_prov},
         )
-    za = ctx.zero_set("second", n)
-    zb = ctx.zero_set("second", n + 1)
-    ca, wa, warn_a = count_zeros_in_ball(za, z0, radius)
-    cb, wb, warn_b = count_zeros_in_ball(zb, z0, radius)
-    verdict = "pass" if min(ca, cb) == 0 else "fail"
+    ca, wa, warn_a = count_zeros_in_ball(ctx.zero_set(kind, n), z0, radius)
+    cb, wb, warn_b = count_zeros_in_ball(ctx.zero_set(kind, n + 1), z0, radius)
+    verdict = "pass" if min(ca, cb) <= allowed else "fail"
     return TheoremReport(
-        "main_lemma",
+        theorem,
         n,
         verdict,
         z0_theta=theta0,
         delta_nu=delta_nu,
         radii={"rho_tilde": radius},
-        counts={"s_n": ca, "s_n1": cb},
+        counts={labels[0]: ca, labels[1]: cb},
         witnesses=(wa + wb) if verdict == "fail" else [],
         warnings=warn_a + warn_b,
         notes={"nu_support": nu_prov, "z0_lam_dist": repr(d_lam)},
     )
+
+
+def check_second_kind_exclusion(ctx: TheoremContext, z0: complex, n: int) -> TheoremReport:
+    """Around an isolated support point: s_n or s_{n+1} has no zero in
+    B(z0, rho_tilde)."""
+    return _isolated_point_count(ctx, z0, n, "main_lemma", "second", ("s_n", "s_n1"), 0)
 
 
 def check_theorem3(ctx: TheoremContext, z0: complex, n: int) -> TheoremReport:
     """Around an isolated support point: h_n or h_{n+1} has at most one
     zero in B(z0, rho_tilde)."""
-    z0, theta0, delta_nu, d_lam, radius, degenerate, nu_prov = _isolated_point_radius(ctx, z0)
-    if degenerate:
-        return TheoremReport(
-            "theorem3", n, "pass", degenerate=True, z0_theta=theta0,
-            delta_nu=delta_nu, radii={"rho_tilde": 0.0},
-            warnings=["z0 coincides with the base point: zero radius, vacuous"],
-            notes={"nu_support": nu_prov},
-        )
-    za = ctx.zero_set("first", n)
-    zb = ctx.zero_set("first", n + 1)
-    ca, wa, warn_a = count_zeros_in_ball(za, z0, radius)
-    cb, wb, warn_b = count_zeros_in_ball(zb, z0, radius)
-    verdict = "pass" if min(ca, cb) <= 1 else "fail"
-    return TheoremReport(
-        "theorem3",
-        n,
-        verdict,
-        z0_theta=theta0,
-        delta_nu=delta_nu,
-        radii={"rho_tilde": radius},
-        counts={"h_n": ca, "h_n1": cb},
-        witnesses=(wa + wb) if verdict == "fail" else [],
-        warnings=warn_a + warn_b,
-        notes={"nu_support": nu_prov, "z0_lam_dist": repr(d_lam)},
-    )
+    return _isolated_point_count(ctx, z0, n, "theorem3", "first", ("h_n", "h_n1"), 1)
 
 
 # ---------------------------------------------------------------------------

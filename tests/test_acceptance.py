@@ -179,9 +179,9 @@ class TestAcceptance:
         cross the 1e-10 collision tolerance around n ~ 55 (1e-26 apart at
         n = 150).  The coefficients are exact doubles, so every verdict
         is decidable: interlace orders such pairs at raised precision
-        (long double, double-double, then mpmath), and the counts per
-        precision are reported.  A zero set that cannot be isolated
-        counts as "unresolved".
+        (long double, fixed point at 2^-104, then at 40 and 80 digits),
+        and the counts per precision are reported.  A zero set that
+        cannot be isolated counts as "unresolved".
         """
         t0 = time.monotonic()
 
