@@ -46,6 +46,7 @@ from .errors import (
 from .para import ParaPolynomial, para_eval
 from .szego import cd_kernel, eval_pair, eval_second_kind, mixed_form, mixed_kernel
 from .theorems import (
+    BoundAuditReport,
     SupportModel,
     TheoremContext,
     audit_lemma_bounds,
@@ -58,19 +59,22 @@ from .theorems import (
     estimate_support,
     support_model,
 )
-from .zeros import CSV_COLUMNS, ZeroFindConfig, find_zeros, find_zeros_sweep
+from .zeros import CSV_COLUMNS, ZeroFindConfig, find_zeros
 
 TWO_PI = 2.0 * math.pi
 
-THEOREM_IDS = (
-    "theorem1",
-    "theorem2",
-    "consecutive",
-    "gap",
-    "main_lemma",
-    "theorem3",
-    "bounds",
-)
+# verify's theorem id -> (check, the RunConfig field of its argument
+# before n (z0 or the gap) or None, the zero-set kinds it reads at n and
+# n + 1, whether it estimates the flipped-side support without --nu-support)
+_VERIFY_CHECKS = {
+    "theorem1": (check_theorem1, "z0_theta", ("first",), False),
+    "theorem2": (check_interlacing_first_second, None, ("first", "second"), False),
+    "consecutive": (check_consecutive_interlacing, None, ("first",), False),
+    "gap": (check_gap_theorem, "gap", ("first",), False),
+    "main_lemma": (check_second_kind_exclusion, "z0_theta", ("second",), True),
+    "theorem3": (check_theorem3, "z0_theta", ("first",), True),
+    "bounds": (audit_lemma_bounds, "z0_theta", (), True),
+}
 
 
 def parse_angle(text: str) -> float:
@@ -150,7 +154,6 @@ class RunConfig:
     nu_support_path: str | None = None
     nu_estimate_n: int = 400
     epsilon: float | None = None
-    panels: int = 1024
     seed: int = 0
     count: int = 10
     max_n: int = 100
@@ -175,7 +178,7 @@ def _sequence(cfg: RunConfig, needed: int):
     if cfg.measure_path:
         doc = _load_json(cfg.measure_path)
         measure = measure_from_dict(doc, cfg.measure_path)
-        return sequence_from_measure(measure, needed, panels=cfg.panels), measure
+        return sequence_from_measure(measure, needed), measure
     if not cfg.alpha_spec:
         raise SpecFileError("<args>", None, "one of --alpha or --measure is required")
     return parse_alpha_spec(cfg.alpha_spec), None
@@ -306,21 +309,23 @@ VERIFY_CSV_COLUMNS = [
 ]
 
 
-def _prefetch_zero_sets(ctx: TheoremContext, kinds, n_values):
-    # degrees the sweep cannot resolve stay uncached: their check then
-    # raises ResolutionError inside the per-degree verdict loop
-    for kind in kinds:
-        sweep = find_zeros_sweep(
-            kind, ctx.lam, ctx.seq, n_values, ctx.zero_cfg, skip_unresolved=True
-        )
-        for n, zs in sweep.items():
-            ctx._zero_cache[(kind, n)] = zs
+def _point_argument(cfg: RunConfig, theorem: str, name: str):
+    """The check's argument before n from its option: z0 as a circle point, or the gap arc."""
+    value = getattr(cfg, name)
+    if value is None:
+        raise SpecFileError("<args>", None, f"verify {theorem} needs --{name.replace('_', '-')}")
+    if name == "gap":
+        lo, _, hi = value.partition(":")
+        return parse_angle(lo), parse_angle(hi)
+    return np.exp(1j * value)
 
 
 def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
+    check, arg_name, kinds, estimates_nu = _VERIFY_CHECKS[theorem]
+    args = () if arg_name is None else (_point_argument(cfg, theorem, arg_name),)
     n_values = parse_range(cfg.n_spec or "2..20")
     needed = max(n_values) + 2
-    if theorem in ("main_lemma", "theorem3", "bounds") and not cfg.nu_support_path:
+    if estimates_nu and not cfg.nu_support_path:
         needed = max(needed, cfg.nu_estimate_n + 2)
     seq, measure = _sequence(cfg, needed)
     lam = np.exp(1j * cfg.lambda_theta)
@@ -334,55 +339,23 @@ def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
         zero_cfg=_zero_cfg(cfg), nu_estimate_n=cfg.nu_estimate_n,
         nu_estimate_eps=cfg.epsilon,
     )
-    z0 = np.exp(1j * cfg.z0_theta) if cfg.z0_theta is not None else None
-    gap = None
-    if cfg.gap:
-        lo, _, hi = cfg.gap.partition(":")
-        gap = (parse_angle(lo), parse_angle(hi))
-
-    sweep = range(min(n_values), max(n_values) + 2)
-    if theorem in ("theorem1", "consecutive", "gap", "theorem3"):
-        _prefetch_zero_sets(ctx, ["first"], sweep)
-    if theorem in ("theorem2", "main_lemma"):
-        kinds = ["first", "second"] if theorem == "theorem2" else ["second"]
-        _prefetch_zero_sets(ctx, kinds, sweep)
+    ctx.prefetch(kinds, range(min(n_values), max(n_values) + 2))
 
     results = []
     failures = 0
     for n in n_values:
         try:
-            if theorem == "theorem1":
-                rep = check_theorem1(ctx, z0, n)
-            elif theorem == "theorem2":
-                rep = check_interlacing_first_second(ctx, n)
-            elif theorem == "consecutive":
-                rep = check_consecutive_interlacing(ctx, n)
-            elif theorem == "gap":
-                rep = check_gap_theorem(ctx, gap, n)
-            elif theorem == "main_lemma":
-                rep = check_second_kind_exclusion(ctx, z0, n)
-            elif theorem == "theorem3":
-                rep = check_theorem3(ctx, z0, n)
-            elif theorem == "bounds":
-                audit = audit_lemma_bounds(ctx, z0, n)
-                results.append(
-                    {
-                        "theorem": "bounds",
-                        "n": n,
-                        "verdict": "pass" if audit.passed else "fail",
-                        "checks": [dataclasses.asdict(c) for c in audit.checks],
-                        "notes": audit.notes,
-                    }
-                )
-                failures += 0 if audit.passed else 1
-                continue
-            else:
-                raise SpecFileError("<args>", None, f"unknown theorem id {theorem!r}")
+            rep = check(ctx, *args, n)
         except (ResolutionError, AmbiguousMinimaError) as exc:
             results.append({"theorem": theorem, "n": n, "verdict": "error", "error": str(exc)})
             failures += 1
             continue
-        results.append(dataclasses.asdict(rep))
+        row = dataclasses.asdict(rep)
+        if isinstance(rep, BoundAuditReport):
+            verdict = "pass" if rep.passed else "fail"
+            row = {"theorem": theorem, "n": n, "verdict": verdict,
+                   "checks": row["checks"], "notes": row["notes"]}
+        results.append(row)
         failures += 0 if rep.passed else 1
 
     doc = _report_skeleton(cfg)
@@ -390,21 +363,12 @@ def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
     doc["all_pass"] = failures == 0
     _emit_json(cfg, doc)
     if cfg.csv:
-        rows = []
-        for r in results:
-            rows.append(
-                [
-                    r.get("theorem", r.get("theorem_id", theorem)),
-                    r["n"],
-                    r["verdict"],
-                    r.get("degenerate", False),
-                    r.get("delta"),
-                    r.get("delta_nu"),
-                    json.dumps(r.get("radii", {}), sort_keys=True),
-                    json.dumps(r.get("counts", {}), sort_keys=True),
-                    json.dumps(r.get("witnesses", []), default=_json_default),
-                ]
-            )
+        rows = [
+            [theorem, r["n"], r["verdict"], r.get("degenerate", False), r.get("delta"), r.get("delta_nu"),
+             json.dumps(r.get("radii", {}), sort_keys=True), json.dumps(r.get("counts", {}), sort_keys=True),
+             json.dumps(r.get("witnesses", []), default=_json_default)]
+            for r in results
+        ]
         _emit_csv(cfg.csv, VERIFY_CSV_COLUMNS, rows)
     print(f"verify {theorem}: {len(results) - failures}/{len(results)} pass")
     return 0 if failures == 0 else 1
@@ -500,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--measure", dest="measure_path", help="measure JSON document")
         if angles:
             p.add_argument("--lambda-theta", dest="lambda_theta", default="0", help="base point angle (radians or '0.5pi')")
-        p.add_argument("--panels", type=int, default=1024)
         p.add_argument("--out", help="JSON output path (default stdout)")
         p.add_argument("--theta-tol", dest="theta_tol", type=float, default=1e-12)
         p.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-6)
@@ -523,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="SVG figure path")
 
     p = sub.add_parser("verify", help="run a theorem check over a degree range")
-    p.add_argument("theorem", choices=THEOREM_IDS)
+    p.add_argument("theorem", choices=tuple(_VERIFY_CHECKS))
     common(p)
     p.add_argument("--n", dest="n_spec", required=True, help="degree or inclusive range like 2..100")
     p.add_argument("--z0-theta", dest="z0_theta", help="observation angle")

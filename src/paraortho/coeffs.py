@@ -46,6 +46,14 @@ def unit_circle_point(z: complex) -> complex:
     return z / r
 
 
+def _arc_span(start, end, turn=TWO_PI):
+    """Counterclockwise extent of the arc from start to end, in [0, turn]: a
+    full turn when end - start is a nonzero multiple of it, 0 only when
+    end == start.  mpmath arguments with turn 2 mp.pi wrap at their precision."""
+    span = (end - start) % turn
+    return turn if span == 0 and end != start else span
+
+
 # ---------------------------------------------------------------------------
 # coefficient providers
 
@@ -348,7 +356,7 @@ def arc_measure(
     the raw weights given (everything is renormalized jointly).
     """
     start = float(theta_start) % TWO_PI
-    span = (float(theta_end) - float(theta_start)) % TWO_PI
+    span = _arc_span(float(theta_start), float(theta_end))
     if span == 0.0:
         raise MeasureIngestionError("arc has zero length")
     height = ac_mass * TWO_PI / span
@@ -504,7 +512,7 @@ def exact_arc_mass_moments(
     ill-conditioned); otherwise complex floats.
     """
     if dps is None:
-        span = (float(theta_end) - float(theta_start)) % TWO_PI
+        span = _arc_span(float(theta_start), float(theta_end))
         total = ac_mass + sum(w for _, w in masses)
         c = []
         for k in range(order + 1):
@@ -521,9 +529,7 @@ def exact_arc_mass_moments(
 
     with mp.workdps(dps):
         start = mp.mpf(theta_start)
-        span = mp.mpf(theta_end) - mp.mpf(theta_start)
-        if span <= 0:
-            span += 2 * mp.pi
+        span = _arc_span(start, mp.mpf(theta_end), 2 * mp.pi)
         acm = mp.mpf(ac_mass)
         total = acm + mp.fsum(mp.mpf(w) for _, w in masses)
         out = []

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import MeasureSpec, VerblunskySequence, unit_circle_point
+from .coeffs import MeasureSpec, VerblunskySequence, _arc_span, unit_circle_point
 from .errors import (
     AmbiguousMinimaError,
     DomainError,
@@ -33,12 +33,14 @@ from .errors import (
 )
 from .para import ParaPolynomial, para_eval
 from .szego import cd_kernel, eval_pair
-from .zeros import ZeroFindConfig, ZeroSet, find_zeros, find_zeros_sweep, interlace
+from .zeros import ZeroFindConfig, ZeroSet, _circular_gap, find_zeros, find_zeros_sweep, interlace
 
 TWO_PI = 2.0 * math.pi
 
 # zeros within this of a ball boundary are reported, not counted
 BOUNDARY_TOL = 1e-12
+# estimate_support merges marked angles closer than this many 2pi/n
+GAP_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -54,14 +56,10 @@ class SupportModel:
             raise SupportModelError("support model is empty")
         if self.provenance not in ("analytic", "estimated"):
             raise SupportModelError(f"unknown provenance {self.provenance!r}")
-        spans = []
         for start, end in self.arcs:
-            span = (end - start) % TWO_PI
-            if span == 0.0:
-                span = TWO_PI if end != start else 0.0
-            if span <= 0.0:
+            if end == start:
                 raise SupportModelError(f"arc ({start}, {end}) has no extent")
-            spans.append((start % TWO_PI, span))
+        spans = [(start % TWO_PI, _arc_span(start, end)) for start, end in self.arcs]
         for i, (s1, w1) in enumerate(spans):
             for s2, w2 in spans[i + 1 :]:
                 d = (s2 - s1) % TWO_PI
@@ -72,13 +70,11 @@ class SupportModel:
                 if (p - s) % TWO_PI <= w:
                     raise SupportModelError(f"isolated point {p} lies inside an arc")
 
-    def contains_angle(self, theta: float, pad: float = 0.0) -> bool:
+    def contains_angle(self, theta: float) -> bool:
         theta = theta % TWO_PI
-        for start, end in self.arcs:
-            span = (end - start) % TWO_PI or TWO_PI
-            if (theta - start) % TWO_PI <= span + pad:
-                return True
-        return any(abs((theta - p + math.pi) % TWO_PI - math.pi) <= pad for p in self.points)
+        if any((theta - start) % TWO_PI <= _arc_span(start, end) for start, end in self.arcs):
+            return True
+        return any(_circular_gap(theta, p) == 0.0 for p in self.points)
 
 
 def support_model(arcs, points=(), provenance: str = "analytic") -> SupportModel:
@@ -95,20 +91,12 @@ def _chord(angular: float) -> float:
 
 def dist_to_support(model: SupportModel, z0: complex) -> float:
     """Exact chordal distance from a circle point to the modeled support."""
-    z0 = unit_circle_point(z0)
-    theta = float(np.angle(z0)) % TWO_PI
-    best = math.inf
-    for start, end in model.arcs:
-        span = (end - start) % TWO_PI or TWO_PI
-        rel = (theta - start) % TWO_PI
-        if rel <= span:
-            return 0.0
-        angular = min(rel - span, TWO_PI - rel)
-        best = min(best, _chord(angular))
-    for p in model.points:
-        angular = abs((theta - p + math.pi) % TWO_PI - math.pi)
-        best = min(best, _chord(angular))
-    return best
+    theta = float(np.angle(unit_circle_point(z0))) % TWO_PI
+    if model.contains_angle(theta):
+        return 0.0
+    ends = [((theta - start) % TWO_PI, _arc_span(start, end)) for start, end in model.arcs]
+    angular = [min(rel - span, TWO_PI - rel) for rel, span in ends]
+    return min(_chord(a) for a in angular + [_circular_gap(theta, p) for p in model.points])
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +162,15 @@ class TheoremContext:
                 ParaPolynomial(kind, n, self.lam, self.seq), self.zero_cfg
             )
         return self._zero_cache[key]
+
+    def prefetch(self, kinds, n_values) -> None:
+        """Find the zero sets of each kind at n_values, one sweep per kind;
+        degrees it cannot resolve stay uncached, for zero_set to raise."""
+        for kind in kinds:
+            sweep = find_zeros_sweep(
+                kind, self.lam, self.seq, n_values, self.zero_cfg, skip_unresolved=True
+            )
+            self._zero_cache.update(((kind, n), zs) for n, zs in sweep.items())
 
     def nu_model(self) -> tuple[SupportModel, str]:
         """The nu support model and where it came from.
@@ -283,28 +280,29 @@ def check_theorem1(ctx: TheoremContext, z0: complex, n: int) -> TheoremReport:
     )
 
 
+def _beyond(x: float, y: float) -> bool:
+    """x exceeds y by more than the gap check's tolerance."""
+    return x > y and not math.isclose(x, y, abs_tol=1e-12)
+
+
 def check_gap_theorem(ctx: TheoremContext, gap: tuple[float, float], n: int) -> TheoremReport:
-    """h_n has at most one zero in the closed gap arc."""
+    """h_n has at most one zero in the closed gap arc, which runs
+    counterclockwise from gap[0] to gap[1] (coeffs._arc_span): a full turn
+    when they differ by a nonzero multiple of 2pi, degenerate (a vacuous
+    pass) when equal."""
     if ctx.support is None:
         raise PreconditionError("gap theorem needs a support model")
     start, end = float(gap[0]), float(gap[1])
-    span = (end - start) % TWO_PI
-    degenerate = span == 0.0 and math.isclose(start % TWO_PI, end % TWO_PI)
+    span = _arc_span(start, end)
+    degenerate = span == 0.0
     if not degenerate:
-        # the open gap must avoid the support; shared endpoints are fine
+        # measured from start, an arc [t0, t1] meets the open gap (0, span) when
+        # it starts inside it or runs on past 2pi; shared endpoints are fine
         for a0, a1 in ctx.support.arcs:
-            arc_span = (a1 - a0) % TWO_PI or TWO_PI
             t0 = (a0 - start) % TWO_PI
-            pieces = [(t0, min(t0 + arc_span, TWO_PI))]
-            if t0 + arc_span > TWO_PI:
-                pieces.append((0.0, t0 + arc_span - TWO_PI))
-            for u, v in pieces:
-                if u < span and v > 0.0 and not (
-                    math.isclose(u, span, abs_tol=1e-12) or math.isclose(v, 0.0, abs_tol=1e-12)
-                ):
-                    raise PreconditionError(
-                        f"gap ({start}, {end}) overlaps a modeled support arc"
-                    )
+            t1 = t0 + _arc_span(a0, a1)
+            if (_beyond(span, t0) and _beyond(t1, 0.0)) or (_beyond(span, 0.0) and _beyond(t1 - TWO_PI, 0.0)):
+                raise PreconditionError(f"gap ({start}, {end}) overlaps a modeled support arc")
         for p in ctx.support.points:
             rel = (p - start) % TWO_PI
             if 1e-12 < rel < span - 1e-12:
@@ -314,7 +312,7 @@ def check_gap_theorem(ctx: TheoremContext, gap: tuple[float, float], n: int) -> 
     zs = ctx.zero_set("first", n)
     absolute = zs.absolute_angles()
     rel = (absolute - start) % TWO_PI
-    inside = (rel <= span + BOUNDARY_TOL) if span else (rel <= BOUNDARY_TOL)
+    inside = rel <= span + BOUNDARY_TOL
     count = int(np.sum(inside))
     verdict = "pass" if count <= 1 else "fail"
     return TheoremReport(
@@ -328,34 +326,27 @@ def check_gap_theorem(ctx: TheoremContext, gap: tuple[float, float], n: int) -> 
     )
 
 
+def _interlacing(ctx: TheoremContext, n: int, theorem: str, kind: str, step: int) -> TheoremReport:
+    """Interlacing of h_n with the zeros of `kind` at degree n + step; for
+    consecutive degrees (step 1) without their shared base-point zero."""
+    a, b = ctx.zero_set("first", n), ctx.zero_set(kind, n + step)
+    if step:
+        a, b = a.without_base_point(), b.without_base_point()
+    res = interlace(a, b)
+    return TheoremReport(theorem, n, res.verdict, witnesses=[res.witness] if res.witness else [])
+
+
 def check_interlacing_first_second(ctx: TheoremContext, n: int) -> TheoremReport:
     """Same-degree strict interlacing of the two kinds."""
     if n < 1:
         raise PreconditionError("interlacing needs degree >= 1")
-    za = ctx.zero_set("first", n)
-    zb = ctx.zero_set("second", n)
-    res = interlace(za, zb)
-    return TheoremReport(
-        "theorem2",
-        n,
-        res.verdict,
-        witnesses=[res.witness] if res.witness else [],
-    )
+    return _interlacing(ctx, n, "theorem2", "second", 0)
 
 
 def check_consecutive_interlacing(ctx: TheoremContext, n: int) -> TheoremReport:
     """First-kind degrees n and n+1 interlace once the shared base-point
     zero is removed from both."""
-    res = interlace(
-        ctx.zero_set("first", n).without_base_point(),
-        ctx.zero_set("first", n + 1).without_base_point(),
-    )
-    return TheoremReport(
-        "consecutive",
-        n,
-        res.verdict,
-        witnesses=[res.witness] if res.witness else [],
-    )
+    return _interlacing(ctx, n, "consecutive", "first", 1)
 
 
 def _isolated_point_radius(ctx: TheoremContext, z0: complex):
@@ -363,7 +354,7 @@ def _isolated_point_radius(ctx: TheoremContext, z0: complex):
         raise PreconditionError("isolated-point checks need a support model")
     z0 = unit_circle_point(z0)
     theta0 = float(np.angle(z0)) % TWO_PI
-    if not any(abs((theta0 - p + math.pi) % TWO_PI - math.pi) <= 1e-9 for p in ctx.support.points):
+    if not any(_circular_gap(theta0, p) <= 1e-9 for p in ctx.support.points):
         raise PreconditionError(
             f"z0 (angle {theta0}) is not a declared isolated point of the support model"
         )
@@ -474,7 +465,7 @@ def audit_lemma_bounds(ctx: TheoremContext, z0: complex, n: int) -> BoundAuditRe
         raise PreconditionError("bound audit needs a support model")
     delta = dist_to_support(ctx.support, z0)
     d_lam = abs(z0 - ctx.lam)
-    if delta <= 0.0 and not ctx.support.contains_angle(theta0, pad=0.0):
+    if delta <= 0.0 and not ctx.support.contains_angle(theta0):
         raise PreconditionError("z0 distance to support is zero")
 
     phi_n_lam = abs(eval_pair(ctx.seq, n, ctx.lam).phi)
@@ -583,7 +574,6 @@ def estimate_support(
     lam: complex,
     n_estimate: int,
     eps: float | None = None,
-    gap_factor: float = 4.0,
     zero_cfg: ZeroFindConfig | None = None,
 ) -> SupportModel:
     """Advisory support estimate from coincident zeros of two consecutive
@@ -591,7 +581,7 @@ def estimate_support(
 
     Zeros of degree n_estimate that have a degree-(n_estimate + 1) zero
     within eps (default 2pi/n_estimate) mark support; marked angles
-    closer than gap_factor * 2pi/n_estimate merge into arcs, loners
+    closer than GAP_FACTOR * 2pi/n_estimate merge into arcs, loners
     become isolated points.  Output is labelled "estimated".
     """
     if n_estimate < 50:
@@ -601,34 +591,18 @@ def estimate_support(
     za, zb = find_zeros_sweep("first", lam, seq, [n_estimate, n_estimate + 1], zero_cfg).values()
     a = np.sort((za.interior_angles() + za.lambda_theta) % TWO_PI)
     b = np.sort((zb.interior_angles() + zb.lambda_theta) % TWO_PI)
-    marked = []
-    for u in a:
-        if np.min(np.abs((u - b + math.pi) % TWO_PI - math.pi)) <= eps:
-            marked.append(float(u))
-    if not marked:
+    marked = a[np.min(_circular_gap(a[:, None], b[None, :]), axis=1) <= eps]
+    if not marked.size:
         raise SupportModelError("no coincident zeros: estimate has nothing to report")
-    marked = np.array(sorted(marked))
     gaps = np.diff(np.concatenate([marked, [marked[0] + TWO_PI]]))
-    threshold = gap_factor * TWO_PI / n_estimate
+    threshold = GAP_FACTOR * TWO_PI / n_estimate
     if np.all(gaps <= threshold):
         return support_model([(0.0, TWO_PI)], provenance="estimated")
     # rotate so a genuine gap sits at the end, then split into clusters
     cut = int(np.argmax(gaps))
     order = np.roll(marked, -(cut + 1))
     order = np.where(order < order[0], order + TWO_PI, order)
-    arcs, points = [], []
-    cluster = [order[0]]
-    for v in order[1:]:
-        if v - cluster[-1] <= threshold:
-            cluster.append(v)
-        else:
-            if len(cluster) == 1:
-                points.append(cluster[0] % TWO_PI)
-            else:
-                arcs.append((cluster[0] % TWO_PI, cluster[-1] % TWO_PI))
-            cluster = [v]
-    if len(cluster) == 1:
-        points.append(cluster[0] % TWO_PI)
-    else:
-        arcs.append((cluster[0] % TWO_PI, cluster[-1] % TWO_PI))
+    clusters = np.split(order, np.nonzero(np.diff(order) > threshold)[0] + 1)
+    arcs = [(c[0] % TWO_PI, c[-1] % TWO_PI) for c in clusters if c.size > 1]
+    points = [c[0] % TWO_PI for c in clusters if c.size == 1]
     return support_model(arcs, points, provenance="estimated")

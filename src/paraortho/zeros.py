@@ -452,13 +452,14 @@ class InterlaceVerdict:
 
 
 def _circular_gap(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Distance between angles around the circle, in [0, pi]."""
     return np.abs((x - y + math.pi) % TWO_PI - math.pi)
 
 
-def _order_collisions(a: ZeroSet, b: ZeroSet, xa, xb, pairs, collision_tol: float):
+def _order_collisions(a: ZeroSet, b: ZeroSet, xa, xb, pairs):
     """The angles of a and b with each colliding pair moved into its true order.
 
-    pairs lists (i, j) with xa[i] and xb[j] closer than collision_tol.
+    pairs lists (i, j) with xa[i] and xb[j] closer than COLLISION_TOL.
     For each, b's zero is decided to lie just after (+1) or just before
     (-1) a's zero, counterclockwise, at the first precision of
     precision.LADDER that clears its rounding bound.  A pinned
@@ -467,7 +468,7 @@ def _order_collisions(a: ZeroSet, b: ZeroSet, xa, xb, pairs, collision_tol: floa
     of b's trace at a's refined zero, against the sign b's trace has
     just below its own zero: right after lambda it is +1 (second kind,
     value 2 at lambda) or -1 (first kind), and it flips at each zero.
-    The moved zero goes to 1e-3 collision_tol from its partner, so no
+    The moved zero goes to 1e-3 COLLISION_TOL from its partner, so no
     other order changes.
 
     A zero of a may collide with two zeros of b, which are then
@@ -477,7 +478,7 @@ def _order_collisions(a: ZeroSet, b: ZeroSet, xa, xb, pairs, collision_tol: floa
 
     Returns (xa, xb, decided), or None if a pair stays open, a set has
     no source polynomial, the sources differ in coefficient sequence or
-    base point, a non-pinned zero lies within collision_tol of lambda, a
+    base point, a non-pinned zero lies within COLLISION_TOL of lambda, a
     zero of b takes part in two pairs, or a zero of a in more than two or
     lies outside its two partners.
     """
@@ -492,7 +493,7 @@ def _order_collisions(a: ZeroSet, b: ZeroSet, xa, xb, pairs, collision_tol: floa
     ordinary = ~pinned_a & ~pinned_b
     near_base = np.minimum(np.minimum(xa[i], TWO_PI - xa[i]), np.minimum(xb[j], TWO_PI - xb[j]))
     doubled = np.isin(i, first[repeats == 2])
-    if np.any(ordinary & (near_base < collision_tol)) or np.any(doubled & ~ordinary):
+    if np.any(ordinary & (near_base < COLLISION_TOL)) or np.any(doubled & ~ordinary):
         return None
     below = (-1.0 if b.kind == "first" else 1.0) * (-1.0) ** np.searchsorted(b.interior_angles(), xb[j])
 
@@ -515,7 +516,7 @@ def _order_collisions(a: ZeroSet, b: ZeroSet, xa, xb, pairs, collision_tol: floa
             return None
 
     xa, xb = xa.copy(), xb.copy()
-    gap = 1e-3 * collision_tol
+    gap = 1e-3 * COLLISION_TOL
     xb[j[ordinary]] = xa[i[ordinary]] + relation[ordinary] * gap
     xb[j[pinned_a]] = np.where(relation[pinned_a] > 0, gap, TWO_PI - gap)
     xa[i[pinned_b]] = np.where(relation[pinned_b] < 0, gap, TWO_PI - gap)
@@ -523,7 +524,7 @@ def _order_collisions(a: ZeroSet, b: ZeroSet, xa, xb, pairs, collision_tol: floa
     return xa, xb, dict(zip(stages.tolist(), counts.tolist()))
 
 
-def interlace(a: ZeroSet, b: ZeroSet, collision_tol: float = COLLISION_TOL) -> InterlaceVerdict:
+def interlace(a: ZeroSet, b: ZeroSet) -> InterlaceVerdict:
     """Strict circular interlacing of two zero sets.
 
     Same-degree sets: every open arc between consecutive zeros of `a`
@@ -532,7 +533,7 @@ def interlace(a: ZeroSet, b: ZeroSet, collision_tol: float = COLLISION_TOL) -> I
     on the interval cut at the base point, the zeros must alternate
     b, a, b, ..., a, b (callers strip the shared base-point zero first).
 
-    Float64 angles cannot order two zeros closer than collision_tol.
+    Float64 angles cannot order two zeros closer than COLLISION_TOL.
     Such pairs are ordered at raised precision from the source
     polynomials of the two sets (see _order_collisions and the precision
     module); the verdict records how many pairs each precision decided.
@@ -557,35 +558,28 @@ def interlace(a: ZeroSet, b: ZeroSet, collision_tol: float = COLLISION_TOL) -> I
     if xa.size and xb.size and not identical:
         gaps = _circular_gap(xa[:, None], xb[None, :])
         dmin = float(np.min(gaps))
-        if dmin < collision_tol:
-            ordered = _order_collisions(a, b, xa, xb, np.argwhere(gaps < collision_tol), collision_tol)
+        if dmin < COLLISION_TOL:
+            ordered = _order_collisions(a, b, xa, xb, np.argwhere(gaps < COLLISION_TOL))
             if ordered is None:
                 return InterlaceVerdict(
                     "inconclusive",
-                    {"min_pair_distance": dmin, "collision_tol": collision_tol},
+                    {"min_pair_distance": dmin, "collision_tol": COLLISION_TOL},
                 )
             xa, xb, decided = ordered
-    bad = None
+    # b's zeros in each open arc (lo, hi), one row per arc
     if xb.size == xa.size + 1:
         # consecutive-degree variant: zeros alternate b, a, b, ..., a, b on
         # the interval cut at the shared (already removed) base-point zero
-        bounds = np.concatenate([[0.0], xa, [TWO_PI]])
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            count = int(np.sum((xb > lo) & (xb < hi)))
-            if count != 1:
-                bad = {"arc": (float(lo), float(hi)), "count": count}
-                break
+        lo, hi = np.concatenate([[0.0], xa]), np.concatenate([xa, [TWO_PI]])
+        inside = (xb > lo[:, None]) & (xb < hi[:, None])
     else:
-        for i in range(xa.size):
-            lo = xa[i]
-            span = (xa[(i + 1) % xa.size] - lo) % TWO_PI
-            if xa.size == 1:
-                span = TWO_PI
-            rel = (xb - lo) % TWO_PI
-            count = int(np.sum((rel > 0.0) & (rel < span)))
-            if count != 1:
-                bad = {"arc": (float(lo % TWO_PI), float((lo + span) % TWO_PI)), "count": count}
-                break
-    if bad is not None:
-        return InterlaceVerdict("fail", bad, decided)
-    return InterlaceVerdict("pass", {}, decided)
+        # arcs from each zero of a to the next, wrapping at 2pi
+        span = np.full(1, TWO_PI) if xa.size == 1 else (np.roll(xa, -1) - xa) % TWO_PI
+        rel = (xb - xa[:, None]) % TWO_PI
+        inside = (rel > 0.0) & (rel < span[:, None])
+        lo, hi = xa % TWO_PI, (xa + span) % TWO_PI
+    counts = np.sum(inside, axis=1)
+    if np.all(counts == 1):
+        return InterlaceVerdict("pass", {}, decided)
+    k = int(np.argmax(counts != 1))
+    return InterlaceVerdict("fail", {"arc": (float(lo[k]), float(hi[k])), "count": int(counts[k])}, decided)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from paraortho.cli import parse_alpha_spec, parse_angle, parse_range, run
+from paraortho.cli import _VERIFY_CHECKS, parse_alpha_spec, parse_angle, parse_range, run
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,6 +101,21 @@ class TestCoeffsCommand:
         assert run(["coeffs", "--alpha", "decay:0.8:1.0", "--n", "2", "--out", str(out)]) == 0
         doc = read_json(out)
         assert doc["alphas"] == [[0.8, 0.0], [0.4, 0.0]]
+
+    def test_measure_panels_come_from_the_document(self, tmp_path):
+        # 8 panels leave alpha_0 off by 5.9e-7, 1024 resolve it
+        errors = {}
+        for panels in (8, 1024):
+            spec = tmp_path / f"m{panels}.json"
+            spec.write_text(json.dumps({
+                "weight": {"kind": "bernstein_szego", "alpha": [[0.8, 0]]},
+                "panels": panels,
+            }))
+            out = tmp_path / f"a{panels}.json"
+            assert run(["coeffs", "--measure", str(spec), "--n", "1", "--out", str(out)]) == 0
+            errors[panels] = abs(complex(*read_json(out)["alphas"][0]) - 0.8)
+        assert errors[8] > 1e-7
+        assert errors[1024] < 1e-12
 
 
 class TestInterlaceCommand:
@@ -250,14 +265,43 @@ class TestExitCodes:
         assert run(["zeros"]) == 2  # --n is required
         capsys.readouterr()
 
+    @pytest.mark.parametrize("theorem, field", [(t, f) for t, (_, f, *_) in _VERIFY_CHECKS.items() if f])
+    def test_verify_without_point_argument(self, tmp_path, capsys, theorem, field):
+        support = tmp_path / "support.json"
+        support.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]], "points": [0.0]}))
+        assert run([
+            "verify", theorem, "--alpha", "const:0.5", "--lambda-theta", "pi",
+            "--support", str(support), "--n", "3", "--out", str(tmp_path / "r.json"),
+        ]) == 2
+        flag = {"z0_theta": "--z0-theta", "gap": "--gap"}[field]
+        assert f"verify {theorem} needs {flag}" in capsys.readouterr().err
+
+
+# arguments that make each verify check apply to const 0.5 at lambda = pi:
+# an arc plus an atom at angle 0, whose flipped side is the arc alone
+VERIFY_POINTS = {
+    "theorem1": ["--z0-theta", "0.5"],  # in the gap, off the atom
+    "gap": ["--gap", "0.1:0.9"],
+    "main_lemma": ["--z0-theta", "0"],
+    "theorem3": ["--z0-theta", "0"],
+    "bounds": ["--z0-theta", "0"],
+}
+
 
 def test_reports_deterministic_modulo_timestamp(tmp_path):
     # reruns must write the same bytes apart from the timestamp value
     out = tmp_path / "r.json"
-    runs = (
+    support = tmp_path / "support.json"
+    support.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]], "points": [0.0]}))
+    nu = tmp_path / "nu.json"
+    nu.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]]}))
+    fixture = ["--alpha", "const:0.5", "--lambda-theta", "pi", "--n", "2..8",
+               "--support", str(support), "--nu-support", str(nu)]
+    runs = [
         ["zeros", "--alpha", "random:0.6:seed=9", "--n", "8"],
         ["verify", "theorem2", "--alpha", "const:-0.5", "--lambda-theta", "pi", "--n", "2..12"],
-    )
+    ]
+    runs += [["verify", t, *fixture, *VERIFY_POINTS.get(t, [])] for t in _VERIFY_CHECKS]
     for argv in runs:
         reports = []
         for _ in range(2):
@@ -265,4 +309,4 @@ def test_reports_deterministic_modulo_timestamp(tmp_path):
             text, stamps = re.subn(rb'"generated_at": "[^"]*"', b'"generated_at": ""', out.read_bytes())
             assert stamps == 1
             reports.append(text)
-        assert reports[0] == reports[1], argv[0]
+        assert reports[0] == reports[1], argv[:2]

@@ -7,6 +7,7 @@ import paraortho as pa
 from paraortho.coeffs import (
     EPS_PD,
     MomentTable,
+    _arc_span,
     exact_arc_mass_moments,
     measure_from_dict,
     moments_table,
@@ -205,6 +206,18 @@ class TestLevinson:
         tc = exact_arc_mass_moments(np.pi / 3, 5 * np.pi / 3, 0.65, [(0.0, 0.35)], 24)
         assert np.abs(tq.c - tc.c).max() < 1e-13
 
+    @pytest.mark.parametrize("arc", [(0.0, TWO_PI), (1.0, 7.5)])
+    def test_exact_arc_moments_branches_agree_on_wrapped_arcs(self, arc):
+        # a full turn, and an arc given past a full turn (it wraps to 7.5 - 1 - 2pi)
+        c64 = exact_arc_mass_moments(*arc, 0.65, [(0.0, 0.35)], 24).c
+        chp = exact_arc_mass_moments(*arc, 0.65, [(0.0, 0.35)], 24, dps=50)
+        assert np.all(np.isfinite(c64))
+        assert np.abs(c64 - np.array([complex(v) for v in chp])).max() < 1e-15
+
+    def test_full_turn_arc_measure_is_lebesgue(self):
+        full = moments_table(pa.arc_measure(0.0, TWO_PI), 24).c
+        assert np.abs(full - moments_table(pa.lebesgue_measure(), 24).c).max() < 1e-13
+
     def test_high_precision_extends_float_prefix(self):
         # the Toeplitz conditioning decays geometrically, so the double
         # precision recursion loses about 0.36 digits per index; its
@@ -296,6 +309,13 @@ class TestFilesAndDicts:
             measure_from_dict({"weight": {"kind": "arc"}})
         with pytest.raises(SpecFileError):
             measure_from_dict({"weight": None, "masses": [{"theta": 0.0}]})
+
+
+def test_arc_span():
+    assert _arc_span(0.0, TWO_PI) == TWO_PI
+    assert _arc_span(0.5, 0.5) == 0.0
+    assert _arc_span(5.0, 1.0) == pytest.approx(TWO_PI - 4.0)
+    assert _arc_span(1.0, 7.5) == pytest.approx(6.5 - TWO_PI)
 
 
 def test_unit_circle_point_validation():

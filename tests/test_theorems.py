@@ -179,8 +179,10 @@ class TestGapTheorem:
         assert rep.passed and rep.degenerate
 
     def test_gap_overlapping_support_rejected(self, geronimus_ctx):
-        with pytest.raises(PreconditionError):
-            pa.check_gap_theorem(geronimus_ctx, (0.0, 2.0), 5)
+        # a full turn is not an empty gap: it holds the whole support
+        for gap in ((0.0, 2.0), (0.0, TWO_PI), (np.pi, 3 * np.pi)):
+            with pytest.raises(PreconditionError):
+                pa.check_gap_theorem(geronimus_ctx, gap, 5)
 
     def test_wrong_model_shows_failure(self):
         # free case with a (false) one-point support model: the "gap" is

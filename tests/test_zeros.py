@@ -334,6 +334,20 @@ class TestInterlace:
         sb = ZeroSet("first", 2, 0.0, np.array([math.pi]), np.array([0.0]), 1.0, True)
         assert pa.interlace(sa, sb).verdict == "pass"
 
+    @pytest.mark.parametrize("a, b, arc, count", [
+        ([1.0, 2.0, 4.0], [1.5, 1.7, 5.0], (1.0, 2.0), 2),
+        ([1.0, 2.0], [0.5, 3.0, 4.0], (1.0, 2.0), 0),
+        ([1.0, 5.0], [0.5, 3.0, 3.5], (1.0, 5.0), 2),
+    ])
+    def test_failure_witness_is_first_bad_arc(self, a, b, arc, count):
+        sets = [
+            ZeroSet("first", len(x) + 1, 0.0, np.array(x), np.zeros(len(x)), 1.0, True)
+            for x in (a, b)
+        ]
+        res = pa.interlace(*sets)
+        assert res.verdict == "fail"
+        assert res.witness == {"arc": arc, "count": count}
+
     def test_size_mismatch(self):
         a = pa.find_zeros(free_poly("first", 4))
         b = pa.find_zeros(free_poly("first", 6))
