@@ -142,7 +142,6 @@ def _load_json(path):
 @dataclasses.dataclass
 class RunConfig:
     command: str
-    mode: str = "coeffs"
     alpha_spec: str | None = None
     measure_path: str | None = None
     lambda_theta: float = 0.0
@@ -160,17 +159,13 @@ class RunConfig:
     points: int = 32
     tol: float = 1e-9
     theta_tol: float = 1e-12
-    residual_tol: float = 1e-6
     out: str | None = None
     csv: str | None = None
     svg: str | None = None
 
 
 def _zero_cfg(cfg: RunConfig) -> ZeroFindConfig:
-    return ZeroFindConfig(
-        theta_tol=cfg.theta_tol,
-        residual_tol=cfg.residual_tol,
-    )
+    return ZeroFindConfig(theta_tol=cfg.theta_tol)
 
 
 def _sequence(cfg: RunConfig, needed: int):
@@ -466,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--lambda-theta", dest="lambda_theta", default="0", help="base point angle (radians or '0.5pi')")
         p.add_argument("--out", help="JSON output path (default stdout)")
         p.add_argument("--theta-tol", dest="theta_tol", type=float, default=1e-12)
-        p.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-6)
 
     p = sub.add_parser("coeffs", help="emit a coefficient list")
     common(p, angles=False)
@@ -542,10 +536,13 @@ def run(argv=None) -> int:
         if cfg.command == "identities":
             return _cmd_identities(cfg)
         raise AssertionError(f"unhandled command {cfg.command!r}")
+    except PreconditionError as exc:  # a ValueError, but no usage error
+        print(f"check could not be established: {exc}", file=sys.stderr)
+        return 1
     except (SpecFileError, MeasureIngestionError, SupportModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PreconditionError, ConditioningError, ResolutionError, AmbiguousMinimaError, ParaorthoError) as exc:
+    except (ConditioningError, ResolutionError, AmbiguousMinimaError, ParaorthoError) as exc:
         print(f"check could not be established: {exc}", file=sys.stderr)
         return 1
 

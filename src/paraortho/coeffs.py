@@ -511,8 +511,10 @@ def exact_arc_mass_moments(
     gap-supported measures, whose moment matrices are exponentially
     ill-conditioned); otherwise complex floats.
     """
+    span = _arc_span(float(theta_start), float(theta_end))
+    if span == 0.0:
+        raise MeasureIngestionError("arc has zero length")
     if dps is None:
-        span = _arc_span(float(theta_start), float(theta_end))
         total = ac_mass + sum(w for _, w in masses)
         c = []
         for k in range(order + 1):

@@ -56,12 +56,14 @@ PHASE_SPLIT = 7
 ON_ZERO = 1e-9
 # most trace samples one batched evaluation of find_zeros_sweep takes
 SWEEP_BATCH = 16384
+# least residual allowance of a refined zero, relative to the largest
+# trace sampled
+RESIDUAL_FLOOR = 1e-6
 
 
 @dataclass
 class ZeroFindConfig:
     theta_tol: float = 1e-12
-    residual_tol: float = 1e-6  # relative to the largest trace sampled
 
 
 @dataclass
@@ -282,13 +284,16 @@ def _assemble(p: ParaPolynomial, roots: np.ndarray, values: np.ndarray, scale: f
     """Check and package the refined zeros; values holds the trace at the
     roots followed by the trace at the midpoints between them."""
     residuals = np.abs(values[: roots.size])
-    bad = residuals > cfg.residual_tol * scale
+    # the trace has frequencies up to n/2, so by Bernstein's inequality a
+    # bracket midpoint, within theta_tol / 2 of its zero, has a residual
+    # of at most n theta_tol / 4 times the trace's maximum
+    tol = max(RESIDUAL_FLOOR, p.n * cfg.theta_tol / 4)
+    bad = residuals > tol * scale
     if np.any(bad):
         raise ResolutionError(
             p.n,
             int(np.sum(~bad)),
-            f"{int(np.sum(bad))} refined zeros have residual above "
-            f"{cfg.residual_tol} * scale",
+            f"{int(np.sum(bad))} refined zeros have residual above {tol:.3g} * scale",
         )
     if np.any(np.diff(roots) <= 0.0):
         raise ResolutionError(p.n, len(roots), "refined zeros are not strictly increasing")

@@ -185,18 +185,44 @@ class TestVerifyCommand:
         assert read_json(out)["all_pass"] is False
 
     def test_unresolved_degrees_become_error_verdicts(self, tmp_path):
-        # at this theta_tol the zeros of degrees 18..20 miss the residual
-        # bound; the run still writes a verdict for every requested degree
+        # const 0.5 at lambda = -1, rotated to lambda = 1 by alternating the
+        # signs of its coefficients: from degree 69 on, the first-kind
+        # zeros next to the atom lie closer than double angles resolve;
+        # the run still writes a verdict for every requested degree
+        spec = "list:" + ",".join(str(0.5 * (-1) ** (k + 1)) for k in range(72))
+        out = tmp_path / "r.json"
+        code = run(["verify", "consecutive", "--alpha", spec, "--n", "64..70", "--out", str(out)])
+        assert code == 1
+        doc = read_json(out)
+        assert doc["all_pass"] is False
+        assert [r["n"] for r in doc["results"]] == list(range(64, 71))
+        verdicts = [r["verdict"] for r in doc["results"]]
+        assert verdicts[0] == "pass" and verdicts[-3:] == ["error"] * 3
+        assert "isolated 67 of 69 zeros" in doc["results"][-3]["error"]
+
+    def test_coarse_theta_tol_passes(self, tmp_path):
+        # the residual allowance grows with theta_tol (n theta_tol / 4 of
+        # the trace scale), so zeros refined only to 3e-4 still pass
         out = tmp_path / "r.json"
         code = run([
             "verify", "consecutive", "--alpha", "const:0.5", "--n", "18..24",
             "--theta-tol", "3e-4", "--out", str(out),
         ])
-        assert code == 1
+        assert code == 0
         doc = read_json(out)
-        assert doc["all_pass"] is False
-        assert [r["n"] for r in doc["results"]] == list(range(18, 25))
-        assert [r["verdict"] for r in doc["results"]] == ["error"] * 3 + ["pass"] * 4
+        assert [r["verdict"] for r in doc["results"]] == ["pass"] * 7
+        assert "residual_tol" not in doc["config"] and "mode" not in doc["config"]
+
+    def test_failed_precondition_exits_1(self, tmp_path, capsys):
+        # a gap over the modeled support is a check that could not be
+        # established, not a usage error
+        support = tmp_path / "arc.json"
+        support.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]]}))
+        assert run([
+            "verify", "gap", "--alpha", "const:-0.5", "--lambda-theta", "pi",
+            "--support", str(support), "--gap", "0:2pi", "--n", "5",
+        ]) == 1
+        assert "check could not be established" in capsys.readouterr().err
 
     def test_bounds(self, tmp_path):
         support = tmp_path / "support.json"

@@ -214,6 +214,11 @@ class TestLevinson:
         assert np.all(np.isfinite(c64))
         assert np.abs(c64 - np.array([complex(v) for v in chp])).max() < 1e-15
 
+    @pytest.mark.parametrize("dps", [None, 30])
+    def test_exact_arc_moments_reject_an_empty_arc(self, dps):
+        with pytest.raises(MeasureIngestionError, match="arc has zero length"):
+            exact_arc_mass_moments(1.0, 1.0, 0.65, [(0.0, 0.35)], 2, dps=dps)
+
     def test_full_turn_arc_measure_is_lebesgue(self):
         full = moments_table(pa.arc_measure(0.0, TWO_PI), 24).c
         assert np.abs(full - moments_table(pa.lebesgue_measure(), 24).c).max() < 1e-13

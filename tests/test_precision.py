@@ -13,7 +13,7 @@ import pytest
 
 import paraortho as pa
 from paraortho import precision
-from paraortho.precision import U_FIXED, U_LONG
+from paraortho.precision import U_LONG
 from paraortho.zeros import _circular_gap
 
 
@@ -59,45 +59,97 @@ def colliding():
     return polys, theta
 
 
-def test_long_double_and_fixed_104_passes_match_mpmath(colliding):
+def ld_to_mp(z):
+    """A long double complex number as an mpc, exactly at 60 digits or more."""
+    re, im = float(z.real), float(z.imag)
+    return mpmath.mpc(mpmath.mpf(re) + float(z.real - re), mpmath.mpf(im) + float(z.imag - im))
+
+
+# rows of two kinds (h_100, s_100), of one kind at two levels (h_101,
+# h_100), and a group without g (s_101)
+SHAPES = ((("first", 100), ("second", 100)), (("first", 101), ("first", 100)), (("second", 101), None))
+
+
+def shaped_groups(polys):
+    return [tuple(None if key is None else polys[key] for key in shape) for shape in SHAPES]
+
+
+def test_long_double_pass_matches_mpmath(colliding):
     polys, theta = colliding
-    # rows of two kinds (h_100, s_100), of one kind at two levels
-    # (h_101, h_100), and a group without g (s_101)
-    groups = [(polys["first", 100], polys["second", 100]),
-              (polys["first", 101], polys["first", 100]),
-              (polys["second", 101], None)]
+    groups = shaped_groups(polys)
     z = (1.0 * np.exp(1j * theta[::4])).astype(np.clongdouble)
     values = precision._fused_values(groups, [z] * len(groups))
-    fixed = precision._fixed_values(groups, [z] * len(groups))
     with mpmath.workdps(60):
-        for (f, g), per_poly, fixed_per_poly in zip(groups, values, fixed):
-            for p, (f0, f1, f2, e0, e1, e2), v in zip((f, g), per_poly, fixed_per_poly):
+        for (f, g), per_poly in zip(groups, values):
+            for p, (f0, f1, f2, e0, e1, e2) in zip((f, g), per_poly):
                 for i in range(z.size):
-                    x = precision._ld_to_mp(z[i])
+                    x = ld_to_mp(z[i])
                     # F, F' and F'' by mpmath's differentiation of the reference
                     ref = [mpmath.diff(lambda w: mp_value(p, w), x, k) for k in range(3)]
                     for got, want, bound in zip((f0[i], f1[i], f2[i]), ref, (e0[i], e1[i], e2[i])):
-                        assert abs(precision._ld_to_mp(got) - want) <= bound
-                    # the stated bound of the fixed-104 stage: the long double
-                    # value bound rescaled, plus the rounding to long double
-                    bound = e0[i] * U_FIXED / U_LONG + U_LONG * float(abs(v[i]))
-                    assert abs(precision._ld_to_mp(v[i]) - ref[0]) <= bound
+                        assert abs(ld_to_mp(got) - want) <= bound
 
 
-@pytest.mark.parametrize("dps", [40, 80])
-def test_fixed_point_pass_matches_mpmath(colliding, dps):
+@pytest.mark.parametrize("p", [p for _, p in precision.LADDER[1:]], ids=[label for label, _ in precision.LADDER[1:]])
+def test_fixed_point_stages_match_mpmath(colliding, p):
     polys, theta = colliding
-    z = (1.0 * np.exp(1j * theta)).astype(np.clongdouble)
-    with mpmath.workdps(dps):
-        u = mpmath.mpf(2) ** -mpmath.mp.prec
-        value = precision._fixed_evaluator(polys["first", 100], {99, 100})
-        for p in polys.values():
-            # the stated bound ROUNDING_FACTOR n u S: the long double
-            # pass's value bound rescaled to the working precision
-            ((_, _, _, e0, _, _),), = precision._fused_values([(p, None)], [z])
-            for i in range(theta.size):
-                x = precision._ld_to_mp(z[i])
-                assert abs(value(p, x) - mp_value(p, x)) <= e0[i] * float(u) / U_LONG
+    groups = shaped_groups(polys)
+    bits = p + precision.FIXED_GUARD_BITS
+    # points off the long double grid by 2^-p, so that every bit of the
+    # scale takes part
+    z = (1.0 * np.exp(1j * theta[::4])).astype(np.clongdouble)
+    xr, xi = precision._to_fixed(z, bits)
+    points = (xr + (1 << precision.FIXED_GUARD_BITS), xi - (3 << precision.FIXED_GUARD_BITS))
+    # and a base point off the real axis, for both parts of lambda
+    rotated = [(pa.ParaPolynomial("second", 101, np.exp(0.9j), polys["first", 100].seq), None)]
+    with mpmath.workdps(2 * p // 3):  # well above p bits
+        xs = [mpmath.mpc(mpmath.mpf((int(r), -bits)), mpmath.mpf((int(m), -bits))) for r, m in zip(*points)]
+        for groups in (groups, rotated):
+            values = precision._fused_values(groups, [z] * len(groups))
+            fixed, ims = precision._fixed_values(groups, [points] * len(groups), bits)
+            lam = mpmath.mpc(groups[0][0].lam)
+            for (f, g), per_poly, fixed_per_poly, im in zip(groups, values, fixed, ims):
+                for i, x in enumerate(xs):
+                    # Im(x conj(lambda)) is exact before its rounding to long double
+                    assert abs(ld_to_mp(im[i]) - (x * lam.conjugate()).imag) <= U_LONG * float(abs(im[i]))
+                for q, (_, _, _, e0, _, _), v in zip((f, g), per_poly, fixed_per_poly):
+                    for i, x in enumerate(xs):
+                        # the stated bound of a fixed-point stage: the long double value
+                        # bound rescaled to 2^-p, plus the rounding to long double
+                        bound = e0[i] * 2.0**-p / U_LONG + U_LONG * float(abs(v[i]))
+                        assert abs(ld_to_mp(v[i]) - mp_value(q, x)) <= bound
+
+
+def test_values_past_the_double_range_round_from_their_top_bits():
+    # at the 269-bit scale a value above 2^739 has no float conversion
+    bits = 269 + precision.FIXED_GUARD_BITS
+    got = precision._to_long([(1 << 2000) + 12345, -(3 << 1500), (1 << 100) + (1 << 40)], bits)
+    want = [np.ldexp(precision.LONG(1), 2000 - bits), -np.ldexp(precision.LONG(3), 1500 - bits),
+            np.ldexp(precision.LONG(2.0**60) + 1, 40 - bits)]
+    assert got.tolist() == want
+
+
+def test_newton_steps_recover_a_start_off_the_zero(monkeypatch):
+    # seed 5's interior zeros of h_150 against h_151 (one pair 9.4e-32
+    # apart), with every angle moved 1e-5 off its zero: with one
+    # evaluation per stage, 39 of the 83 signs go to 40 or 80 digits and
+    # one stays open; the Newton steps of the fixed-point stages decide
+    # all of them at 2^-104 but one, at 40 digits
+    order, calls = precision.order, []
+
+    def recording(groups):
+        calls.append(groups)
+        return order(groups)
+
+    monkeypatch.setattr(precision, "order", recording)
+    seq = pa.RandomSequence(0.7, 5)
+    a, b = (pa.find_zeros(pa.ParaPolynomial("first", n, 1.0, seq)).without_base_point() for n in (150, 151))
+    assert pa.interlace(a, b).verdict == "pass"
+    groups, = calls
+    moved = order([(f, g, np.asarray(theta) + 1e-5) for f, g, theta in groups])
+    for (signs, labels), (want, _) in zip(moved, order(groups)):
+        assert np.array_equal(signs, want)
+        assert set(labels) <= {"fixed-104", "mpmath-40"}
 
 
 def mp_decision(f, g, theta, evaluator=mp_evaluator):
@@ -127,9 +179,12 @@ def mp_decision(f, g, theta, evaluator=mp_evaluator):
 
 def test_decided_signs_agree_with_mpmath_80(monkeypatch):
     # every sign that interlace's collision ladder decides, on seed 1's
-    # h_100 against s_100 and seed 5's interior zeros of h_179 against
-    # h_180, recomputed in the 80-digit reference: 39 long double (one of
-    # them a pinned-zero side), 87 fixed-104 and 6 mpmath-40 decisions
+    # h_100 against s_100, seed 5's interior zeros of h_179 against h_180
+    # and seed 16's h_140 against s_140, recomputed in the 80-digit
+    # reference: 66 long double and 127 fixed-104 (one pinned-zero side
+    # in each), 7 mpmath-40 and 1 mpmath-80 decisions; seed 16's pair
+    # at 4.38 is one of the two that the criterion-4 corpus leaves to 80
+    # digits
     order, calls = precision.order, []
 
     def recording(groups):
@@ -139,7 +194,8 @@ def test_decided_signs_agree_with_mpmath_80(monkeypatch):
 
     monkeypatch.setattr(precision, "order", recording)
     verdicts = []
-    for seed, kinds, n, m in ((1, ("first", "second"), 100, 100), (5, ("first", "first"), 179, 180)):
+    for seed, kinds, n, m in ((1, ("first", "second"), 100, 100), (5, ("first", "first"), 179, 180),
+                              (16, ("first", "second"), 140, 140)):
         seq = pa.RandomSequence(0.7, seed)
         a, b = (pa.find_zeros(pa.ParaPolynomial(k, d, 1.0, seq)) for k, d in zip(kinds, (n, m)))
         if m > n:
@@ -153,5 +209,5 @@ def test_decided_signs_agree_with_mpmath_80(monkeypatch):
                     stages.add(label)
                     sides += g is None
                     assert mp_decision(f, g, mpmath.mpf(float(t)), evaluator) == sign, (label, f.kind, f.n, t)
-    assert stages == {"long double", "fixed-104", "mpmath-40"} and sides > 0
-    assert verdicts == ["pass", "pass"]
+    assert stages == {"long double", "fixed-104", "mpmath-40", "mpmath-80"} and sides > 0
+    assert verdicts == ["pass", "pass", "pass"]

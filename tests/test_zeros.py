@@ -94,13 +94,20 @@ class TestFindZeros:
             assert np.max(circ_dist(a.angles, b.angles)) <= 1e-8
 
     def test_resolution_error_reports_found_count(self):
-        # a theta tolerance so coarse that no bisected zero meets its residual
-        cfg = pa.ZeroFindConfig(theta_tol=0.5)
-        p = pa.ParaPolynomial("second", 9, 1.0, pa.ConstantSequence(0.5))
+        # at lambda = -1 exactly, h_69's two zeros next to the atom of
+        # const 0.5 are closer than double angles resolve
+        p = pa.ParaPolynomial("first", 69, -1.0, pa.ConstantSequence(0.5))
         with pytest.raises(ResolutionError) as info:
-            pa.find_zeros(p, cfg)
-        assert info.value.expected == 9
-        assert info.value.found < 9
+            pa.find_zeros(p)
+        assert (info.value.expected, info.value.found) == (69, 67)
+
+    def test_coarse_theta_tol_keeps_every_zero(self):
+        # the residual allowance grows with theta_tol: a bracket midpoint
+        # within theta_tol / 2 of its zero is accepted
+        p = pa.ParaPolynomial("second", 9, 1.0, pa.ConstantSequence(0.5))
+        zs = pa.find_zeros(p, pa.ZeroFindConfig(theta_tol=0.5))
+        assert zs.angles.size == 9
+        assert np.max(circ_dist(zs.angles, pa.oracle_zeros(p).angles)) <= 0.25
 
     @pytest.mark.parametrize("seed, kind, n", [(17, "second", 65), (5, "first", 140)])
     def test_isolates_close_pairs(self, seed, kind, n):
