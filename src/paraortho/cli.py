@@ -44,18 +44,14 @@ from .errors import (
     SupportModelError,
 )
 from .para import ParaPolynomial, para_eval
+from . import theorems
 from .szego import cd_kernel, eval_pair, eval_second_kind, mixed_form, mixed_kernel
 from .theorems import (
     BoundAuditReport,
     SupportModel,
     TheoremContext,
-    audit_lemma_bounds,
     check_consecutive_interlacing,
-    check_gap_theorem,
     check_interlacing_first_second,
-    check_second_kind_exclusion,
-    check_theorem1,
-    check_theorem3,
     estimate_support,
     support_model,
 )
@@ -63,17 +59,18 @@ from .zeros import CSV_COLUMNS, ZeroFindConfig, find_zeros
 
 TWO_PI = 2.0 * math.pi
 
-# verify's theorem id -> (check, the RunConfig field of its argument
-# before n (z0 or the gap) or None, the zero-set kinds it reads at n and
-# n + 1, whether it estimates the flipped-side support without --nu-support)
+# verify's theorem id -> (name of the check in `theorems`, looked up when
+# verify runs; the RunConfig field of its argument before n (z0 or the
+# gap) or None; the zero-set kinds it reads at n and n + 1; whether it
+# estimates the flipped-side support without --nu-support)
 _VERIFY_CHECKS = {
-    "theorem1": (check_theorem1, "z0_theta", ("first",), False),
-    "theorem2": (check_interlacing_first_second, None, ("first", "second"), False),
-    "consecutive": (check_consecutive_interlacing, None, ("first",), False),
-    "gap": (check_gap_theorem, "gap", ("first",), False),
-    "main_lemma": (check_second_kind_exclusion, "z0_theta", ("second",), True),
-    "theorem3": (check_theorem3, "z0_theta", ("first",), True),
-    "bounds": (audit_lemma_bounds, "z0_theta", (), True),
+    "theorem1": ("check_theorem1", "z0_theta", ("first",), False),
+    "theorem2": ("check_interlacing_first_second", None, ("first", "second"), False),
+    "consecutive": ("check_consecutive_interlacing", None, ("first",), False),
+    "gap": ("check_gap_theorem", "gap", ("first",), False),
+    "main_lemma": ("check_second_kind_exclusion", "z0_theta", ("second",), True),
+    "theorem3": ("check_theorem3", "z0_theta", ("first",), True),
+    "bounds": ("audit_lemma_bounds", "z0_theta", (), True),
 }
 
 
@@ -316,7 +313,8 @@ def _point_argument(cfg: RunConfig, theorem: str, name: str):
 
 
 def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
-    check, arg_name, kinds, estimates_nu = _VERIFY_CHECKS[theorem]
+    check_name, arg_name, kinds, estimates_nu = _VERIFY_CHECKS[theorem]
+    check = getattr(theorems, check_name)
     args = () if arg_name is None else (_point_argument(cfg, theorem, arg_name),)
     n_values = parse_range(cfg.n_spec or "2..20")
     needed = max(n_values) + 2

@@ -16,7 +16,8 @@ querying the same index twice returns bit-identical values.
 from __future__ import annotations
 
 import math
-from operator import mul
+from itertools import repeat
+from operator import add, mul, rshift, sub
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
     ProviderRangeError,
     SpecFileError,
 )
+from .szego import BLOCK
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,7 +92,7 @@ class VerblunskySequence:
     @staticmethod
     def _admit(n: int, value: complex) -> complex:
         value = complex(value)
-        if abs(value) >= 1.0:
+        if not abs(value) < 1.0:
             raise ValueError(f"coefficient {n} has modulus {abs(value):.6g} >= 1")
         return value
 
@@ -197,7 +199,7 @@ class DecayingSequence(VerblunskySequence):
     def __init__(self, c: complex, p: float):
         super().__init__()
         self.c = self._admit(0, c)
-        if p < 0:
+        if not p >= 0:
             raise ValueError(f"decay exponent must be >= 0, got {p}")
         self.p = float(p)
 
@@ -255,6 +257,8 @@ class MeasureSpec:
             (float(theta) % TWO_PI, float(w)) for theta, w in masses
         )
         for theta, w in self.masses:
+            if not math.isfinite(theta):
+                raise MeasureIngestionError(f"point mass of weight {w} has a non-finite angle")
             if not (w > 0.0) or not math.isfinite(w):
                 raise MeasureIngestionError(f"point mass at {theta} has weight {w} <= 0")
         angles = sorted(t for t, _ in self.masses)
@@ -401,6 +405,9 @@ class MomentTable:
         self.c = np.asarray(c, dtype=complex)
         if self.c.ndim != 1 or self.c.size == 0:
             raise ValueError("moment table must be a nonempty vector")
+        if not np.all(np.isfinite(self.c)):
+            bad = int(np.flatnonzero(~np.isfinite(self.c))[0])
+            raise MeasureIngestionError(f"moment c_{bad} is not finite: {self.c[bad]}")
         if abs(self.c[0] - 1.0) > 1e-8:
             raise MeasureIngestionError(
                 f"zeroth moment must be 1 for a probability measure, got {self.c[0]}"
@@ -426,19 +433,23 @@ class MomentTable:
 
 
 def moments_table(measure: MeasureSpec, order: int, panels: int | None = None) -> MomentTable:
-    """Moments c_0..c_order computed against the normalized measure."""
+    """Moments c_0..c_order computed against the normalized measure.
+
+    The quadrature nodes are taken BLOCK at a time, so the running powers
+    of e^{-i theta} stay in cache while all order + 1 moments of a block
+    are summed; the result differs from one pass over all nodes only in
+    the order of summation.
+    """
     panels = measure.panels if panels is None else int(panels)
     norm = measure.normalization(panels)
     t, w = measure._nodes(panels)
-    c = np.empty(order + 1, dtype=complex)
-    if t.size:
-        step = np.exp(-1j * t)
-        cur = w.astype(complex)
+    c = np.zeros(order + 1, dtype=complex)
+    for b0 in range(0, t.size, BLOCK):
+        step = np.exp(-1j * t[b0 : b0 + BLOCK])
+        cur = w[b0 : b0 + BLOCK].astype(complex)
         for k in range(order + 1):
-            c[k] = cur.sum()
+            c[k] += cur.sum()
             cur *= step
-    else:
-        c[:] = 0.0
     for theta, m in measure.masses:
         c += m * np.exp(-1j * np.arange(order + 1) * theta)
     return MomentTable(c / norm)
@@ -495,6 +506,11 @@ def sequence_from_measure(
     return ExplicitSequence(verblunsky_from_moments(table, count))
 
 
+# bits carried above mpmath's binary precision at `dps` by the running
+# powers of exact_arc_mass_moments
+MOMENT_GUARD_BITS = 32
+
+
 def exact_arc_mass_moments(
     theta_start: float,
     theta_end: float,
@@ -510,6 +526,15 @@ def exact_arc_mass_moments(
     list of mpmath complex numbers at that precision (for ingestion of
     gap-supported measures, whose moment matrices are exponentially
     ill-conditioned); otherwise complex floats.
+
+    At `dps`, with p mpmath's binary precision there, one exponential
+    e^{-i theta} is taken per angle (arc start, arc end, each atom) and
+    its powers are running products at p + MOMENT_GUARD_BITS bits.  The
+    k-th power is then off by about k 2^-(p+31): each factor and each
+    product rounds by about 2^-(p+32).  The atoms' weights sum to at most
+    the total mass and the arc term divides its two powers by k times
+    the span, so each moment is within about k 2^-(p+31) of its exact
+    value before it is rounded once to p bits.
     """
     span = _arc_span(float(theta_start), float(theta_end))
     if span == 0.0:
@@ -530,22 +555,26 @@ def exact_arc_mass_moments(
     from mpmath import mp, mpc
 
     with mp.workdps(dps):
+        prec = mp.prec
+    with mp.workprec(prec + MOMENT_GUARD_BITS):
         start = mp.mpf(theta_start)
         span = _arc_span(start, mp.mpf(theta_end), 2 * mp.pi)
         acm = mp.mpf(ac_mass)
-        total = acm + mp.fsum(mp.mpf(w) for _, w in masses)
-        out = []
-        for k in range(order + 1):
-            if k == 0:
-                raw = mpc(acm)
-            else:
-                ea = mp.expjpi(-k * start / mp.pi)
-                eb = mp.expjpi(-k * (start + span) / mp.pi)
-                raw = acm * (ea - eb) / (mpc(0, 1) * k * span)
-            for t, w in masses:
-                raw += mp.mpf(w) * mp.expjpi(-k * mp.mpf(t) / mp.pi)
-            out.append(raw / total)
-        return out
+        weights = [mp.mpf(w) for _, w in masses]
+        total = acm + mp.fsum(weights)
+        # e^{-i theta} at the arc's ends and at each atom; powers[j] holds
+        # its k-th power
+        angles = [start, start + span] + [mp.mpf(t) for t, _ in masses]
+        steps = [mp.expj(-theta) for theta in angles]
+        powers = [mpc(1)] * len(steps)
+        raws = [mpc(total)]
+        for k in range(1, order + 1):
+            powers = list(map(mul, powers, steps))
+            ea, eb = powers[:2]
+            raw = acm * (ea - eb) / (mpc(0, 1) * k * span)
+            raws.append(raw + mp.fsum(map(mul, weights, powers[2:])))
+    with mp.workdps(dps):
+        return [raw / total for raw in raws]
 
 
 # bits kept below mpmath's binary precision at `dps` by the hp recursion
@@ -567,19 +596,32 @@ def verblunsky_from_moments_hp(c, count: int, dps: int = 120) -> list[complex]:
     recurrence ||Phi_{m+1}||^2 = ||Phi_m||^2 (1 - |alpha_m|^2); the
     monic update shifts each product back to scale 2^B.  Only those
     divisions and shifts round, each by less than 2^-B.  The recovered
-    coefficients are rounded to complex floats.
+    coefficients are rounded to complex floats.  A non-finite moment,
+    which fixed point would read as 0, raises MeasureIngestionError.
+
+    Complex products use Gauss's three real multiplications (Knuth, TAOCP
+    Vol. 2, 4.6.4) in place of four, in the inner product and in the
+    update alike.  Integer arithmetic is exact, so these are the same
+    integers the four-product form gives, shifted and divided the same
+    way: six big products per coefficient per level instead of eight.
     """
     from mpmath import mp, mpc
     from mpmath.libmp import to_fixed
 
     with mp.workdps(dps):
         bits = mp.prec + HP_GUARD_BITS
-        cc = [mpc(v)._mpc_ for v in c]
+        cc = [mpc(v) for v in c]
+        bad = next((k for k, v in enumerate(cc) if not mp.isfinite(v)), None)
+        if bad is not None:
+            raise MeasureIngestionError(f"moment c_{bad} is not finite: {cc[bad]}")
+        cc = [v._mpc_ for v in cc]
     if len(cc) < count + 1:
         raise ValueError(f"need moments up to c_{count}, got {len(cc) - 1}")
-    # moments c_k = (cr[k] + i ci[k]) / 2^bits
+    # moments c_k = (cr[k] + i ci[k]) / 2^bits, with cr + ci and cr - ci
     cr = [to_fixed(v[0], bits) for v in cc]
     ci = [to_fixed(v[1], bits) for v in cc]
+    c_sum = list(map(add, cr, ci))
+    c_diff = list(map(sub, cr, ci))
     one = 1 << bits
 
     # monic Phi_m = sum_j (pr[j] + i pi[j]) z^j / 2^bits, ||Phi_m||^2 = den / 2^bits
@@ -591,10 +633,13 @@ def verblunsky_from_moments_hp(c, count: int, dps: int = 120) -> list[complex]:
             raise ConditioningError(
                 m, f"moment matrix not positive definite at size {m + 1} (hp)"
             )
-        # <z Phi_m, 1> = sum_j phi_j conj(c_{j+1}), at scale 2^(2 bits)
-        sr, si = cr[1 : m + 2], ci[1 : m + 2]
-        num_r = sum(map(mul, pr, sr)) + sum(map(mul, pi, si))
-        num_i = sum(map(mul, pi, sr)) - sum(map(mul, pr, si))
+        # <z Phi_m, 1> = sum_j phi_j conj(c_{j+1}) at scale 2^(2 bits), from
+        # three dot products: with k = sum (pr + pi) cr, the real part is
+        # k - sum pi (cr - ci) and the imaginary part k - sum pr (cr + ci)
+        p_sum = list(map(add, pr, pi))
+        k = sum(map(mul, p_sum, cr[1 : m + 2]))
+        num_r = k - sum(map(mul, pi, c_diff[1 : m + 2]))
+        num_i = k - sum(map(mul, pr, c_sum[1 : m + 2]))
         # ca = num / ||Phi_m||^2 at scale 2^bits
         ar, ai = num_r // den, num_i // den
         mod = math.hypot(ar / one, ai / one)
@@ -604,10 +649,15 @@ def verblunsky_from_moments_hp(c, count: int, dps: int = 120) -> list[complex]:
             )
         alphas.append(complex(ar / one, -ai / one))
         den = (den * (one * one - ar * ar - ai * ai)) >> (2 * bits)
-        # Phi_{m+1} = z Phi_m - ca Phi_m^*, with Phi_m^*_j = conj(phi_{m-j})
-        rr, ri = pr[::-1], pi[::-1]
-        pr = [x - ((ar * u + ai * v) >> bits) for x, u, v in zip([0] + pr, rr, ri)] + [one]
-        pi = [y - ((ai * u - ar * v) >> bits) for y, u, v in zip([0] + pi, rr, ri)] + [0]
+        # Phi_{m+1} = z Phi_m - ca Phi_m^*, with Phi_m^*_j = u_j - i v_j =
+        # conj(phi_{m-j}); ca Phi_m^*_j from three products: with
+        # g = (ar + ai) u, it is g - ai (u - v) + i (g - ar (u + v))
+        u = pr[::-1]
+        g = list(map((ar + ai).__mul__, u))
+        re = map(sub, g, map(ai.__mul__, map(sub, u, pi[::-1])))
+        im = map(sub, g, map(ar.__mul__, p_sum[::-1]))
+        pr = list(map(sub, [0] + pr, map(rshift, re, repeat(bits)))) + [one]
+        pi = list(map(sub, [0] + pi, map(rshift, im, repeat(bits)))) + [0]
     return alphas
 
 
@@ -631,7 +681,7 @@ def read_coefficient_file(path) -> ExplicitSequence:
                     value = complex(float(parts[0]), float(parts[1]))
                 else:
                     raise ValueError("expected 1 or 2 numeric fields")
-                if abs(value) >= 1.0:
+                if not abs(value) < 1.0:
                     raise ValueError(f"modulus {abs(value):.6g} >= 1")
             except ValueError as exc:
                 raise SpecFileError(path, lineno, f"bad coefficient line {line!r}: {exc}") from None

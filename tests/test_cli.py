@@ -287,6 +287,27 @@ class TestExitCodes:
             "zeros", "--alpha", "const:0", "--lambda-theta", "sideways", "--n", "2",
         ]) == 2
 
+    @pytest.mark.parametrize("spec, message", [
+        ("const:nan", "coefficient 0 has modulus nan >= 1"),
+        ("list:0.1,nan", "coefficient 1 has modulus nan >= 1"),
+        ("decay:0.5:nan", "decay exponent must be >= 0, got nan"),
+    ])
+    def test_nan_coefficients_are_usage_errors(self, spec, message, capsys):
+        assert run(["zeros", "--alpha", spec, "--n", "4", "--out", "/dev/null"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_nan_coefficient_file_line(self, tmp_path, capsys):
+        path = tmp_path / "alphas.txt"
+        path.write_text("0.1\nnan 0\n")
+        assert run(["zeros", "--alpha", f"file:{path}", "--n", "2", "--out", "/dev/null"]) == 2
+        assert "modulus nan >= 1" in capsys.readouterr().err
+
+    def test_nan_mass_angle_in_measure_document(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"weight": {"kind": "lebesgue"}, "masses": [{"theta": NaN, "w": 0.5}]}')
+        assert run(["zeros", "--measure", str(path), "--n", "2", "--out", "/dev/null"]) == 2
+        assert "non-finite angle" in capsys.readouterr().err
+
     def test_argparse_usage_error(self, capsys):
         assert run(["zeros"]) == 2  # --n is required
         capsys.readouterr()
@@ -301,6 +322,27 @@ class TestExitCodes:
         ]) == 2
         flag = {"z0_theta": "--z0-theta", "gap": "--gap"}[field]
         assert f"verify {theorem} needs {flag}" in capsys.readouterr().err
+
+
+def test_verify_looks_its_check_up_when_it_runs(tmp_path, monkeypatch):
+    from paraortho import theorems
+
+    seen = []
+    check = theorems.check_theorem1
+
+    def spy(ctx, z0, n):
+        seen.append(n)
+        return check(ctx, z0, n)
+
+    monkeypatch.setattr(theorems, "check_theorem1", spy)
+    support = tmp_path / "support.json"
+    support.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]]}))
+    assert run([
+        "verify", "theorem1", "--alpha", "const:-0.5", "--lambda-theta", "pi",
+        "--z0-theta", "0", "--support", str(support), "--n", "2..4",
+        "--out", str(tmp_path / "r.json"),
+    ]) == 0
+    assert seen == [2, 3, 4]
 
 
 # arguments that make each verify check apply to const 0.5 at lambda = pi:

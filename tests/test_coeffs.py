@@ -1,4 +1,6 @@
+import json
 import math
+from operator import mul
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 import paraortho as pa
 from paraortho.coeffs import (
     EPS_PD,
+    HP_GUARD_BITS,
+    MOMENT_GUARD_BITS,
     MomentTable,
     _arc_span,
     exact_arc_mass_moments,
@@ -53,6 +57,82 @@ def mpmath_levinson(c, count, dps):
                 new[j] -= ca * phistar[j]
             phi = new
         return alphas
+
+
+def reference_hp(c, count, dps):
+    """Reference for verblunsky_from_moments_hp: the same integer recursion
+    with every complex product formed from four real products."""
+    from mpmath import mp, mpc
+    from mpmath.libmp import to_fixed
+
+    with mp.workdps(dps):
+        bits = mp.prec + HP_GUARD_BITS
+        cc = [mpc(v)._mpc_ for v in c]
+    cr = [to_fixed(v[0], bits) for v in cc]
+    ci = [to_fixed(v[1], bits) for v in cc]
+    one = 1 << bits
+    pr, pi = [one], [0]
+    den = cr[0]
+    alphas = []
+    for m in range(count):
+        if den <= 0:
+            raise ConditioningError(
+                m, f"moment matrix not positive definite at size {m + 1} (hp)"
+            )
+        sr, si = cr[1 : m + 2], ci[1 : m + 2]
+        num_r = sum(map(mul, pr, sr)) + sum(map(mul, pi, si))
+        num_i = sum(map(mul, pi, sr)) - sum(map(mul, pr, si))
+        ar, ai = num_r // den, num_i // den
+        mod = math.hypot(ar / one, ai / one)
+        if 1.0 - mod * mod < EPS_PD:
+            raise ConditioningError(
+                m, f"predicted coefficient {m} has modulus {mod:.12g} (hp)"
+            )
+        alphas.append(complex(ar / one, -ai / one))
+        den = (den * (one * one - ar * ar - ai * ai)) >> (2 * bits)
+        rr, ri = pr[::-1], pi[::-1]
+        pr = [x - ((ar * u + ai * v) >> bits) for x, u, v in zip([0] + pr, rr, ri)] + [one]
+        pi = [y - ((ai * u - ar * v) >> bits) for y, u, v in zip([0] + pi, rr, ri)] + [0]
+    return alphas
+
+
+def reference_arc_moments(theta_start, theta_end, ac_mass, masses, order, dps):
+    """Reference for exact_arc_mass_moments at dps: every power taken
+    directly from its angle k theta."""
+    from mpmath import mp, mpc
+
+    with mp.workdps(dps):
+        start = mp.mpf(theta_start)
+        span = _arc_span(start, mp.mpf(theta_end), 2 * mp.pi)
+        acm = mp.mpf(ac_mass)
+        total = acm + mp.fsum(mp.mpf(w) for _, w in masses)
+        out = []
+        for k in range(order + 1):
+            if k == 0:
+                raw = mpc(acm)
+            else:
+                ea = mp.expjpi(-k * start / mp.pi)
+                eb = mp.expjpi(-k * (start + span) / mp.pi)
+                raw = acm * (ea - eb) / (mpc(0, 1) * k * span)
+            for t, w in masses:
+                raw += mp.mpf(w) * mp.expjpi(-k * mp.mpf(t) / mp.pi)
+            out.append(raw / total)
+        return out
+
+
+def reference_moments_table(measure, order):
+    """Reference for moments_table: one pass over all nodes per moment."""
+    norm = measure.normalization()
+    t, w = measure._nodes(measure.panels)
+    c = np.zeros(order + 1, dtype=complex)
+    step = np.exp(-1j * t)
+    cur = w.astype(complex)
+    for k in range(order + 1):
+        c[k] = cur.sum()
+        cur *= step
+    for theta, m in measure.masses:
+        c += m * np.exp(-1j * np.arange(order + 1) * theta)
+    return c / norm
 
 
 class TestProviders:
@@ -110,6 +190,24 @@ class TestProviders:
         assert seq.alpha(0) == 0.9
         assert abs(seq.alpha(3) - 0.9 / 4**1.5) < 1e-15
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: pa.ConstantSequence(complex("nan")),
+            lambda: pa.ExplicitSequence([0.1, float("nan")]),
+            lambda: pa.ExplicitSequence([0.1], tail=complex(0.0, float("nan"))),
+            lambda: pa.DecayingSequence(float("nan"), 1.0),
+        ],
+    )
+    def test_nan_coefficient_rejected(self, make):
+        # a NaN modulus is no modulus below 1: same message as for 1.5
+        with pytest.raises(ValueError, match="has modulus nan >= 1"):
+            make()
+
+    def test_nan_decay_exponent_rejected(self):
+        with pytest.raises(ValueError, match="decay exponent must be >= 0"):
+            pa.DecayingSequence(0.5, float("nan"))
+
 
 class TestMoments:
     def test_lebesgue_normalization(self):
@@ -145,9 +243,19 @@ class TestMoments:
         with pytest.raises(MeasureIngestionError):
             pa.MeasureSpec(weight=None, masses=[(0.5, 1.0), (0.5 + 1e-15, 1.0)])
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf")])
+    def test_non_finite_mass_angle_rejected(self, theta):
+        with pytest.raises(MeasureIngestionError, match="non-finite angle"):
+            pa.MeasureSpec(weight=lambda t: np.ones_like(t), masses=[(theta, 0.5)])
+
     def test_moment_table_validation(self):
         with pytest.raises(MeasureIngestionError):
             MomentTable([0.9, 0.1])
+        # NaN passes the c_0 = 1 test, so finiteness is checked first
+        with pytest.raises(MeasureIngestionError, match="moment c_0 is not finite"):
+            MomentTable([complex("nan"), 0.1])
+        with pytest.raises(MeasureIngestionError, match="moment c_2 is not finite"):
+            MomentTable([1.0, 0.1, complex(0.0, float("inf"))])
         table = MomentTable([1.0, 0.5, 0.25])
         T = table.toeplitz()
         assert T.shape == (3, 3)
@@ -266,6 +374,69 @@ class TestLevinson:
         assert info.value.index == 0
         assert "not positive definite" in str(info.value)
 
+    @pytest.mark.parametrize("atom", [(0.0, 0.35), (0.23, 0.35)])
+    def test_high_precision_matches_four_product_reference(self, atom):
+        c = exact_arc_mass_moments(ARC[0], ARC[1], 1.0 - atom[1], [atom], 120, dps=100)
+        assert verblunsky_from_moments_hp(c, 120, dps=100) == reference_hp(c, 120, 100)
+
+    def test_high_precision_matches_four_product_reference_at_401(self):
+        atom = (0.23, 0.35)
+        c = exact_arc_mass_moments(ARC[0], ARC[1], 1.0 - atom[1], [atom], 401, dps=260)
+        hp = verblunsky_from_moments_hp(c, 401, dps=260)
+        assert len(hp) == 401
+        assert hp == reference_hp(c, 401, 260)
+
+    def test_high_precision_errors_match_four_product_reference(self):
+        from mpmath import mp
+
+        c = exact_arc_mass_moments(ARC[0], ARC[1], 0.65, [(0.0, 0.35)], 30, dps=100)
+        with mp.workdps(100):
+            c[12] += mp.mpf("0.2")  # the Toeplitz matrix of size 13 is indefinite
+        for moments in (c, [-1.0, 0.2, 0.1]):
+            raised = []
+            for recursion in (verblunsky_from_moments_hp, reference_hp):
+                with pytest.raises(ConditioningError) as info:
+                    recursion(moments, len(moments) - 1, 100)
+                raised.append((info.value.index, str(info.value)))
+            assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize("masses", [[(0.0, 0.35)], [(0.23, 0.35)], [(-0.5, 0.2), (6.0, 0.15)]])
+    def test_hp_moments_within_stated_bound(self, masses):
+        # at most about k 2^-(p+31) from the running powers, then one
+        # rounding to p bits, within 2^-p |c| in each part
+        from mpmath import mp
+
+        ac_mass = 1.0 - sum(w for _, w in masses)
+        c = exact_arc_mass_moments(ARC[0], ARC[1], ac_mass, masses, 401, dps=260)
+        ref = reference_arc_moments(ARC[0], ARC[1], ac_mass, masses, 401, 300)
+        with mp.workdps(260):
+            p = mp.prec
+        with mp.workdps(300):
+            for k, (v, r) in enumerate(zip(c, ref)):
+                bound = abs(r) * mp.ldexp(1, -p) + k * mp.ldexp(1, 1 - p - MOMENT_GUARD_BITS)
+                assert abs(v - r) <= bound, k
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: pa.bernstein_szego_measure([0.5, 0.3j, -0.4 + 0.2j], panels=65536),
+            lambda: pa.bernstein_szego_measure([0.8j, -0.3, 0.1, 0.6 - 0.2j, 0.05], panels=4100),
+            lambda: pa.arc_measure(ARC[0], ARC[1], masses=[(0.0, 0.35)], ac_mass=0.65, panels=2048),
+        ],
+    )
+    def test_blocked_moments_match_one_pass(self, make):
+        measure = make()
+        _, w = measure._nodes(measure.panels)
+        blocked = moments_table(measure, 11).c
+        reference = reference_moments_table(measure, 11)
+        assert np.abs(blocked - reference).max() <= 1e-14 * w.sum() / measure.normalization()
+
+    def test_high_precision_rejects_non_finite_moments(self):
+        # a NaN atom angle gives NaN moments, which fixed point would read as 0
+        c = exact_arc_mass_moments(ARC[0], ARC[1], 0.7, [(float("nan"), 0.3)], 5, dps=50)
+        with pytest.raises(MeasureIngestionError, match="moment c_1 is not finite"):
+            verblunsky_from_moments_hp(c, 5, dps=50)
+
     def test_sequence_from_measure(self):
         seq = pa.sequence_from_measure(pa.bernstein_szego_measure([0.3 + 0.2j]), 4)
         assert abs(seq.alpha(0) - (0.3 + 0.2j)) < 1e-8
@@ -291,6 +462,19 @@ class TestFilesAndDicts:
         with pytest.raises(SpecFileError) as info:
             read_coefficient_file(path)
         assert info.value.lineno == 2
+
+    def test_coefficient_file_nan_line(self, tmp_path):
+        path = tmp_path / "alphas.txt"
+        path.write_text("0.5\nnan 0\n")
+        with pytest.raises(SpecFileError, match="modulus nan >= 1") as info:
+            read_coefficient_file(path)
+        assert info.value.lineno == 2
+
+    def test_measure_from_dict_nan_angle(self):
+        # json.load admits NaN; the measure must not
+        doc = json.loads('{"weight": {"kind": "lebesgue"}, "masses": [{"theta": NaN, "w": 0.5}]}')
+        with pytest.raises(SpecFileError, match="non-finite angle"):
+            measure_from_dict(doc)
 
     def test_measure_from_dict_kinds(self):
         leb = measure_from_dict({"weight": {"kind": "lebesgue"}, "panels": 512})
