@@ -16,9 +16,10 @@ querying the same index twice returns bit-identical values.
 from __future__ import annotations
 
 import math
+import threading
 from itertools import repeat
 from operator import add, mul, rshift, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -229,6 +230,77 @@ def flipped(seq: VerblunskySequence) -> VerblunskySequence:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
+# the most panel grids _panel_grid keeps
+GRID_CAP = 4
+
+
+class _PanelGrid(NamedTuple):
+    """Composite Gauss-Legendre nodes of one support and panel count: node
+    angles t, raw weights w with sum w_i f(t_i) ~ int f dtheta over the
+    support, and z = e^{i t}.  The arrays are read-only."""
+
+    t: np.ndarray
+    w: np.ndarray
+    z: np.ndarray
+
+
+# (support, panels) -> grid, least recently used first
+_grids: dict[tuple, _PanelGrid] = {}
+_grids_lock = threading.Lock()
+
+# the grid of a purely atomic measure
+_NO_GRID = _PanelGrid(np.empty(0), np.empty(0), np.empty(0, dtype=complex))
+
+
+def _build_grid(support: tuple[tuple[float, float], ...], panels: int) -> _PanelGrid:
+    """Panels shared out over the intervals in proportion to their length,
+    at least one each, 8 Gauss-Legendre nodes per panel."""
+    total_len = sum(b - a for a, b in support)
+    thetas, weights = [], []
+    remaining = panels
+    for idx, (a, b) in enumerate(support):
+        if idx == len(support) - 1:
+            count = remaining
+        else:
+            count = max(1, round(panels * (b - a) / total_len))
+            count = min(count, remaining - (len(support) - 1 - idx))
+        remaining -= count
+        edges = np.linspace(a, b, count + 1)
+        half = np.diff(edges) / 2.0
+        mid = (edges[:-1] + edges[1:]) / 2.0
+        thetas.append((mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel())
+        weights.append((half[:, None] * _GL_WEIGHTS[None, :]).ravel())
+    t = np.concatenate(thetas)
+    grid = _PanelGrid(t, np.concatenate(weights), np.exp(1j * t))
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
+def _panel_grid(support: tuple[tuple[float, float], ...], panels: int) -> _PanelGrid:
+    """The grid of `support` at `panels`, built once while it stays among
+    the GRID_CAP most recently used."""
+    key = (support, panels)
+    with _grids_lock:
+        grid = _grids.pop(key, None)
+    if grid is None:
+        grid = _build_grid(support, panels)
+    with _grids_lock:
+        _grids[key] = grid
+        while len(_grids) > GRID_CAP:
+            del _grids[next(iter(_grids))]
+    return grid
+
+
+def _circle_points(t) -> np.ndarray:
+    """e^{i t}: read from the panel grid whose node array `t` is, else computed."""
+    with _grids_lock:
+        grids = list(_grids.values())
+    for grid in grids:
+        if grid.t is t:
+            return grid.z
+    return np.exp(1j * np.asarray(t))
+
 
 class MeasureSpec:
     """Probability measure on the unit circle.
@@ -240,7 +312,9 @@ class MeasureSpec:
     is computed with the same panel scheme used for the moments.
 
     `support` optionally lists the theta intervals where the weight is
-    nonzero, so quadrature panels align with e.g. arc endpoints.
+    nonzero, so quadrature panels align with e.g. arc endpoints; each
+    interval takes at least one of the `panels`.  Measures with the same
+    support and panel count share one read-only grid of nodes.
     """
 
     def __init__(
@@ -274,49 +348,42 @@ class MeasureSpec:
             for a, b in self.support:
                 if not b > a:
                     raise MeasureIngestionError(f"bad support interval ({a}, {b})")
-        if int(panels) < 1:
-            raise MeasureIngestionError(f"panel count must be >= 1, got {panels}")
-        self.panels = int(panels)
-        self._node_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.panels = self._check_panels(panels)
+        self._node_cache: dict[int, tuple[_PanelGrid, np.ndarray]] = {}
         self._norm_cache: dict[int, float] = {}
 
     # -- quadrature machinery ------------------------------------------------
 
-    def _nodes(self, panels: int) -> tuple[np.ndarray, np.ndarray]:
-        """Quadrature nodes and raw weights W_i with sum W_i f(t_i) ~ int f w dtheta/2pi."""
+    def _check_panels(self, panels) -> int:
+        least = max(1, len(self.support))
+        if int(panels) < least:
+            raise MeasureIngestionError(
+                f"panel count must be >= {least}, one per support interval, got {panels}"
+            )
+        return int(panels)
+
+    def _quadrature(self, panels: int) -> tuple[_PanelGrid, np.ndarray]:
+        """The panel grid and its weights W_i with sum W_i f(t_i) ~ int f w dtheta/2pi."""
         if panels in self._node_cache:
             return self._node_cache[panels]
+        self._check_panels(panels)
         if self.weight is None:
-            out = (np.empty(0), np.empty(0))
-            self._node_cache[panels] = out
-            return out
-        total_len = sum(b - a for a, b in self.support)
-        thetas, weights = [], []
-        remaining = panels
-        for idx, (a, b) in enumerate(self.support):
-            if idx == len(self.support) - 1:
-                count = remaining
-            else:
-                count = max(1, round(panels * (b - a) / total_len))
-                count = min(count, remaining - (len(self.support) - 1 - idx))
-            remaining -= count
-            edges = np.linspace(a, b, count + 1)
-            half = np.diff(edges) / 2.0
-            mid = (edges[:-1] + edges[1:]) / 2.0
-            t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-            w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-            thetas.append(t)
-            weights.append(w)
-        t = np.concatenate(thetas)
-        w = np.concatenate(weights)
-        dens = np.asarray(self.weight(t), dtype=float)
-        if dens.shape != t.shape:
-            raise MeasureIngestionError("weight function must return one value per angle")
-        if np.any(dens < 0) or not np.all(np.isfinite(dens)):
-            raise MeasureIngestionError("weight function produced negative or non-finite values")
-        out = (t, w * dens / TWO_PI)
+            out = (_NO_GRID, _NO_GRID.w)
+        else:
+            grid = _panel_grid(self.support, panels)
+            dens = np.asarray(self.weight(grid.t), dtype=float)
+            if dens.shape != grid.t.shape:
+                raise MeasureIngestionError("weight function must return one value per angle")
+            if np.any(dens < 0) or not np.all(np.isfinite(dens)):
+                raise MeasureIngestionError("weight function produced negative or non-finite values")
+            out = (grid, grid.w * dens / TWO_PI)
         self._node_cache[panels] = out
         return out
+
+    def _nodes(self, panels: int) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature nodes and raw weights W_i with sum W_i f(t_i) ~ int f w dtheta/2pi."""
+        grid, w = self._quadrature(panels)
+        return grid.t, w
 
     def normalization(self, panels: int | None = None) -> float:
         """Total raw mass (weight integral plus atoms) before normalization."""
@@ -385,7 +452,7 @@ def bernstein_szego_measure(alphas: Sequence[complex], panels: int = 2048) -> Me
     def weight(t):
         from .szego import eval_pair
 
-        pv = eval_pair(seq, order, np.exp(1j * np.asarray(t)))
+        pv = eval_pair(seq, order, _circle_points(t))
         return 1.0 / np.abs(pv.phi) ** 2
 
     return MeasureSpec(weight=weight, panels=panels)
@@ -438,14 +505,15 @@ def moments_table(measure: MeasureSpec, order: int, panels: int | None = None) -
     The quadrature nodes are taken BLOCK at a time, so the running powers
     of e^{-i theta} stay in cache while all order + 1 moments of a block
     are summed; the result differs from one pass over all nodes only in
-    the order of summation.
+    the order of summation.  e^{-i theta} is the conjugate of the panel
+    grid's e^{i theta}, which np.exp gives bit for bit.
     """
     panels = measure.panels if panels is None else int(panels)
     norm = measure.normalization(panels)
-    t, w = measure._nodes(panels)
+    grid, w = measure._quadrature(panels)
     c = np.zeros(order + 1, dtype=complex)
-    for b0 in range(0, t.size, BLOCK):
-        step = np.exp(-1j * t[b0 : b0 + BLOCK])
+    for b0 in range(0, w.size, BLOCK):
+        step = np.conj(grid.z[b0 : b0 + BLOCK])
         cur = w[b0 : b0 + BLOCK].astype(complex)
         for k in range(order + 1):
             c[k] += cur.sum()
@@ -710,6 +778,8 @@ def measure_from_dict(doc: dict, path="<measure>") -> MeasureSpec:
     if not isinstance(doc, dict):
         raise SpecFileError(path, None, "measure document must be a JSON object")
     panels = doc.get("panels", 1024)
+    if isinstance(panels, bool) or not isinstance(panels, int):
+        raise SpecFileError(path, None, f"panel count must be an integer, got {panels!r}")
     masses = []
     for entry in doc.get("masses", []):
         try:

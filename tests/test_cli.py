@@ -279,6 +279,19 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert run(["zeros", "--measure", str(bad), "--n", "2", "--out", "/dev/null"]) == 2
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"weight": {"kind": "lebesgue"}, "panels": 2.7}, "panel count must be an integer, got 2.7"),
+        (
+            {"weight": {"kind": "arc", "theta_start": 5.0, "theta_end": 1.0}, "panels": 1},
+            "panel count must be >= 2, one per support interval, got 1",
+        ),
+    ])
+    def test_bad_measure_panels(self, tmp_path, capsys, doc, message):
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps(doc))
+        assert run(["coeffs", "--measure", str(spec), "--n", "1", "--out", "/dev/null"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_source(self):
         assert run(["zeros", "--n", "2", "--out", "/dev/null"]) == 2
 

@@ -1,13 +1,18 @@
 import json
 import math
+import sys
+import threading
+from functools import partial
 from operator import mul
 
 import numpy as np
 import pytest
 
 import paraortho as pa
+from paraortho import coeffs
 from paraortho.coeffs import (
     EPS_PD,
+    GRID_CAP,
     HP_GUARD_BITS,
     MOMENT_GUARD_BITS,
     MomentTable,
@@ -26,6 +31,7 @@ from paraortho.errors import (
     ProviderRangeError,
     SpecFileError,
 )
+from paraortho.szego import BLOCK
 
 TWO_PI = 2.0 * math.pi
 ARC = (np.pi / 3, 5 * np.pi / 3)
@@ -133,6 +139,51 @@ def reference_moments_table(measure, order):
     for theta, m in measure.masses:
         c += m * np.exp(-1j * np.arange(order + 1) * theta)
     return c / norm
+
+
+def fresh_moments_table(measure, order):
+    """Reference for moments_table with nothing shared between measures:
+    nodes built afresh, the weight evaluated on them (so a Bernstein-Szego
+    weight takes its own np.exp(1j t)), and np.exp(-1j t) per block."""
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
+    panels, support = measure.panels, measure.support
+    total_len = sum(b - a for a, b in support)
+    thetas, weights = [], []
+    remaining = panels
+    for idx, (a, b) in enumerate(support):
+        if idx == len(support) - 1:
+            count = remaining
+        else:
+            count = max(1, round(panels * (b - a) / total_len))
+            count = min(count, remaining - (len(support) - 1 - idx))
+        remaining -= count
+        edges = np.linspace(a, b, count + 1)
+        half = np.diff(edges) / 2.0
+        mid = (edges[:-1] + edges[1:]) / 2.0
+        thetas.append((mid[:, None] + half[:, None] * gl_nodes[None, :]).ravel())
+        weights.append((half[:, None] * gl_weights[None, :]).ravel())
+    t = np.concatenate(thetas)
+    w = np.concatenate(weights) * np.asarray(measure.weight(t), dtype=float) / TWO_PI
+    norm = float(w.sum()) + sum(m for _, m in measure.masses)
+    c = np.zeros(order + 1, dtype=complex)
+    for b0 in range(0, t.size, BLOCK):
+        step = np.exp(-1j * t[b0 : b0 + BLOCK])
+        cur = w[b0 : b0 + BLOCK].astype(complex)
+        for k in range(order + 1):
+            c[k] += cur.sum()
+            cur *= step
+    for theta, m in measure.masses:
+        c += m * np.exp(-1j * np.arange(order + 1) * theta)
+    return MomentTable(c / norm)
+
+
+def bs_lists():
+    """Bernstein-Szego coefficient lists of lengths 1..8, moduli below 0.7."""
+    rng = np.random.default_rng(12)
+    return [
+        [0.7 * math.sqrt(rng.random()) * complex(np.exp(2j * np.pi * rng.random())) for _ in range(n)]
+        for n in range(1, 9)
+    ]
 
 
 class TestProviders:
@@ -260,6 +311,94 @@ class TestMoments:
         T = table.toeplitz()
         assert T.shape == (3, 3)
         assert T[1, 0] == 0.5 and T[0, 1] == np.conj(0.5)
+
+    def test_wrapped_arc_needs_a_panel_per_interval(self):
+        # [5, 1] wraps through 0, so its support is two intervals; one
+        # panel used to drop the second and integrate over [0, 1] only
+        with pytest.raises(MeasureIngestionError, match="panel count must be >= 2"):
+            pa.arc_measure(5.0, 1.0, panels=1)
+        measure = pa.arc_measure(5.0, 1.0, panels=2)
+        with pytest.raises(MeasureIngestionError, match="panel count must be >= 2"):
+            moments_table(measure, 3, panels=1)
+        assert abs(moments_table(measure, 1).c[0] - 1.0) < 1e-14
+
+
+class TestPanelGrid:
+    @pytest.mark.parametrize(
+        "make",
+        [partial(pa.bernstein_szego_measure, alphas, panels=65536) for alphas in bs_lists()]
+        + [
+            lambda: pa.arc_measure(ARC[0], ARC[1], masses=[(0.0, 0.35)], ac_mass=0.65, panels=2048),
+            lambda: pa.arc_measure(5.0, 1.0, masses=[(3.0, 0.35)], ac_mass=0.65, panels=2048),
+        ],
+        ids=[f"bs{n}" for n in range(1, 9)] + ["arc_atom", "wrapped_arc_atom"],
+    )
+    def test_shared_grid_is_bit_identical_to_fresh_nodes(self, make):
+        measure = make()
+        order = 11
+        shared = moments_table(measure, order)
+        fresh = fresh_moments_table(measure, order)
+        assert shared.c.tobytes() == fresh.c.tobytes()
+        count = 8
+        assert verblunsky_from_moments(shared, count) == verblunsky_from_moments(fresh, count)
+
+    def test_equal_support_and_panels_share_read_only_nodes(self):
+        a = pa.bernstein_szego_measure([0.5, 0.3j], panels=4096)
+        b = pa.bernstein_szego_measure([-0.2, 0.1, 0.4j], panels=4096)
+        (ta, wa), (tb, wb) = a._nodes(4096), b._nodes(4096)
+        assert ta is tb
+        assert a._quadrature(4096)[0].z is b._quadrature(4096)[0].z
+        assert not np.array_equal(wa, wb)
+        for arr in a._quadrature(4096)[0]:
+            assert not arr.flags.writeable
+        other = pa.arc_measure(ARC[0], ARC[1], panels=4096)
+        assert other._nodes(4096)[0] is not ta
+
+    def test_nodes_returns_angles_and_weights(self):
+        measure = pa.arc_measure(5.0, 1.0, masses=[(3.0, 0.2)], panels=64)
+        t, w = measure._nodes(64)
+        assert t.shape == w.shape == (64 * 8,)
+        assert abs(w.sum() - 1.0) < 1e-12
+        atoms = pa.MeasureSpec(weight=None, masses=[(0.0, 1.0)])
+        t, w = atoms._nodes(atoms.panels)
+        assert t.size == w.size == 0
+
+    def test_cache_keeps_at_most_its_cap(self):
+        counts = range(40, 40 + GRID_CAP + 3)
+        for panels in counts:
+            pa.lebesgue_measure(panels)._nodes(panels)
+            assert len(coeffs._grids) <= GRID_CAP
+        circle = ((0.0, TWO_PI),)
+        assert (circle, counts[-1]) in coeffs._grids
+        assert (circle, counts[0]) not in coeffs._grids
+
+    def test_threads_share_the_cache_safely(self):
+        # more threads than cores and more panel counts than the cap, so
+        # grids are built, reused and evicted while others read them
+        counts = list(range(24, 24 + GRID_CAP + 2))
+        expected = {p: moments_table(pa.arc_measure(5.0, 1.0, panels=p), 4).c for p in counts}
+        errors = []
+
+        def work(offset):
+            for i in range(30):
+                panels = counts[(offset + i) % len(counts)]
+                got = moments_table(pa.arc_measure(5.0, 1.0, panels=panels), 4).c
+                if got.tobytes() != expected[panels].tobytes():
+                    errors.append(panels)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(coeffs._grids) <= GRID_CAP
 
 
 class TestLevinson:
@@ -498,6 +637,14 @@ class TestFilesAndDicts:
             measure_from_dict({"weight": {"kind": "arc"}})
         with pytest.raises(SpecFileError):
             measure_from_dict({"weight": None, "masses": [{"theta": 0.0}]})
+        # a panel count is a JSON integer, not a float, bool or string
+        for panels in (2.7, True, "12"):
+            with pytest.raises(SpecFileError, match=f"got {panels!r}"):
+                measure_from_dict({"weight": {"kind": "lebesgue"}, "panels": panels})
+        # a wrapped arc has two intervals, so one panel is too few
+        wrapped = {"weight": {"kind": "arc", "theta_start": 5.0, "theta_end": 1.0}, "panels": 1}
+        with pytest.raises(SpecFileError, match="panel count must be >= 2"):
+            measure_from_dict(wrapped)
 
 
 def test_arc_span():
