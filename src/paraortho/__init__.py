@@ -39,10 +39,9 @@ from .theorems import (
     check_theorem3,
     dist_to_support,
     estimate_support,
-    exclusion_radius,
     support_model,
 )
-from .zeros import ZeroFindConfig, ZeroSet, find_zeros, interlace, oracle_zeros
+from .zeros import ZeroSet, find_zeros, interlace, oracle_zeros
 
 __version__ = "0.1.0"
 
@@ -58,7 +57,6 @@ __all__ = [
     "TheoremContext",
     "TheoremReport",
     "VerblunskySequence",
-    "ZeroFindConfig",
     "ZeroSet",
     "alpha_at",
     "arc_measure",
@@ -76,7 +74,6 @@ __all__ = [
     "estimate_support",
     "eval_pair",
     "eval_second_kind",
-    "exclusion_radius",
     "find_zeros",
     "flipped",
     "interlace",

@@ -46,16 +46,8 @@ from .errors import (
 from .para import ParaPolynomial, para_eval
 from . import theorems
 from .szego import cd_kernel, eval_pair, eval_second_kind, mixed_form, mixed_kernel
-from .theorems import (
-    BoundAuditReport,
-    SupportModel,
-    TheoremContext,
-    check_consecutive_interlacing,
-    check_interlacing_first_second,
-    estimate_support,
-    support_model,
-)
-from .zeros import CSV_COLUMNS, ZeroFindConfig, find_zeros
+from .theorems import BoundAuditReport, SupportModel, TheoremContext, estimate_support, support_model
+from .zeros import CSV_COLUMNS, find_zeros
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,6 +63,11 @@ _VERIFY_CHECKS = {
     "main_lemma": ("check_second_kind_exclusion", "z0_theta", ("second",), True),
     "theorem3": ("check_theorem3", "z0_theta", ("first",), True),
     "bounds": ("audit_lemma_bounds", "z0_theta", (), True),
+}
+# interlace's checks -> the (kind, degree offset) zero sets its --svg draws
+_FIGURES = {
+    "theorem2": (("first", 0), ("second", 0)),
+    "consecutive": (("first", 0), ("first", 1)),
 }
 
 
@@ -149,7 +146,6 @@ class RunConfig:
     support_path: str | None = None
     nu_support_path: str | None = None
     nu_estimate_n: int = 400
-    epsilon: float | None = None
     seed: int = 0
     count: int = 10
     max_n: int = 100
@@ -159,10 +155,6 @@ class RunConfig:
     out: str | None = None
     csv: str | None = None
     svg: str | None = None
-
-
-def _zero_cfg(cfg: RunConfig) -> ZeroFindConfig:
-    return ZeroFindConfig(theta_tol=cfg.theta_tol)
 
 
 def _sequence(cfg: RunConfig, needed: int):
@@ -260,7 +252,7 @@ def _cmd_zeros(cfg: RunConfig) -> int:
     n = parse_range(cfg.n_spec or "4")[-1]
     seq, _ = _sequence(cfg, n + 1)
     lam = np.exp(1j * cfg.lambda_theta)
-    zs = find_zeros(ParaPolynomial(cfg.kind, n, lam, seq), _zero_cfg(cfg))
+    zs = find_zeros(ParaPolynomial(cfg.kind, n, lam, seq), cfg.theta_tol)
     doc = _report_skeleton(cfg)
     doc["zeros"] = zs.to_json_dict()
     _emit_json(cfg, doc)
@@ -270,29 +262,6 @@ def _cmd_zeros(cfg: RunConfig) -> int:
         with open(cfg.svg, "w", encoding="utf-8") as handle:
             handle.write(_svg_circle_figure([zs], cfg.lambda_theta))
     return 0
-
-
-def _cmd_interlace(cfg: RunConfig, consecutive: bool) -> int:
-    n = parse_range(cfg.n_spec or "4")[-1]
-    seq, _ = _sequence(cfg, n + 2)
-    lam = np.exp(1j * cfg.lambda_theta)
-    ctx = TheoremContext(seq=seq, lam=lam, zero_cfg=_zero_cfg(cfg))
-    report = (
-        check_consecutive_interlacing(ctx, n)
-        if consecutive
-        else check_interlacing_first_second(ctx, n)
-    )
-    doc = _report_skeleton(cfg)
-    doc["results"] = [dataclasses.asdict(report)]
-    doc["all_pass"] = report.passed
-    _emit_json(cfg, doc)
-    if cfg.svg:
-        sets = [ctx.zero_set("first", n)]
-        sets.append(ctx.zero_set("first", n + 1) if consecutive else ctx.zero_set("second", n))
-        with open(cfg.svg, "w", encoding="utf-8") as handle:
-            handle.write(_svg_circle_figure(sets, cfg.lambda_theta))
-    print(f"interlace n={n}: {report.verdict}")
-    return 0 if report.passed else 1
 
 
 VERIFY_CSV_COLUMNS = [
@@ -313,6 +282,8 @@ def _point_argument(cfg: RunConfig, theorem: str, name: str):
 
 
 def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
+    """Run the theorem's check at each --n degree; with --svg (interlace),
+    draw the zero sets the check compares at the last degree."""
     check_name, arg_name, kinds, estimates_nu = _VERIFY_CHECKS[theorem]
     check = getattr(theorems, check_name)
     args = () if arg_name is None else (_point_argument(cfg, theorem, arg_name),)
@@ -329,8 +300,7 @@ def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
         nu_support = support_model_from_dict(_load_json(cfg.nu_support_path), cfg.nu_support_path)
     ctx = TheoremContext(
         seq=seq, lam=lam, support=support, nu_support=nu_support, measure=measure,
-        zero_cfg=_zero_cfg(cfg), nu_estimate_n=cfg.nu_estimate_n,
-        nu_estimate_eps=cfg.epsilon,
+        theta_tol=cfg.theta_tol, nu_estimate_n=cfg.nu_estimate_n,
     )
     ctx.prefetch(kinds, range(min(n_values), max(n_values) + 2))
 
@@ -364,6 +334,10 @@ def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
         ]
         _emit_csv(cfg.csv, VERIFY_CSV_COLUMNS, rows)
     print(f"verify {theorem}: {len(results) - failures}/{len(results)} pass")
+    if cfg.svg:
+        sets = [ctx.zero_set(kind, n_values[-1] + step) for kind, step in _FIGURES[theorem]]
+        with open(cfg.svg, "w", encoding="utf-8") as handle:
+            handle.write(_svg_circle_figure(sets, cfg.lambda_theta))
     return 0 if failures == 0 else 1
 
 
@@ -371,7 +345,7 @@ def _cmd_support(cfg: RunConfig) -> int:
     n_est = cfg.nu_estimate_n
     seq, _ = _sequence(cfg, n_est + 2)
     lam = np.exp(1j * cfg.lambda_theta)
-    model = estimate_support(seq, lam, n_est, cfg.epsilon, zero_cfg=_zero_cfg(cfg))
+    model = estimate_support(seq, lam, n_est, theta_tol=cfg.theta_tol)
     doc = _report_skeleton(cfg)
     doc["support"] = {
         "arcs": [[a, b] for a, b in model.arcs],
@@ -486,13 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", dest="support_path", help="support model JSON")
     p.add_argument("--nu-support", dest="nu_support_path", help="flipped-side support model JSON")
     p.add_argument("--nu-estimate-n", dest="nu_estimate_n", type=int, default=400)
-    p.add_argument("--epsilon", type=float, help="support estimator pairing tolerance")
     p.add_argument("--csv", help="CSV output path")
 
     p = sub.add_parser("support", help="estimate the support from zero coincidence")
     common(p)
     p.add_argument("--n-estimate", dest="nu_estimate_n", type=int, default=400)
-    p.add_argument("--epsilon", type=float)
 
     p = sub.add_parser("identities", help="residual suite for the evaluation identities")
     common(p, angles=False)
@@ -526,7 +498,7 @@ def run(argv=None) -> int:
         if cfg.command == "zeros":
             return _cmd_zeros(cfg)
         if cfg.command == "interlace":
-            return _cmd_interlace(cfg, bool(getattr(args, "consecutive", False)))
+            return _cmd_verify(cfg, "consecutive" if args.consecutive else "theorem2")
         if cfg.command == "verify":
             return _cmd_verify(cfg, args.theorem)
         if cfg.command == "support":

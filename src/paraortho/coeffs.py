@@ -355,8 +355,10 @@ class MeasureSpec:
     # -- quadrature machinery ------------------------------------------------
 
     def _check_panels(self, panels) -> int:
+        if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)):
+            raise MeasureIngestionError(f"panel count must be an integer, got {panels!r}")
         least = max(1, len(self.support))
-        if int(panels) < least:
+        if panels < least:
             raise MeasureIngestionError(
                 f"panel count must be >= {least}, one per support interval, got {panels}"
             )
@@ -387,7 +389,7 @@ class MeasureSpec:
 
     def normalization(self, panels: int | None = None) -> float:
         """Total raw mass (weight integral plus atoms) before normalization."""
-        panels = self.panels if panels is None else int(panels)
+        panels = self.panels if panels is None else self._check_panels(panels)
         if panels not in self._norm_cache:
             _, w = self._nodes(panels)
             total = float(w.sum()) + sum(m for _, m in self.masses)
@@ -400,7 +402,7 @@ class MeasureSpec:
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray], panels: int | None = None) -> complex:
         """Integral of f(theta) against the normalized measure."""
-        panels = self.panels if panels is None else int(panels)
+        panels = self.panels if panels is None else self._check_panels(panels)
         norm = self.normalization(panels)
         t, w = self._nodes(panels)
         acc = complex(np.sum(w * f(t))) if t.size else 0.0
@@ -508,7 +510,7 @@ def moments_table(measure: MeasureSpec, order: int, panels: int | None = None) -
     the order of summation.  e^{-i theta} is the conjugate of the panel
     grid's e^{i theta}, which np.exp gives bit for bit.
     """
-    panels = measure.panels if panels is None else int(panels)
+    panels = measure.panels if panels is None else measure._check_panels(panels)
     norm = measure.normalization(panels)
     grid, w = measure._quadrature(panels)
     c = np.zeros(order + 1, dtype=complex)
@@ -778,8 +780,6 @@ def measure_from_dict(doc: dict, path="<measure>") -> MeasureSpec:
     if not isinstance(doc, dict):
         raise SpecFileError(path, None, "measure document must be a JSON object")
     panels = doc.get("panels", 1024)
-    if isinstance(panels, bool) or not isinstance(panels, int):
-        raise SpecFileError(path, None, f"panel count must be an integer, got {panels!r}")
     masses = []
     for entry in doc.get("masses", []):
         try:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .para import ParaPolynomial, para_eval
 from .szego import cd_kernel, eval_pair
-from .zeros import ZeroFindConfig, ZeroSet, _circular_gap, find_zeros, find_zeros_sweep, interlace
+from .zeros import THETA_TOL, ZeroSet, _circular_gap, find_zeros, find_zeros_sweep, interlace
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,17 +124,6 @@ def rho_tilde_radius(delta_nu: float, z0_lam_dist: float) -> float:
     return delta_nu**2 * z0_lam_dist / (8.0 + z0_lam_dist * delta_nu)
 
 
-def exclusion_radius(variant: str, params: dict) -> float:
-    """Dispatch on {"rho", "rho_prime", "rho_tilde"} with named distances."""
-    if variant == "rho":
-        return rho_radius(params["delta"])
-    if variant == "rho_prime":
-        return rho_prime_radius(params["delta"], params["lam_dist"])
-    if variant == "rho_tilde":
-        return rho_tilde_radius(params["delta_nu"], params["z0_lam_dist"])
-    raise ValueError(f"unknown radius variant {variant!r}")
-
-
 # ---------------------------------------------------------------------------
 # contexts and reports
 
@@ -146,9 +135,8 @@ class TheoremContext:
     support: SupportModel | None = None
     nu_support: SupportModel | None = None
     measure: MeasureSpec | None = None  # same measure the seq came from, if any
-    zero_cfg: ZeroFindConfig = field(default_factory=ZeroFindConfig)
+    theta_tol: float = THETA_TOL
     nu_estimate_n: int = 400
-    nu_estimate_eps: float | None = None
 
     def __post_init__(self):
         self.lam = unit_circle_point(self.lam)
@@ -159,7 +147,7 @@ class TheoremContext:
         key = (kind, n)
         if key not in self._zero_cache:
             self._zero_cache[key] = find_zeros(
-                ParaPolynomial(kind, n, self.lam, self.seq), self.zero_cfg
+                ParaPolynomial(kind, n, self.lam, self.seq), self.theta_tol
             )
         return self._zero_cache[key]
 
@@ -168,7 +156,7 @@ class TheoremContext:
         degrees it cannot resolve stay uncached, for zero_set to raise."""
         for kind in kinds:
             sweep = find_zeros_sweep(
-                kind, self.lam, self.seq, n_values, self.zero_cfg, skip_unresolved=True
+                kind, self.lam, self.seq, n_values, self.theta_tol, skip_unresolved=True
             )
             self._zero_cache.update(((kind, n), zs) for n, zs in sweep.items())
 
@@ -176,14 +164,13 @@ class TheoremContext:
         """The nu support model and where it came from.
 
         Without a given model it is estimated once per context, with the
-        context's zero-finding configuration.
+        context's theta_tol.
         """
         if self.nu_support is not None:
             return self.nu_support, self.nu_support.provenance
         if self._nu_estimate is None:
             self._nu_estimate = estimate_support(
-                self.seq.flipped(), self.lam, self.nu_estimate_n, self.nu_estimate_eps,
-                zero_cfg=self.zero_cfg,
+                self.seq.flipped(), self.lam, self.nu_estimate_n, theta_tol=self.theta_tol
             )
         return self._nu_estimate, "estimated"
 
@@ -450,6 +437,44 @@ def _l2_norm(measure: MeasureSpec, p: ParaPolynomial) -> float:
     return math.sqrt(abs(measure.integrate(f)))
 
 
+def _bound_side(ctx: TheoremContext, z0: complex, n: int, side: str, kind: str, *,
+                seq: VerblunskySequence, model: SupportModel, delta: float,
+                kernel_bound: tuple[float, bool], norm: float, norm_note: str) -> list[BoundCheck]:
+    """One side's kernel-normalized and distance lower bounds.
+
+    The polynomials of `kind` at degrees n and n + 1 are normalized by
+    the kernel K_{n-1}(z0, z0) of seq, which is at least |phi_0|^2 = 1.
+    kernel_bound is the (right-hand side, applicable) pair of the kernel
+    row.  The distance row runs over the degree-n zeros distinct from
+    the base point, whose distances to `model` enter with `norm`; both
+    need z0 off the model (delta > 0).
+    """
+    v_n, v_n1 = (abs(para_eval(ParaPolynomial(kind, m, ctx.lam, ctx.seq), z0, "level_n"))
+                 for m in (n, n + 1))
+    sqrt_k = math.sqrt(float(np.real(cd_kernel(seq, n, z0, z0, "sum").value)))
+    i_is_n = v_n1 <= v_n
+    rhs, applicable = kernel_bound
+    checks = [
+        BoundCheck(
+            f"{side}_kernel_lower",
+            (v_n if i_is_n else v_n1) / sqrt_k,
+            rhs,
+            applicable=applicable,
+            notes=f"i = {'n' if i_is_n else 'n+1'}",
+        )
+    ]
+    zs = ctx.zero_set(kind, n)
+    worst = math.inf
+    for theta in zs.interior_angles():
+        tau = np.exp(1j * ((theta + zs.lambda_theta) % TWO_PI))
+        bound = v_n * dist_to_support(model, tau) / (sqrt_k * norm) if norm > 0 else 0.0
+        worst = min(worst, abs(z0 - tau) - bound)
+    if math.isfinite(worst):
+        checks.append(BoundCheck(f"{side}_distance_lower", worst, 0.0,
+                                 applicable=bool(delta > 0.0), notes=norm_note))
+    return checks
+
+
 def audit_lemma_bounds(ctx: TheoremContext, z0: complex, n: int) -> BoundAuditReport:
     """Two-sided evaluation of the quantitative lower and upper bounds.
 
@@ -457,7 +482,8 @@ def audit_lemma_bounds(ctx: TheoremContext, z0: complex, n: int) -> BoundAuditRe
     distance bounds need the polynomial L2 norm, which comes from
     measure quadrature when a measure is available and otherwise from
     the 2|phi_n(lambda)| upper bound (yielding a weaker but still valid
-    inequality; the source is recorded).
+    inequality; the source is recorded).  The second-kind side is the
+    first-kind side of nu, the measure of the flipped coefficients.
     """
     z0 = unit_circle_point(z0)
     theta0 = float(np.angle(z0)) % TWO_PI
@@ -469,99 +495,37 @@ def audit_lemma_bounds(ctx: TheoremContext, z0: complex, n: int) -> BoundAuditRe
         raise PreconditionError("z0 distance to support is zero")
 
     phi_n_lam = abs(eval_pair(ctx.seq, n, ctx.lam).phi)
-    checks: list[BoundCheck] = []
+    norm_bound = 2.0 * phi_n_lam
     notes: dict = {}
-
-    h_n = ParaPolynomial("first", n, ctx.lam, ctx.seq)
-    h_n1 = ParaPolynomial("first", n + 1, ctx.lam, ctx.seq)
-    hv_n = abs(para_eval(h_n, z0, "level_n"))
-    hv_n1 = abs(para_eval(h_n1, z0, "level_n"))
-    k_diag = float(np.real(cd_kernel(ctx.seq, n, z0, z0, "sum").value))
-    sqrt_k = math.sqrt(max(k_diag, 0.0))
-
-    # kernel-normalized lower bound, h side; stated under |z0 - lam| >= delta
-    i_is_n = hv_n1 <= hv_n
-    lhs = (hv_n if i_is_n else hv_n1) / sqrt_k
-    checks.append(
-        BoundCheck(
-            "h_kernel_lower",
-            lhs,
-            0.25 * phi_n_lam * delta**2,
-            applicable=bool(delta > 0.0 and d_lam >= delta),
-            notes=f"i = {'n' if i_is_n else 'n+1'}",
-        )
-    )
-
-    # distance lower bound, h side, over every zero distinct from the base point
     if ctx.measure is not None:
-        h_norm = _l2_norm(ctx.measure, h_n)
+        h_norm = _l2_norm(ctx.measure, ParaPolynomial("first", n, ctx.lam, ctx.seq))
         notes["h_norm_source"] = "quadrature"
     else:
-        h_norm = 2.0 * phi_n_lam
+        h_norm = norm_bound
         notes["h_norm_source"] = "norm_bound"
-    zh = ctx.zero_set("first", n)
-    worst = math.inf
-    for theta in zh.interior_angles():
-        tau = np.exp(1j * ((theta + zh.lambda_theta) % TWO_PI))
-        t_dist = dist_to_support(ctx.support, tau)
-        rhs = hv_n * t_dist / (sqrt_k * h_norm) if sqrt_k > 0 and h_norm > 0 else 0.0
-        worst = min(worst, abs(z0 - tau) - rhs)
-    if math.isfinite(worst):
-        checks.append(
-            BoundCheck(
-                "h_distance_lower", worst, 0.0,
-                applicable=delta > 0.0,
-                notes=f"min margin over {zh.n - 1} zeros, norm={notes['h_norm_source']}",
-            )
-        )
-
-    # upper bound on the h norm (measure mode only)
+    # the h-side kernel bound is stated under |z0 - lam| >= delta
+    checks = _bound_side(
+        ctx, z0, n, "h", "first", seq=ctx.seq, model=ctx.support, delta=delta,
+        kernel_bound=(0.25 * phi_n_lam * delta**2, bool(delta > 0.0 and d_lam >= delta)),
+        norm=h_norm, norm_note=f"min margin over {n - 1} zeros, norm={notes['h_norm_source']}",
+    )
     if ctx.measure is not None:
-        checks.append(BoundCheck("h_norm_upper", 2.0 * phi_n_lam, h_norm))
+        checks.append(BoundCheck("h_norm_upper", norm_bound, h_norm))
 
-    # flipped-side analogues
-    nu_model = None
     try:
-        nu_model, nu_prov = ctx.nu_model()
-        notes["nu_support"] = nu_prov
+        nu_model, notes["nu_support"] = ctx.nu_model()
     except (PreconditionError, ValueError, SupportModelError, ResolutionError, AmbiguousMinimaError):
         # no flipped-side support available (e.g. its zeros collapse onto
         # an atom beyond float resolution): report the one-sided audit
         notes["nu_support"] = "unavailable"
-    if nu_model is not None:
-        delta_nu = dist_to_support(nu_model, z0)
-        s_n = ParaPolynomial("second", n, ctx.lam, ctx.seq)
-        s_n1 = ParaPolynomial("second", n + 1, ctx.lam, ctx.seq)
-        sv_n = abs(para_eval(s_n, z0, "level_n"))
-        sv_n1 = abs(para_eval(s_n1, z0, "level_n"))
-        kt_diag = float(np.real(cd_kernel(ctx.seq.flipped(), n, z0, z0, "sum").value))
-        sqrt_kt = math.sqrt(max(kt_diag, 0.0))
-        i_is_n = sv_n1 <= sv_n
-        lhs = (sv_n if i_is_n else sv_n1) / sqrt_kt if sqrt_kt > 0 else 0.0
-        checks.append(
-            BoundCheck(
-                "s_kernel_lower",
-                lhs,
-                0.25 * phi_n_lam * d_lam * delta_nu,
-                applicable=bool(delta_nu > 0.0),
-                notes=f"i = {'n' if i_is_n else 'n+1'}",
-            )
-        )
-        s_norm = 2.0 * phi_n_lam  # flipped-side measure is not available as quadrature
-        zs = ctx.zero_set("second", n)
-        worst = math.inf
-        for theta in zs.angles:
-            tau = np.exp(1j * ((theta + zs.lambda_theta) % TWO_PI))
-            t_dist = dist_to_support(nu_model, tau)
-            rhs = sv_n * t_dist / (sqrt_kt * s_norm) if sqrt_kt > 0 and s_norm > 0 else 0.0
-            worst = min(worst, abs(z0 - tau) - rhs)
-        checks.append(
-            BoundCheck(
-                "s_distance_lower", worst, 0.0,
-                applicable=bool(delta_nu > 0.0),
-                notes="norm=norm_bound",
-            )
-        )
+        return BoundAuditReport(n, theta0, checks, notes)
+    delta_nu = dist_to_support(nu_model, z0)
+    checks += _bound_side(
+        ctx, z0, n, "s", "second", seq=ctx.seq.flipped(), model=nu_model, delta=delta_nu,
+        kernel_bound=(0.25 * phi_n_lam * d_lam * delta_nu, bool(delta_nu > 0.0)),
+        # nu is not available as quadrature, so its norm is always the bound
+        norm=norm_bound, norm_note="norm=norm_bound",
+    )
     return BoundAuditReport(n, theta0, checks, notes)
 
 
@@ -573,25 +537,23 @@ def estimate_support(
     seq: VerblunskySequence,
     lam: complex,
     n_estimate: int,
-    eps: float | None = None,
-    zero_cfg: ZeroFindConfig | None = None,
+    theta_tol: float = THETA_TOL,
 ) -> SupportModel:
     """Advisory support estimate from coincident zeros of two consecutive
     degrees.
 
     Zeros of degree n_estimate that have a degree-(n_estimate + 1) zero
-    within eps (default 2pi/n_estimate) mark support; marked angles
+    within 2pi/n_estimate mark support; marked angles
     closer than GAP_FACTOR * 2pi/n_estimate merge into arcs, loners
     become isolated points.  Output is labelled "estimated".
     """
     if n_estimate < 50:
         raise ValueError(f"support estimation needs degree >= 50, got {n_estimate}")
     lam = unit_circle_point(lam)
-    eps = TWO_PI / n_estimate if eps is None else float(eps)
-    za, zb = find_zeros_sweep("first", lam, seq, [n_estimate, n_estimate + 1], zero_cfg).values()
+    za, zb = find_zeros_sweep("first", lam, seq, [n_estimate, n_estimate + 1], theta_tol).values()
     a = np.sort((za.interior_angles() + za.lambda_theta) % TWO_PI)
     b = np.sort((zb.interior_angles() + zb.lambda_theta) % TWO_PI)
-    marked = a[np.min(_circular_gap(a[:, None], b[None, :]), axis=1) <= eps]
+    marked = a[np.min(_circular_gap(a[:, None], b[None, :]), axis=1) <= TWO_PI / n_estimate]
     if not marked.size:
         raise SupportModelError("no coincident zeros: estimate has nothing to report")
     gaps = np.diff(np.concatenate([marked, [marked[0] + TWO_PI]]))

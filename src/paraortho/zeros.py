@@ -59,11 +59,8 @@ SWEEP_BATCH = 16384
 # least residual allowance of a refined zero, relative to the largest
 # trace sampled
 RESIDUAL_FLOOR = 1e-6
-
-
-@dataclass
-class ZeroFindConfig:
-    theta_tol: float = 1e-12
+# default width to which each zero's bracket is narrowed
+THETA_TOL = 1e-12
 
 
 @dataclass
@@ -252,7 +249,7 @@ def _phase_brackets(polys: dict[int, ParaPolynomial], trace, phase) -> dict:
     return out
 
 
-def find_zeros(p: ParaPolynomial, cfg: ZeroFindConfig | None = None) -> ZeroSet:
+def find_zeros(p: ParaPolynomial, theta_tol: float = THETA_TOL) -> ZeroSet:
     """All n zeros of the polynomial, bracketed by sign changes of the trace.
 
     The brackets come from the phase count: one O(n) pass of the
@@ -265,7 +262,7 @@ def find_zeros(p: ParaPolynomial, cfg: ZeroFindConfig | None = None) -> ZeroSet:
     found count; a short list is never returned silently.  This is
     find_zeros_sweep on the one degree of p.
     """
-    return _zero_sets({p.n: p}, cfg or ZeroFindConfig(), skip_unresolved=False)[p.n]
+    return _zero_sets({p.n: p}, theta_tol, skip_unresolved=False)[p.n]
 
 
 def _all_roots(p: ParaPolynomial, roots: np.ndarray) -> np.ndarray:
@@ -280,14 +277,14 @@ def _midpoints(roots: np.ndarray) -> np.ndarray:
 
 
 def _assemble(p: ParaPolynomial, roots: np.ndarray, values: np.ndarray, scale: float,
-              cfg: ZeroFindConfig) -> ZeroSet:
+              theta_tol: float) -> ZeroSet:
     """Check and package the refined zeros; values holds the trace at the
     roots followed by the trace at the midpoints between them."""
     residuals = np.abs(values[: roots.size])
     # the trace has frequencies up to n/2, so by Bernstein's inequality a
     # bracket midpoint, within theta_tol / 2 of its zero, has a residual
     # of at most n theta_tol / 4 times the trace's maximum
-    tol = max(RESIDUAL_FLOOR, p.n * cfg.theta_tol / 4)
+    tol = max(RESIDUAL_FLOOR, p.n * theta_tol / 4)
     bad = residuals > tol * scale
     if np.any(bad):
         raise ResolutionError(
@@ -308,7 +305,7 @@ def find_zeros_sweep(
     lam: complex,
     seq,
     n_values,
-    cfg: ZeroFindConfig | None = None,
+    theta_tol: float = THETA_TOL,
     skip_unresolved: bool = False,
 ) -> dict[int, ZeroSet]:
     """find_zeros for a whole range of degrees of one family at once.
@@ -322,10 +319,10 @@ def find_zeros_sweep(
     treat missing keys as explicit resolution failures.
     """
     polys = {n: ParaPolynomial(kind, n, lam, seq) for n in sorted(set(int(n) for n in n_values))}
-    return _zero_sets(polys, cfg or ZeroFindConfig(), skip_unresolved)
+    return _zero_sets(polys, theta_tol, skip_unresolved)
 
 
-def _zero_sets(polys: dict[int, ParaPolynomial], cfg: ZeroFindConfig,
+def _zero_sets(polys: dict[int, ParaPolynomial], theta_tol: float,
                skip_unresolved: bool) -> dict[int, ZeroSet]:
     """The zero path of find_zeros and find_zeros_sweep.
 
@@ -360,12 +357,12 @@ def _zero_sets(polys: dict[int, ParaPolynomial], cfg: ZeroFindConfig,
     lo, hi, side, flo, fhi = (np.concatenate([b[i] for b in found.values()]) for i in range(5))
     nn = np.concatenate([np.full(b[0].size, n) for n, b in found.items()])
     roots = _polish(lambda th, sel: _trace_at_levels(top, th, nn[sel]), lo, hi, side, flo, fhi,
-                    cfg.theta_tol)
+                    theta_tol)
     roots = {n: _all_roots(polys[n], roots[nn == n]) for n in found}
     checks = trace({n: np.concatenate([r, _midpoints(r)]) for n, r in roots.items()})
     for n, r in roots.items():
         try:
-            out[n] = _assemble(polys[n], r, checks[n], found[n][-1], cfg)
+            out[n] = _assemble(polys[n], r, checks[n], found[n][-1], theta_tol)
         except ResolutionError:
             if not skip_unresolved:
                 raise

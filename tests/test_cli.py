@@ -141,6 +141,21 @@ class TestInterlaceCommand:
         assert code == 0
         assert read_json(out)["results"][0]["theorem_id"] == "consecutive"
 
+    def test_runs_every_degree(self, tmp_path):
+        out = tmp_path / "i.json"
+        assert run(["interlace", "--alpha", "const:0.5", "--n", "5..7", "--out", str(out)]) == 0
+        assert [r["n"] for r in read_json(out)["results"]] == [5, 6, 7]
+
+    def test_unresolved_degree_becomes_an_error_verdict(self, tmp_path):
+        # the alternating list of test_unresolved_degrees_become_error_verdicts
+        spec = "list:" + ",".join(str(0.5 * (-1) ** (k + 1)) for k in range(72))
+        out = tmp_path / "i.json"
+        code = run(["interlace", "--consecutive", "--alpha", spec, "--n", "69", "--out", str(out)])
+        assert code == 1
+        (row,) = read_json(out)["results"]
+        assert row["verdict"] == "error"
+        assert "isolated 67 of 69 zeros" in row["error"]
+
 
 class TestVerifyCommand:
     def test_theorem2_range(self, tmp_path):

@@ -323,6 +323,21 @@ class TestMoments:
         assert abs(moments_table(measure, 1).c[0] - 1.0) < 1e-14
 
 
+    def test_panel_count_must_be_an_integer(self):
+        for panels in (2.7, True, "12"):
+            with pytest.raises(MeasureIngestionError, match=f"panel count must be an integer, got {panels!r}"):
+                pa.MeasureSpec(weight=lambda t: np.ones_like(t), panels=panels)
+        with pytest.raises(MeasureIngestionError, match="got 2.7"):
+            pa.lebesgue_measure(panels=2.7)
+        with pytest.raises(MeasureIngestionError, match="got True"):
+            pa.arc_measure(0.5, 2.0, panels=True)
+        measure = pa.lebesgue_measure(panels=64)
+        with pytest.raises(MeasureIngestionError, match="got 2.5"):
+            moments_table(measure, 3, panels=2.5)
+        assert pa.lebesgue_measure(panels=np.int64(64)).panels == 64
+        assert abs(moments_table(measure, 1, panels=np.int64(64)).c[0] - 1.0) < 1e-14
+
+
 class TestPanelGrid:
     @pytest.mark.parametrize(
         "make",

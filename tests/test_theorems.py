@@ -82,7 +82,6 @@ class TestRadii:
         assert abs(rho_radius(1.0) - 1.0 / 9.0) < 1e-15
         assert abs(rho_prime_radius(1.0, 1.0) - 1.0 / 9.0) < 1e-15
         assert abs(rho_tilde_radius(1.0, 2.0) - 0.2) < 1e-15
-        assert pa.exclusion_radius("rho", {"delta": 1.0}) == rho_radius(1.0)
 
     def test_domain_errors(self):
         for bad in (0.0, -0.5):
@@ -92,8 +91,6 @@ class TestRadii:
                 rho_prime_radius(bad, 1.0)
             with pytest.raises(DomainError):
                 rho_tilde_radius(bad, 1.0)
-        with pytest.raises(ValueError):
-            pa.exclusion_radius("nope", {})
 
     def test_monotone_in_each_argument(self):
         rng = np.random.default_rng(123)
@@ -286,6 +283,21 @@ class TestBoundAudit:
             assert by_name["h_distance_lower"].margin >= 0.0
             assert not by_name["s_kernel_lower"].applicable  # delta_nu = 0
 
+    def test_without_nu_support_the_audit_is_one_sided(self):
+        # nu_estimate_n below the estimator's least degree: no nu model
+        ctx = pa.TheoremContext(
+            pa.ConstantSequence(-0.5), -1, support=pa.support_model([ARC]), nu_estimate_n=10
+        )
+        rep = pa.audit_lemma_bounds(ctx, 1.0, 5)
+        assert rep.notes["nu_support"] == "unavailable"
+        assert [c.name for c in rep.checks] == ["h_kernel_lower", "h_distance_lower"]
+
+    def test_measure_mode_row_order(self, mass_fixture):
+        rep = pa.audit_lemma_bounds(mass_fixture, 1.0, 6)
+        assert [c.name for c in rep.checks] == [
+            "h_kernel_lower", "h_distance_lower", "h_norm_upper", "s_kernel_lower", "s_distance_lower",
+        ]
+
     def test_mass_fixture_margins(self, mass_fixture):
         for n in (3, 12, 20):
             rep = pa.audit_lemma_bounds(mass_fixture, 1.0, n)
@@ -361,18 +373,17 @@ class TestEstimateSupport:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("zero_cfg"))
+            calls.append(kwargs.get("theta_tol"))
             return estimate_support(*args, **kwargs)
 
         monkeypatch.setattr(theorems, "estimate_support", counting)
-        cfg = pa.ZeroFindConfig(theta_tol=1e-11)
         ctx = pa.TheoremContext(
             seq=pa.ConstantSequence(0.5), lam=np.exp(1j * np.pi),
-            support=pa.support_model([ARC], points=[0.0]), zero_cfg=cfg, nu_estimate_n=60,
+            support=pa.support_model([ARC], points=[0.0]), theta_tol=1e-11, nu_estimate_n=60,
         )
         for n in (5, 6):
             assert pa.check_theorem3(ctx, 1.0, n).notes["nu_support"] == "estimated"
-        assert len(calls) == 1 and calls[0] is cfg
+        assert calls == [1e-11]
 
     def test_sweep_of_both_degrees_matches_single_degrees(self):
         # estimate_support finds both degrees' zeros in one sweep; the

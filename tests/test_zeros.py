@@ -105,7 +105,7 @@ class TestFindZeros:
         # the residual allowance grows with theta_tol: a bracket midpoint
         # within theta_tol / 2 of its zero is accepted
         p = pa.ParaPolynomial("second", 9, 1.0, pa.ConstantSequence(0.5))
-        zs = pa.find_zeros(p, pa.ZeroFindConfig(theta_tol=0.5))
+        zs = pa.find_zeros(p, theta_tol=0.5)
         assert zs.angles.size == 9
         assert np.max(circ_dist(zs.angles, pa.oracle_zeros(p).angles)) <= 0.25
 
@@ -208,7 +208,7 @@ class TestPolish:
     def test_matches_bisection(self):
         # phase brackets of both kinds, traces past 1e123 at radius 0.9,
         # and first-kind cells whose low end is the pinned zero (value 0)
-        tol, pinned = zeros.ZeroFindConfig().theta_tol, 0
+        tol, pinned = zeros.THETA_TOL, 0
         for radius, seed, n in [(0.7, 3, 30), (0.7, 3, 80), (0.7, 3, 140), (0.7, 5, 30),
                                 (0.7, 5, 80), (0.7, 5, 140), (0.9, 2, 401)]:
             for kind in ("first", "second"):
