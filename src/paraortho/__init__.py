@@ -13,18 +13,15 @@ from .coeffs import (
     MomentTable,
     RandomSequence,
     VerblunskySequence,
-    alpha_at,
     arc_measure,
     bernstein_szego_measure,
-    flipped,
     lebesgue_measure,
-    moment,
     moments_table,
     sequence_from_measure,
     unit_circle_point,
     verblunsky_from_moments,
 )
-from .para import ParaPolynomial, beta_coefficient, para_eval, real_form
+from .para import ParaPolynomial, beta_coefficient, para_eval
 from .szego import cd_kernel, eval_pair, eval_second_kind, mixed_kernel, monic_norm
 from .theorems import (
     SupportModel,
@@ -58,7 +55,6 @@ __all__ = [
     "TheoremReport",
     "VerblunskySequence",
     "ZeroSet",
-    "alpha_at",
     "arc_measure",
     "audit_lemma_bounds",
     "bernstein_szego_measure",
@@ -75,16 +71,13 @@ __all__ = [
     "eval_pair",
     "eval_second_kind",
     "find_zeros",
-    "flipped",
     "interlace",
     "lebesgue_measure",
     "mixed_kernel",
-    "moment",
     "moments_table",
     "monic_norm",
     "oracle_zeros",
     "para_eval",
-    "real_form",
     "sequence_from_measure",
     "support_model",
     "unit_circle_point",

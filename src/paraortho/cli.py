@@ -72,13 +72,17 @@ _FIGURES = {
 
 
 def parse_angle(text: str) -> float:
-    """Radians as a decimal literal, or a pi multiple like "0.5pi"."""
+    """Radians as a finite decimal literal, or a pi multiple like "0.5pi"."""
     text = text.strip().lower()
     if text.endswith("pi"):
         head = text[:-2].strip()
         factor = 1.0 if head in ("", "+") else (-1.0 if head == "-" else float(head))
-        return factor * math.pi
-    return float(text)
+        value = factor * math.pi
+    else:
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"angle {text!r} is not finite")
+    return value
 
 
 def parse_range(text: str) -> list[int]:
@@ -235,8 +239,7 @@ def _svg_circle_figure(zero_sets, lam_theta: float) -> str:
 
 
 def _cmd_coeffs(cfg: RunConfig) -> int:
-    n_values = parse_range(cfg.n_spec or "8")
-    count = max(n_values)
+    count = int(cfg.n_spec)  # one integer: a range is a usage error
     seq, _ = _sequence(cfg, count)
     alphas = [seq.alpha(j) for j in range(count)]
     if cfg.out and cfg.out.endswith(".txt"):
@@ -249,7 +252,7 @@ def _cmd_coeffs(cfg: RunConfig) -> int:
 
 
 def _cmd_zeros(cfg: RunConfig) -> int:
-    n = parse_range(cfg.n_spec or "4")[-1]
+    n = int(cfg.n_spec)
     seq, _ = _sequence(cfg, n + 1)
     lam = np.exp(1j * cfg.lambda_theta)
     zs = find_zeros(ParaPolynomial(cfg.kind, n, lam, seq), cfg.theta_tol)
@@ -381,9 +384,9 @@ def _cmd_identities(cfg: RunConfig) -> int:
         # kernel pairs keep a separation so the closed quotients are defined
         phi_y = rng.uniform(0.1, TWO_PI - 0.1, cfg.points)
         y = np.exp(1j * (th + phi_y))
-        k_sum = cd_kernel(seq, n, z, y, "sum").value
+        k_sum = cd_kernel(seq, n, z, y, "sum")
         for mode in ("closed_level_n", "closed_level_nm1"):
-            k = cd_kernel(seq, n, z, y, mode).value
+            k = cd_kernel(seq, n, z, y, mode)
             note(f"cd_{mode}", np.max(np.abs(k - k_sum) / np.maximum(1.0, np.abs(k_sum))))
         m_sum = mixed_kernel(seq, n, z, y, "sum")
         m_closed = mixed_kernel(seq, n, z, y, "closed")
@@ -426,21 +429,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"paraortho {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, angles=True):
+    def common(p, zeros=True):
         p.add_argument("--alpha", dest="alpha_spec", help="coefficient spec, e.g. const:0.5 or random:0.7:seed=42")
         p.add_argument("--measure", dest="measure_path", help="measure JSON document")
-        if angles:
+        if zeros:
             p.add_argument("--lambda-theta", dest="lambda_theta", default="0", help="base point angle (radians or '0.5pi')")
+            p.add_argument("--theta-tol", dest="theta_tol", type=float, default=1e-12)
         p.add_argument("--out", help="JSON output path (default stdout)")
-        p.add_argument("--theta-tol", dest="theta_tol", type=float, default=1e-12)
 
     p = sub.add_parser("coeffs", help="emit a coefficient list")
-    common(p, angles=False)
+    common(p, zeros=False)
     p.add_argument("--n", dest="n_spec", required=True, help="how many coefficients")
 
     p = sub.add_parser("zeros", help="locate all zeros of one polynomial")
     common(p)
-    p.add_argument("--n", dest="n_spec", required=True)
+    p.add_argument("--n", dest="n_spec", required=True, help="degree")
     p.add_argument("--kind", choices=("first", "second"), default="first")
     p.add_argument("--csv", help="CSV output path")
     p.add_argument("--svg", help="SVG figure path")
@@ -467,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-estimate", dest="nu_estimate_n", type=int, default=400)
 
     p = sub.add_parser("identities", help="residual suite for the evaluation identities")
-    common(p, angles=False)
+    p.add_argument("--out", help="JSON output path (default stdout)")  # its own corpus
     p.add_argument("--count", type=int, default=10, help="number of seeded sequences")
     p.add_argument("--max-n", dest="max_n", type=int, default=100)
     p.add_argument("--points", type=int, default=32)

@@ -44,7 +44,7 @@ def unit_circle_point(z: complex) -> complex:
     """Validate ||z| - 1| <= 1e-12 and renormalize z onto the circle."""
     z = complex(z)
     r = abs(z)
-    if abs(r - 1.0) > CIRCLE_TOL:
+    if not abs(r - 1.0) <= CIRCLE_TOL:
         raise ValueError(f"point {z!r} is off the unit circle by {r - 1.0:.3e}")
     return z / r
 
@@ -213,16 +213,6 @@ class DecayingSequence(VerblunskySequence):
 
     def __repr__(self):
         return f"DecayingSequence(c={self.c}, p={self.p})"
-
-
-def alpha_at(seq: VerblunskySequence, n: int) -> complex:
-    """Coefficient alpha_n of the provider."""
-    return seq.alpha(n)
-
-
-def flipped(seq: VerblunskySequence) -> VerblunskySequence:
-    """Provider with alpha_n replaced by -alpha_n (an involution)."""
-    return seq.flipped()
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +390,10 @@ class MeasureSpec:
             self._norm_cache[panels] = total
         return self._norm_cache[panels]
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray], panels: int | None = None) -> complex:
+    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> complex:
         """Integral of f(theta) against the normalized measure."""
-        panels = self.panels if panels is None else self._check_panels(panels)
-        norm = self.normalization(panels)
-        t, w = self._nodes(panels)
+        norm = self.normalization()
+        t, w = self._nodes(self.panels)
         acc = complex(np.sum(w * f(t))) if t.size else 0.0
         for theta, m in self.masses:
             acc += m * complex(f(np.asarray([theta]))[0])
@@ -460,13 +449,6 @@ def bernstein_szego_measure(alphas: Sequence[complex], panels: int = 2048) -> Me
     return MeasureSpec(weight=weight, panels=panels)
 
 
-def moment(measure: MeasureSpec, k: int, panels: int | None = None) -> complex:
-    """Trigonometric moment c_k = integral of exp(-ik theta) dmu."""
-    if k < 0:
-        raise ValueError("moment index must be >= 0 (negative moments are conjugates)")
-    return measure.integrate(lambda t: np.exp(-1j * k * t), panels=panels)
-
-
 class MomentTable:
     """Moments c_0..c_K of a probability measure (c_{-k} = conj(c_k))."""
 
@@ -501,7 +483,7 @@ class MomentTable:
         return line[self.c.size - 1 + idx]
 
 
-def moments_table(measure: MeasureSpec, order: int, panels: int | None = None) -> MomentTable:
+def moments_table(measure: MeasureSpec, order: int) -> MomentTable:
     """Moments c_0..c_order computed against the normalized measure.
 
     The quadrature nodes are taken BLOCK at a time, so the running powers
@@ -510,9 +492,8 @@ def moments_table(measure: MeasureSpec, order: int, panels: int | None = None) -
     the order of summation.  e^{-i theta} is the conjugate of the panel
     grid's e^{i theta}, which np.exp gives bit for bit.
     """
-    panels = measure.panels if panels is None else measure._check_panels(panels)
-    norm = measure.normalization(panels)
-    grid, w = measure._quadrature(panels)
+    norm = measure.normalization()
+    grid, w = measure._quadrature(measure.panels)
     c = np.zeros(order + 1, dtype=complex)
     for b0 in range(0, w.size, BLOCK):
         step = np.conj(grid.z[b0 : b0 + BLOCK])
@@ -568,17 +549,18 @@ def verblunsky_from_moments(moments: MomentTable, count: int) -> list[complex]:
     return alphas
 
 
-def sequence_from_measure(
-    measure: MeasureSpec, count: int, panels: int | None = None
-) -> ExplicitSequence:
+def sequence_from_measure(measure: MeasureSpec, count: int) -> ExplicitSequence:
     """Ingest a measure: moments by quadrature, then the Toeplitz recursion."""
-    table = moments_table(measure, count, panels=panels)
+    table = moments_table(measure, count)
     return ExplicitSequence(verblunsky_from_moments(table, count))
 
 
 # bits carried above mpmath's binary precision at `dps` by the running
 # powers of exact_arc_mass_moments
 MOMENT_GUARD_BITS = 32
+
+# digits of exact_arc_mass_moments without `dps`, before it rounds to complex
+EXACT_MOMENT_DPS = 20
 
 
 def exact_arc_mass_moments(
@@ -595,9 +577,10 @@ def exact_arc_mass_moments(
     moments carry no quadrature error.  With `dps` set the result is a
     list of mpmath complex numbers at that precision (for ingestion of
     gap-supported measures, whose moment matrices are exponentially
-    ill-conditioned); otherwise complex floats.
+    ill-conditioned); otherwise a MomentTable of the moments computed at
+    EXACT_MOMENT_DPS digits and rounded once to complex.
 
-    At `dps`, with p mpmath's binary precision there, one exponential
+    With p mpmath's binary precision at those digits, one exponential
     e^{-i theta} is taken per angle (arc start, arc end, each atom) and
     its powers are running products at p + MOMENT_GUARD_BITS bits.  The
     k-th power is then off by about k 2^-(p+31): each factor and each
@@ -606,25 +589,12 @@ def exact_arc_mass_moments(
     the span, so each moment is within about k 2^-(p+31) of its exact
     value before it is rounded once to p bits.
     """
-    span = _arc_span(float(theta_start), float(theta_end))
-    if span == 0.0:
+    if float(theta_end) == float(theta_start):  # the one empty arc (_arc_span)
         raise MeasureIngestionError("arc has zero length")
-    if dps is None:
-        total = ac_mass + sum(w for _, w in masses)
-        c = []
-        for k in range(order + 1):
-            if k == 0:
-                raw = complex(ac_mass)
-            else:
-                ea = np.exp(-1j * k * theta_start)
-                eb = np.exp(-1j * k * (theta_start + span))
-                raw = ac_mass * (ea - eb) / (1j * k * span)
-            raw += sum(w * np.exp(-1j * k * t) for t, w in masses)
-            c.append(raw / total)
-        return MomentTable(c)
     from mpmath import mp, mpc
 
-    with mp.workdps(dps):
+    digits = EXACT_MOMENT_DPS if dps is None else dps
+    with mp.workdps(digits):
         prec = mp.prec
     with mp.workprec(prec + MOMENT_GUARD_BITS):
         start = mp.mpf(theta_start)
@@ -643,8 +613,9 @@ def exact_arc_mass_moments(
             ea, eb = powers[:2]
             raw = acm * (ea - eb) / (mpc(0, 1) * k * span)
             raws.append(raw + mp.fsum(map(mul, weights, powers[2:])))
-    with mp.workdps(dps):
-        return [raw / total for raw in raws]
+    with mp.workdps(digits):
+        c = [raw / total for raw in raws]
+    return c if dps is not None else MomentTable([complex(v) for v in c])
 
 
 # bits kept below mpmath's binary precision at `dps` by the hp recursion

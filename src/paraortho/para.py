@@ -26,27 +26,12 @@ Values at the base point are cached on the polynomial, so sweeps over z
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coeffs import VerblunskySequence, unit_circle_point
-from .szego import _as_points, _maybe_scalar, _pair, _szego_levels
+from .szego import _as_points, _level_form, _maybe_scalar, _pair, _szego_levels
 
 DEFINITIONS = ("kernel", "level_n", "level_nm1")
-
-
-@dataclass
-class RealFormValue:
-    """One sample of the rotated real-valued trace on the circle.
-
-    theta is the offset from the base point (z = lambda e^{i theta});
-    imag_residual is the leftover imaginary part, which should vanish.
-    """
-
-    value: float
-    imag_residual: float
-    theta: float
 
 
 class ParaPolynomial:
@@ -83,7 +68,6 @@ class ParaPolynomial:
 def _eval_with_scale(p: ParaPolynomial, z: np.ndarray, definition: str):
     """Value and a per-point magnitude scale (largest term entering it)."""
     lam_phi, lam_star = p._lambda_values()
-    sign = -1.0 if p.kind == "first" else 1.0
     if definition == "kernel":
         weights = np.conj(lam_phi[: p.n])
         _, acc, scale = _szego_levels(p._z_alphas(p.n - 1), z, (), weights=weights)
@@ -91,16 +75,11 @@ def _eval_with_scale(p: ParaPolynomial, z: np.ndarray, definition: str):
         if p.kind == "first":
             return factor * acc, np.abs(factor) * scale
         return 2.0 - factor * acc, np.maximum(np.abs(factor) * scale, 2.0)
-    if definition == "level_n":
-        phi, ps = _pair(p._z_alphas(p.n), z)
-        t1 = np.conj(lam_star[p.n]) * ps
-        t2 = np.conj(lam_phi[p.n]) * phi
-        return t1 + sign * t2, np.maximum(np.abs(t1), np.abs(t2))
-    if definition == "level_nm1":
-        phi, ps = _pair(p._z_alphas(p.n - 1), z)
-        t1 = np.conj(lam_star[p.n - 1]) * ps
-        t2 = z * np.conj(p.lam) * np.conj(lam_phi[p.n - 1]) * phi
-        return t1 + sign * t2, np.maximum(np.abs(t1), np.abs(t2))
+    if definition in ("level_n", "level_nm1"):
+        m = p.n if definition == "level_n" else p.n - 1
+        zy = 1 if m == p.n else z * np.conj(p.lam)
+        return _level_form((lam_phi[m], lam_star[m]), _pair(p._z_alphas(m), z), zy,
+                           -1 if p.kind == "first" else 1)
     raise ValueError(f"definition must be one of {DEFINITIONS}, got {definition!r}")
 
 
@@ -165,12 +144,6 @@ def real_form_grid(p: ParaPolynomial, thetas):
     return t.real, np.abs(t.imag), scale
 
 
-def real_form(p: ParaPolynomial, theta: float) -> RealFormValue:
-    """The rotated real-valued trace at a single angle offset from lambda."""
-    values, residuals, _ = real_form_grid(p, [float(theta)])
-    return RealFormValue(float(values[0]), float(residuals[0]), float(theta))
-
-
 def _deepest_first(thetas, n_for_each):
     """Samples sorted by degree, deepest first, for a pass to level n - 1.
 
@@ -198,10 +171,9 @@ def _trace_at_levels(p: ParaPolynomial, thetas, n_for_each) -> np.ndarray:
     z = p.lam * np.exp(1j * th)
     lam_phi, lam_star = p._lambda_values()
     want, top = nn - 1, int(nn[0]) - 1  # z-side values are taken at level n-1
-    phi, ps = _szego_levels(p._z_alphas(top), z, (top,), active)[0]
-    t1 = np.conj(lam_star[want]) * ps
-    t2 = z * np.conj(p.lam) * np.conj(lam_phi[want]) * phi
-    val = t1 - t2 if p.kind == "first" else t1 + t2
+    vz = _szego_levels(p._z_alphas(top), z, (top,), active)[0]
+    val, _ = _level_form((lam_phi[want], lam_star[want]), vz, z * np.conj(p.lam),
+                         -1 if p.kind == "first" else 1)
     tr = val * np.exp(-0.5j * nn * th)
     if p.kind == "first":
         tr = tr * -1j

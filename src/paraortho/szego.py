@@ -14,7 +14,8 @@ Every float64 pass of the recursion, here and in the para module (the
 second kind on the negated coefficients), runs through `_szego_levels`:
 per level one product z phi and the fixed 2 x 2 step (phi, phi*) <-
 K_j (z phi, phi*), K_j = (1 / rho_j) [[1, -conj(a_j)], [-a_j, 1]], both
-into preallocated buffers, over blocks of BLOCK points at a time.
+into preallocated buffers, over blocks of BLOCK points at a time.  Every
+closed form at one level, here and in the para module, is `_level_form`.
 """
 
 from __future__ import annotations
@@ -43,13 +44,6 @@ class PolyPairValue:
     phi: complex | np.ndarray
     phi_star: complex | np.ndarray
     log_norm: float
-
-
-@dataclass
-class KernelValue:
-    value: complex | np.ndarray
-    n: int
-    mode: str
 
 
 def _as_points(z):
@@ -197,7 +191,28 @@ def _guard_diagonal(y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return denom
 
 
-def cd_kernel(seq: "VerblunskySequence", n: int, z, y, mode: str = "sum") -> KernelValue:
+def _kernel_points(n: int, z, y):
+    """z and y as complex arrays and whether both are scalars, for level n >= 1."""
+    if n < 1:
+        raise ValueError(f"kernel level must be >= 1, got {n}")
+    zz, scalar_z = _as_points(z)
+    yy, scalar_y = _as_points(y)
+    return zz, yy, scalar_z and scalar_y
+
+
+def _level_form(vy, vz, zy, sign):
+    """The closed combine of a kernel at one level, and its scale.
+
+    From the pairs vy = (P(y), P*(y)) and vz = (Q(z), Q*(z)) of one level:
+    (t1 + sign t2, max(|t1|, |t2|)), t1 = conj(P*(y)) Q*(z), t2 = zy conj(P(y))
+    Q(z), sign +-1, zy 1 at the kernel's degree and z conj(y) one level down.
+    """
+    t1 = np.conj(vy[1]) * vz[1]
+    t2 = zy * np.conj(vy[0]) * vz[0]
+    return (t1 + t2 if sign > 0 else t1 - t2), np.maximum(np.abs(t1), np.abs(t2))
+
+
+def cd_kernel(seq: "VerblunskySequence", n: int, z, y, mode: str = "sum"):
     """Reproducing kernel K_{n-1}(z, y) = sum_{j<n} phi_j(z) conj(phi_j(y)).
 
     Three routes to the same number: the plain sum, and the two closed
@@ -206,48 +221,31 @@ def cd_kernel(seq: "VerblunskySequence", n: int, z, y, mode: str = "sum") -> Ker
     """
     if mode not in KERNEL_MODES:
         raise ValueError(f"mode must be one of {KERNEL_MODES}, got {mode!r}")
-    if n < 1:
-        raise ValueError(f"kernel level must be >= 1, got {n}")
-    zz, scalar_z = _as_points(z)
-    yy, scalar_y = _as_points(y)
-    scalar = scalar_z and scalar_y
+    zz, yy, scalar = _kernel_points(n, z, y)
     if mode == "sum":
         a = seq.alphas(n - 1)
-        return KernelValue(_maybe_scalar(_kernel_sum(a, zz, a, yy), scalar), n, mode)
+        return _maybe_scalar(_kernel_sum(a, zz, a, yy), scalar)
     denom = _guard_diagonal(yy, zz)
-    if mode == "closed_level_n":
-        vz = _pair(seq.alphas(n), zz)
-        vy = _pair(seq.alphas(n), yy)
-        num = np.conj(vy[1]) * vz[1] - np.conj(vy[0]) * vz[0]
-    else:  # closed_level_nm1
-        vz = _pair(seq.alphas(n - 1), zz)
-        vy = _pair(seq.alphas(n - 1), yy)
-        num = np.conj(vy[1]) * vz[1] - np.conj(yy) * zz * np.conj(vy[0]) * vz[0]
-    return KernelValue(_maybe_scalar(num / denom, scalar), n, mode)
+    at_n = mode == "closed_level_n"
+    a = seq.alphas(n if at_n else n - 1)
+    num, _ = _level_form(_pair(a, yy), _pair(a, zz), 1 if at_n else np.conj(yy) * zz, -1)
+    return _maybe_scalar(num / denom, scalar)
 
 
 def mixed_kernel(seq: "VerblunskySequence", n: int, z, y, mode: str = "sum"):
     """Mixed kernel sum_{j<n} conj(phi_j(y)) psi_j(z) and its closed form.
 
-    The closed form reads (2 - conj(phi_n*(y)) psi_n*(z)
-    - conj(phi_n(y)) psi_n(z)) / (1 - conj(y) z) and needs y != z.
+    The closed form is (2 - mixed_form at level n) / (1 - conj(y) z) and
+    needs y != z.
     """
     if mode not in ("sum", "closed"):
         raise ValueError(f"mode must be 'sum' or 'closed', got {mode!r}")
-    if n < 1:
-        raise ValueError(f"kernel level must be >= 1, got {n}")
-    zz, scalar_z = _as_points(z)
-    yy, scalar_y = _as_points(y)
-    scalar = scalar_z and scalar_y
+    zz, yy, scalar = _kernel_points(n, z, y)
     if mode == "sum":
         a = seq.alphas(n - 1)
         return _maybe_scalar(_kernel_sum(-a, zz, a, yy), scalar)
     denom = _guard_diagonal(yy, zz)
-    a = seq.alphas(n)
-    vy = _pair(a, yy)
-    vz = _pair(-a, zz)
-    num = 2.0 - np.conj(vy[1]) * vz[1] - np.conj(vy[0]) * vz[0]
-    return _maybe_scalar(num / denom, scalar)
+    return _maybe_scalar((2.0 - mixed_form(seq, n, zz, yy, "n")) / denom, scalar)
 
 
 def mixed_form(seq: "VerblunskySequence", n: int, z, y, level: str = "n"):
@@ -261,16 +259,8 @@ def mixed_form(seq: "VerblunskySequence", n: int, z, y, level: str = "n"):
     """
     if level not in ("n", "nm1"):
         raise ValueError(f"level must be 'n' or 'nm1', got {level!r}")
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
-    zz, scalar_z = _as_points(z)
-    yy, scalar_y = _as_points(y)
-    scalar = scalar_z and scalar_y
-    a = seq.alphas(n if level == "n" else n - 1)
-    vy = _pair(a, yy)
-    vz = _pair(-a, zz)
-    if level == "n":
-        out = np.conj(vy[1]) * vz[1] + np.conj(vy[0]) * vz[0]
-    else:
-        out = np.conj(vy[1]) * vz[1] + zz * np.conj(yy) * np.conj(vy[0]) * vz[0]
+    zz, yy, scalar = _kernel_points(n, z, y)
+    at_n = level == "n"
+    a = seq.alphas(n if at_n else n - 1)
+    out, _ = _level_form(_pair(a, yy), _pair(-a, zz), 1 if at_n else zz * np.conj(yy), 1)
     return _maybe_scalar(out, scalar)

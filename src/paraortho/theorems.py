@@ -56,6 +56,8 @@ class SupportModel:
             raise SupportModelError("support model is empty")
         if self.provenance not in ("analytic", "estimated"):
             raise SupportModelError(f"unknown provenance {self.provenance!r}")
+        if not (np.isfinite(self.arcs).all() and np.isfinite(self.points).all()):
+            raise SupportModelError("support model has a non-finite arc end or point")
         for start, end in self.arcs:
             if end == start:
                 raise SupportModelError(f"arc ({start}, {end}) has no extent")
@@ -280,6 +282,8 @@ def check_gap_theorem(ctx: TheoremContext, gap: tuple[float, float], n: int) -> 
     if ctx.support is None:
         raise PreconditionError("gap theorem needs a support model")
     start, end = float(gap[0]), float(gap[1])
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValueError(f"gap ({start}, {end}) has a non-finite end")
     span = _arc_span(start, end)
     degenerate = span == 0.0
     if not degenerate:
@@ -451,7 +455,7 @@ def _bound_side(ctx: TheoremContext, z0: complex, n: int, side: str, kind: str, 
     """
     v_n, v_n1 = (abs(para_eval(ParaPolynomial(kind, m, ctx.lam, ctx.seq), z0, "level_n"))
                  for m in (n, n + 1))
-    sqrt_k = math.sqrt(float(np.real(cd_kernel(seq, n, z0, z0, "sum").value)))
+    sqrt_k = math.sqrt(float(np.real(cd_kernel(seq, n, z0, z0, "sum"))))
     i_is_n = v_n1 <= v_n
     rhs, applicable = kernel_bound
     checks = [

@@ -1,6 +1,6 @@
 """Locate the circle zeros of paraorthogonal polynomials and check interlacing.
 
-Zero location works on the rotated real-valued trace (see para.real_form):
+Zero location works on the rotated real-valued trace (see para.real_form_grid):
 its zeros on [0, 2pi) are exactly the polynomial's zeros relative to the
 base point, they are simple, and the sign alternates between consecutive
 zeros, so sign-change bracketing plus refinement is a complete detector.
@@ -331,6 +331,8 @@ def _zero_sets(polys: dict[int, ParaPolynomial], theta_tol: float,
     every degree, and its base-point values, one recursion pass, serve
     every degree: level j does not depend on the degree.
     """
+    if not (math.isfinite(theta_tol) and theta_tol > 0):
+        raise ValueError(f"theta_tol must be finite and > 0, got {theta_tol}")
     if not polys:
         return {}
     top = polys[max(polys)]

@@ -23,6 +23,9 @@ class TestParsers:
         assert parse_angle("1.25") == 1.25
         with pytest.raises(ValueError):
             parse_angle("half a turn")
+        for text in ("nan", "inf", "-inf", "nanpi", "infpi"):
+            with pytest.raises(ValueError, match="is not finite"):
+                parse_angle(text)
 
     def test_ranges(self):
         assert parse_range("7") == [7]
@@ -335,6 +338,70 @@ class TestExitCodes:
         path.write_text('{"weight": {"kind": "lebesgue"}, "masses": [{"theta": NaN, "w": 0.5}]}')
         assert run(["zeros", "--measure", str(path), "--n", "2", "--out", "/dev/null"]) == 2
         assert "non-finite angle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--lambda-theta", "pi", "--z0-theta", "nan"],
+        ["--lambda-theta", "nan", "--z0-theta", "0"],
+        ["--lambda-theta", "pi", "--z0-theta", "infpi"],
+    ])
+    def test_non_finite_angles_are_usage_errors(self, tmp_path, capsys, args):
+        support = tmp_path / "support.json"
+        support.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]]}))
+        out = tmp_path / "r.json"
+        assert run([
+            "verify", "theorem1", "--alpha", "const:-0.5", *args,
+            "--support", str(support), "--n", "5", "--out", str(out),
+        ]) == 2
+        assert "is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_gap_is_a_usage_error(self, tmp_path, capsys):
+        support = tmp_path / "support.json"
+        support.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]]}))
+        out = tmp_path / "r.json"
+        assert run([
+            "verify", "gap", "--alpha", "const:-0.5", "--lambda-theta", "pi",
+            "--support", str(support), "--gap", "nan:1", "--n", "5", "--out", str(out),
+        ]) == 2
+        assert "is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_support_arc_is_a_usage_error(self, tmp_path, capsys):
+        # json.load admits NaN; the support model must not
+        support = tmp_path / "support.json"
+        support.write_text('{"arcs": [[NaN, 5.236]]}')
+        out = tmp_path / "r.json"
+        assert run([
+            "verify", "theorem1", "--alpha", "const:-0.5", "--lambda-theta", "pi",
+            "--z0-theta", "0", "--support", str(support), "--n", "2..3", "--out", str(out),
+        ]) == 2
+        assert "non-finite arc end or point" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_theta_tol_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "z.json"
+        assert run([
+            "zeros", "--alpha", "const:0.5", "--n", "6", "--theta-tol", "0", "--out", str(out),
+        ]) == 2
+        assert "theta_tol must be finite and > 0, got 0.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["identities", "--alpha", "const:0.5"],
+        ["identities", "--measure", "m.json"],
+        ["identities", "--theta-tol", "1e-9"],
+        ["coeffs", "--alpha", "const:0.5", "--n", "3", "--theta-tol", "1e-9"],
+    ])
+    def test_options_a_command_does_not_read_are_rejected(self, capsys, args):
+        assert run(args) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["zeros", "coeffs"])
+    def test_degree_range_where_one_integer_is_read(self, tmp_path, capsys, command):
+        out = tmp_path / "r.json"
+        assert run([command, "--alpha", "const:0.5", "--n", "2..5", "--out", str(out)]) == 2
+        assert "error: invalid literal for int() with base 10: '2..5'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_argparse_usage_error(self, capsys):
         assert run(["zeros"]) == 2  # --n is required

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import paraortho as pa
-from paraortho.para import kernel_to_monic_factor, para_scale, real_form_grid
-from paraortho.szego import eval_pair, monic_norm
+from paraortho.para import _trace_at_levels, kernel_to_monic_factor, para_scale, real_form_grid
+from paraortho.szego import eval_pair, mixed_form, monic_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,15 +90,15 @@ class TestRealForm:
     def test_free_case_closed_form(self):
         # eta_2 at theta = pi/2 equals -2 when pinned at 1
         p = pa.ParaPolynomial("first", 2, 1.0, pa.ConstantSequence(0.0))
-        rf = pa.real_form(p, math.pi / 2)
-        assert rf.value == -2.0
-        assert rf.imag_residual == 0.0
+        vals, resid, _ = real_form_grid(p, [math.pi / 2])
+        assert vals[0] == -2.0
+        assert resid[0] == 0.0
 
     def test_second_kind_at_origin(self):
         p = pa.ParaPolynomial("second", 7, np.exp(0.3j), pa.RandomSequence(0.6, 1))
-        rf = pa.real_form(p, 0.0)
+        vals, _, _ = real_form_grid(p, [0.0])
         # level form loses the exact 2 at huge scales; here scale is tame
-        assert abs(rf.value - 2.0) < 1e-9
+        assert abs(vals[0] - 2.0) < 1e-9
 
     def test_free_trace_is_sine(self):
         p = pa.ParaPolynomial("first", 6, 1.0, pa.ConstantSequence(0.0))
@@ -124,14 +124,42 @@ class TestRealForm:
         seq = pa.RandomSequence(0.5, 21)
         p = pa.ParaPolynomial("second", 7, np.exp(1.0j), seq)
         eps = 1e-8
-        lo = pa.real_form(p, eps).value
-        hi = pa.real_form(p, TWO_PI - eps).value
+        lo = real_form_grid(p, [eps])[0][0]
+        hi = real_form_grid(p, [TWO_PI - eps])[0][0]
         assert abs(hi + lo) <= 1e-6 * max(abs(lo), 1.0)
         # even n: continuous across the cut
         q = pa.ParaPolynomial("second", 8, np.exp(1.0j), seq)
-        lo = pa.real_form(q, eps).value
-        hi = pa.real_form(q, TWO_PI - eps).value
+        lo = real_form_grid(q, [eps])[0][0]
+        hi = real_form_grid(q, [TWO_PI - eps])[0][0]
         assert abs(hi - lo) <= 1e-6 * max(abs(lo), 1.0)
+
+
+class TestOneCombine:
+    """The level forms of every route come from one combine, bit for bit."""
+
+    CASES = [(seed, n) for seed in (1, 2, 3) for n in (1, 40, 150)]
+
+    @pytest.mark.parametrize("seed, n", CASES)
+    def test_second_kind_is_the_mixed_form(self, seed, n):
+        seq = pa.RandomSequence(0.8, seed)
+        rng = np.random.default_rng(seed)
+        lam = np.exp(1j * rng.uniform(0.0, TWO_PI))
+        z = np.exp(1j * rng.uniform(0.0, TWO_PI, 16))
+        p = pa.ParaPolynomial("second", n, lam, seq)
+        for definition, level in (("level_n", "n"), ("level_nm1", "nm1")):
+            want = mixed_form(seq, n, z, lam, level)
+            assert pa.para_eval(p, z, definition).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed, n", CASES)
+    def test_grid_trace_is_the_trace_at_levels(self, seed, n):
+        seq = pa.RandomSequence(0.8, seed)
+        rng = np.random.default_rng(seed)
+        lam = np.exp(1j * rng.uniform(0.0, TWO_PI))
+        th = rng.uniform(0.0, TWO_PI, 64)
+        for kind in ("first", "second"):
+            p = pa.ParaPolynomial(kind, n, lam, seq)
+            got = _trace_at_levels(p, th, np.full(th.size, n))
+            assert real_form_grid(p, th)[0].tobytes() == got.tobytes()
 
 
 class TestDifferenceIdentities:
@@ -188,7 +216,7 @@ class TestMeasureSideIdentities:
                 z = np.exp(1j * thetas)
                 return pa.para_eval(p, z, "level_n") * np.conj(z**k)
 
-            assert abs(measure.integrate(f, panels=2048)) < 1e-7
+            assert abs(measure.integrate(f)) < 1e-7
 
     def test_endpoint_inner_products(self, bs_setup):
         # after scaling out the kernel factor, <H_n, 1> and <H_n, z^n>
@@ -207,7 +235,7 @@ class TestMeasureSideIdentities:
                 z = np.exp(1j * thetas)
                 return (pa.para_eval(p, z, "level_n") / factor) * np.conj(g(z))
 
-            return measure.integrate(f, panels=2048)
+            return measure.integrate(f)
 
         got_one = inner(lambda z: np.ones_like(z))
         want_one = (np.conj(alpha) - np.conj(beta)) * norm2
@@ -225,6 +253,6 @@ class TestMeasureSideIdentities:
             def f(thetas):
                 return np.abs(pa.para_eval(p, np.exp(1j * thetas), "level_n")) ** 2
 
-            norm = math.sqrt(abs(measure.integrate(f, panels=2048)))
+            norm = math.sqrt(abs(measure.integrate(f)))
             bound = 2.0 * abs(eval_pair(seq, n, lam).phi)
             assert norm <= bound + 1e-7

@@ -71,6 +71,15 @@ class TestSupportModel:
         with pytest.raises(SupportModelError):
             pa.support_model([(0.0, 2.0)], points=[1.0])
 
+    @pytest.mark.parametrize("arcs, points", [
+        ([(float("nan"), 5.236)], []),
+        ([(1.0, float("inf"))], []),
+        ([ARC], [float("nan")]),
+    ])
+    def test_non_finite_ends_and_points(self, arcs, points):
+        with pytest.raises(SupportModelError, match="non-finite"):
+            pa.support_model(arcs, points)
+
     def test_wrapping_arc(self):
         model = pa.support_model([(5.0, 1.0)])  # wraps through 0
         assert pa.dist_to_support(model, np.exp(0.5j)) == 0.0
@@ -140,6 +149,12 @@ class TestTheorem1:
         assert rep.radii["rho_prime"] >= rep.radii["rho"] - 1e-15
         assert rep.passed
 
+    @pytest.mark.parametrize("z0", [float("nan"), complex(float("nan"), 0.0), complex(1.0, float("inf"))])
+    def test_non_finite_z0_rejected(self, geronimus_ctx, z0):
+        # NaN used to pass the circle check and give a pass with delta NaN
+        with pytest.raises(ValueError, match="off the unit circle"):
+            pa.check_theorem1(geronimus_ctx, z0, 5)
+
     def test_z0_equal_lambda_rejected(self, geronimus_ctx):
         with pytest.raises(PreconditionError):
             pa.check_theorem1(geronimus_ctx, geronimus_ctx.lam, 5)
@@ -174,6 +189,11 @@ class TestGapTheorem:
     def test_degenerate_gap(self, geronimus_ctx):
         rep = pa.check_gap_theorem(geronimus_ctx, (0.5, 0.5), 5)
         assert rep.passed and rep.degenerate
+
+    @pytest.mark.parametrize("gap", [(float("nan"), 1.0), (1.0, float("inf"))])
+    def test_non_finite_gap_rejected(self, geronimus_ctx, gap):
+        with pytest.raises(ValueError, match="non-finite end"):
+            pa.check_gap_theorem(geronimus_ctx, gap, 5)
 
     def test_gap_overlapping_support_rejected(self, geronimus_ctx):
         # a full turn is not an empty gap: it holds the whole support

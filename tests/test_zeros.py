@@ -8,7 +8,7 @@ import pytest
 import paraortho as pa
 from paraortho import zeros
 from paraortho.errors import ResolutionError
-from paraortho.para import _phase_at_levels, _trace_at_levels
+from paraortho.para import _phase_at_levels, _trace_at_levels, real_form_grid
 from paraortho.zeros import ZeroSet, find_zeros_sweep
 
 TWO_PI = 2.0 * math.pi
@@ -77,6 +77,14 @@ class TestFindZeros:
                 assert zs.simplicity
                 if kind == "first":
                     assert zs.angles[0] == 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])
+    def test_theta_tol_must_be_finite_and_positive(self, tol):
+        # 0 used to escape from the polish as an OverflowError
+        with pytest.raises(ValueError, match="theta_tol must be finite and > 0"):
+            pa.find_zeros(free_poly("first", 4), tol)
+        with pytest.raises(ValueError, match="theta_tol must be finite and > 0"):
+            find_zeros_sweep("second", 1.0, pa.ConstantSequence(0.5), range(2, 6), tol)
 
     def test_geronimus_matches_oracle(self):
         p = pa.ParaPolynomial("first", 10, 1.0, pa.ConstantSequence(0.5))
@@ -195,7 +203,7 @@ class TestPhaseRoute:
             for n, zs in find_zeros_sweep("second", 1.0, seq, range(122, 143, 5)).items():
                 assert zs.angles[0] < 1e-12 and zs.simplicity
                 mid = 0.5 * (zs.angles[0] + zs.angles[1])
-                assert pa.real_form(zs.source, mid).value < 0.0
+                assert real_form_grid(zs.source, [mid])[0][0] < 0.0
 
     def test_sweep_above_eigen_max_n_matches_single(self):
         seq = pa.RandomSequence(0.9, 2)
