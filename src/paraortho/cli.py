@@ -34,8 +34,6 @@ from .coeffs import (
     write_coefficient_file,
 )
 from .errors import (
-    AmbiguousMinimaError,
-    ConditioningError,
     MeasureIngestionError,
     ParaorthoError,
     PreconditionError,
@@ -53,16 +51,16 @@ TWO_PI = 2.0 * math.pi
 
 # verify's theorem id -> (name of the check in `theorems`, looked up when
 # verify runs; the RunConfig field of its argument before n (z0 or the
-# gap) or None; the zero-set kinds it reads at n and n + 1; whether it
-# estimates the flipped-side support without --nu-support)
+# gap) or None; whether it estimates the flipped-side support without
+# --nu-support, which sets how many coefficients a measure must yield)
 _VERIFY_CHECKS = {
-    "theorem1": ("check_theorem1", "z0_theta", ("first",), False),
-    "theorem2": ("check_interlacing_first_second", None, ("first", "second"), False),
-    "consecutive": ("check_consecutive_interlacing", None, ("first",), False),
-    "gap": ("check_gap_theorem", "gap", ("first",), False),
-    "main_lemma": ("check_second_kind_exclusion", "z0_theta", ("second",), True),
-    "theorem3": ("check_theorem3", "z0_theta", ("first",), True),
-    "bounds": ("audit_lemma_bounds", "z0_theta", (), True),
+    "theorem1": ("check_theorem1", "z0_theta", False),
+    "theorem2": ("check_interlacing_first_second", None, False),
+    "consecutive": ("check_consecutive_interlacing", None, False),
+    "gap": ("check_gap_theorem", "gap", False),
+    "main_lemma": ("check_second_kind_exclusion", "z0_theta", True),
+    "theorem3": ("check_theorem3", "z0_theta", True),
+    "bounds": ("audit_lemma_bounds", "z0_theta", True),
 }
 # interlace's checks -> the (kind, degree offset) zero sets its --svg draws
 _FIGURES = {
@@ -240,6 +238,8 @@ def _svg_circle_figure(zero_sets, lam_theta: float) -> str:
 
 def _cmd_coeffs(cfg: RunConfig) -> int:
     count = int(cfg.n_spec)  # one integer: a range is a usage error
+    if count < 0:
+        raise ValueError(f"--n must be at least 0, got {count}")
     seq, _ = _sequence(cfg, count)
     alphas = [seq.alpha(j) for j in range(count)]
     if cfg.out and cfg.out.endswith(".txt"):
@@ -287,7 +287,7 @@ def _point_argument(cfg: RunConfig, theorem: str, name: str):
 def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
     """Run the theorem's check at each --n degree; with --svg (interlace),
     draw the zero sets the check compares at the last degree."""
-    check_name, arg_name, kinds, estimates_nu = _VERIFY_CHECKS[theorem]
+    check_name, arg_name, estimates_nu = _VERIFY_CHECKS[theorem]
     check = getattr(theorems, check_name)
     args = () if arg_name is None else (_point_argument(cfg, theorem, arg_name),)
     n_values = parse_range(cfg.n_spec or "2..20")
@@ -304,15 +304,15 @@ def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
     ctx = TheoremContext(
         seq=seq, lam=lam, support=support, nu_support=nu_support, measure=measure,
         theta_tol=cfg.theta_tol, nu_estimate_n=cfg.nu_estimate_n,
+        degrees=range(min(n_values), max(n_values) + 2),
     )
-    ctx.prefetch(kinds, range(min(n_values), max(n_values) + 2))
 
     results = []
     failures = 0
     for n in n_values:
         try:
             rep = check(ctx, *args, n)
-        except (ResolutionError, AmbiguousMinimaError) as exc:
+        except ResolutionError as exc:
             results.append({"theorem": theorem, "n": n, "verdict": "error", "error": str(exc)})
             failures += 1
             continue
@@ -365,6 +365,9 @@ def _cmd_identities(cfg: RunConfig) -> int:
     Residuals are relative to max(1, |largest term|); exit 1 if any
     exceeds --tol.
     """
+    for option, value, least in (("--count", cfg.count, 1), ("--max-n", cfg.max_n, 2), ("--points", cfg.points, 1)):
+        if value < least:
+            raise ValueError(f"{option} must be at least {least}, got {value}")
     rng = np.random.default_rng(cfg.seed)
     worst: dict[str, float] = {}
 
@@ -515,7 +518,7 @@ def run(argv=None) -> int:
     except (SpecFileError, MeasureIngestionError, SupportModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConditioningError, ResolutionError, AmbiguousMinimaError, ParaorthoError) as exc:
+    except ParaorthoError as exc:
         print(f"check could not be established: {exc}", file=sys.stderr)
         return 1
 

@@ -19,13 +19,13 @@ rather than silently passing.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coeffs import MeasureSpec, VerblunskySequence, _arc_span, unit_circle_point
 from .errors import (
-    AmbiguousMinimaError,
     DomainError,
     PreconditionError,
     ResolutionError,
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .para import ParaPolynomial, para_eval
 from .szego import cd_kernel, eval_pair
-from .zeros import THETA_TOL, ZeroSet, _circular_gap, find_zeros, find_zeros_sweep, interlace
+from .zeros import THETA_TOL, ZeroSet, _circular_gap, _zero_sets, find_zeros_sweep, interlace
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,42 +139,45 @@ class TheoremContext:
     measure: MeasureSpec | None = None  # same measure the seq came from, if any
     theta_tol: float = THETA_TOL
     nu_estimate_n: int = 400
+    # the degrees a run's checks read, swept together per kind by zero_set
+    degrees: Collection[int] = ()
 
     def __post_init__(self):
         self.lam = unit_circle_point(self.lam)
-        self._zero_cache: dict[tuple[str, int], ZeroSet] = {}
+        self._zero_cache: dict[tuple[str, int], ZeroSet | ResolutionError] = {}
         self._nu_estimate: SupportModel | None = None
 
     def zero_set(self, kind: str, n: int) -> ZeroSet:
-        key = (kind, n)
-        if key not in self._zero_cache:
-            self._zero_cache[key] = find_zeros(
-                ParaPolynomial(kind, n, self.lam, self.seq), self.theta_tol
-            )
-        return self._zero_cache[key]
+        """The zeros of `kind` at degree n, found once per context.
 
-    def prefetch(self, kinds, n_values) -> None:
-        """Find the zero sets of each kind at n_values, one sweep per kind;
-        degrees it cannot resolve stay uncached, for zero_set to raise."""
-        for kind in kinds:
-            sweep = find_zeros_sweep(
-                kind, self.lam, self.seq, n_values, self.theta_tol, skip_unresolved=True
-            )
-            self._zero_cache.update(((kind, n), zs) for n, zs in sweep.items())
+        The first miss of a kind at a degree in `degrees` finds that kind
+        at every uncached degree of `degrees` in one sweep; a degree
+        outside them is found alone.  A degree whose zeros cannot be
+        isolated raises its ResolutionError each time it is asked for.
+        """
+        if (kind, n) not in self._zero_cache:
+            swept = self.degrees if n in self.degrees else [n]
+            wanted = sorted(m for m in set(swept) if (kind, m) not in self._zero_cache)
+            sets = _zero_sets({m: ParaPolynomial(kind, m, self.lam, self.seq) for m in wanted}, self.theta_tol)
+            self._zero_cache.update(((kind, m), zs) for m, zs in sets.items())
+        zs = self._zero_cache[(kind, n)]
+        if isinstance(zs, ResolutionError):
+            raise zs
+        return zs
 
-    def nu_model(self) -> tuple[SupportModel, str]:
-        """The nu support model and where it came from.
+    def nu_model(self) -> SupportModel:
+        """The nu support model; its provenance says where it came from.
 
         Without a given model it is estimated once per context, with the
         context's theta_tol.
         """
         if self.nu_support is not None:
-            return self.nu_support, self.nu_support.provenance
+            return self.nu_support
         if self._nu_estimate is None:
             self._nu_estimate = estimate_support(
                 self.seq.flipped(), self.lam, self.nu_estimate_n, theta_tol=self.theta_tol
             )
-        return self._nu_estimate, "estimated"
+        return self._nu_estimate
 
 
 @dataclass
@@ -198,22 +201,13 @@ class TheoremReport:
         return self.verdict == "pass"
 
 
-def count_zeros_in_ball(
-    zs: ZeroSet, z0: complex, radius: float, exclude_lambda: bool = False
-) -> tuple[int, list[float], list[str]]:
+def count_zeros_in_ball(zs: ZeroSet, z0: complex, radius: float) -> tuple[int, list[float], list[str]]:
     """Zeros strictly inside the chordal ball B(z0, radius).
 
     Returns (count, offending absolute angles, warnings); zeros within
-    BOUNDARY_TOL of the boundary are warned about and not counted.  With
-    exclude_lambda, the pinned base-point zero of a first-kind set is
-    dropped before counting.
+    BOUNDARY_TOL of the boundary are warned about and not counted.
     """
-    angles = zs.angles
-    if exclude_lambda and zs.kind == "first":
-        angles = angles[angles > 0.0]
-    if angles.size == 0:
-        return 0, [], []
-    absolute = (angles + zs.lambda_theta) % TWO_PI
+    absolute = zs.absolute_angles()
     d = np.abs(np.exp(1j * absolute) - z0)
     near = np.abs(d - radius) <= BOUNDARY_TOL
     inside = (d < radius) & ~near
@@ -240,15 +234,14 @@ def check_theorem1(ctx: TheoremContext, z0: complex, n: int) -> TheoremReport:
     lam_dist = dist_to_support(ctx.support, ctx.lam)
     if lam_dist > 0.0:
         radii["rho_prime"] = rho_prime_radius(delta, lam_dist)
-    za = ctx.zero_set("first", n)
-    zb = ctx.zero_set("first", n + 1)
+    za, zb = (ctx.zero_set("first", m).without_base_point() for m in (n, n + 1))
     counts: dict = {}
     witnesses: list = []
     warnings: list = []
     verdict = "pass"
     for name, r in radii.items():
-        ca, wa, warn_a = count_zeros_in_ball(za, z0, r, exclude_lambda=True)
-        cb, wb, warn_b = count_zeros_in_ball(zb, z0, r, exclude_lambda=True)
+        ca, wa, warn_a = count_zeros_in_ball(za, z0, r)
+        cb, wb, warn_b = count_zeros_in_ball(zb, z0, r)
         counts[f"h_n@{name}"] = ca
         counts[f"h_n1@{name}"] = cb
         warnings.extend(warn_a + warn_b)
@@ -271,7 +264,7 @@ def check_theorem1(ctx: TheoremContext, z0: complex, n: int) -> TheoremReport:
 
 def _beyond(x: float, y: float) -> bool:
     """x exceeds y by more than the gap check's tolerance."""
-    return x > y and not math.isclose(x, y, abs_tol=1e-12)
+    return x > y and not math.isclose(x, y, rel_tol=0.0, abs_tol=1e-12)
 
 
 def check_gap_theorem(ctx: TheoremContext, gap: tuple[float, float], n: int) -> TheoremReport:
@@ -340,7 +333,10 @@ def check_consecutive_interlacing(ctx: TheoremContext, n: int) -> TheoremReport:
     return _interlacing(ctx, n, "consecutive", "first", 1)
 
 
-def _isolated_point_radius(ctx: TheoremContext, z0: complex):
+def _isolated_point_count(ctx: TheoremContext, z0: complex, n: int, theorem: str, kind: str,
+                          labels: tuple[str, str], allowed: int) -> TheoremReport:
+    """Pass when the zeros of kind at degree n or n + 1 in B(z0, rho_tilde)
+    number at most `allowed`, counted under `labels`."""
     if ctx.support is None:
         raise PreconditionError("isolated-point checks need a support model")
     z0 = unit_circle_point(z0)
@@ -349,28 +345,19 @@ def _isolated_point_radius(ctx: TheoremContext, z0: complex):
         raise PreconditionError(
             f"z0 (angle {theta0}) is not a declared isolated point of the support model"
         )
-    nu_model, nu_prov = ctx.nu_model()
+    nu_model = ctx.nu_model()
     delta_nu = dist_to_support(nu_model, z0)
     if delta_nu <= 0.0:
         raise PreconditionError("z0 lies in the modeled flipped-side support (delta_nu = 0)")
     d_lam = abs(z0 - ctx.lam)
-    degenerate = d_lam <= 1e-12
-    radius = 0.0 if degenerate else rho_tilde_radius(delta_nu, d_lam)
-    return z0, theta0, delta_nu, d_lam, radius, degenerate, nu_prov
-
-
-def _isolated_point_count(ctx: TheoremContext, z0: complex, n: int, theorem: str, kind: str,
-                          labels: tuple[str, str], allowed: int) -> TheoremReport:
-    """Pass when the zeros of kind at degree n or n + 1 in B(z0, rho_tilde)
-    number at most `allowed`, counted under `labels`."""
-    z0, theta0, delta_nu, d_lam, radius, degenerate, nu_prov = _isolated_point_radius(ctx, z0)
-    if degenerate:
+    if d_lam <= 1e-12:
         return TheoremReport(
             theorem, n, "pass", degenerate=True, z0_theta=theta0,
             delta_nu=delta_nu, radii={"rho_tilde": 0.0},
             warnings=["z0 coincides with the base point: zero radius, vacuous"],
-            notes={"nu_support": nu_prov},
+            notes={"nu_support": nu_model.provenance},
         )
+    radius = rho_tilde_radius(delta_nu, d_lam)
     ca, wa, warn_a = count_zeros_in_ball(ctx.zero_set(kind, n), z0, radius)
     cb, wb, warn_b = count_zeros_in_ball(ctx.zero_set(kind, n + 1), z0, radius)
     verdict = "pass" if min(ca, cb) <= allowed else "fail"
@@ -384,7 +371,7 @@ def _isolated_point_count(ctx: TheoremContext, z0: complex, n: int, theorem: str
         counts={labels[0]: ca, labels[1]: cb},
         witnesses=(wa + wb) if verdict == "fail" else [],
         warnings=warn_a + warn_b,
-        notes={"nu_support": nu_prov, "z0_lam_dist": repr(d_lam)},
+        notes={"nu_support": nu_model.provenance, "z0_lam_dist": repr(d_lam)},
     )
 
 
@@ -467,10 +454,9 @@ def _bound_side(ctx: TheoremContext, z0: complex, n: int, side: str, kind: str, 
             notes=f"i = {'n' if i_is_n else 'n+1'}",
         )
     ]
-    zs = ctx.zero_set(kind, n)
     worst = math.inf
-    for theta in zs.interior_angles():
-        tau = np.exp(1j * ((theta + zs.lambda_theta) % TWO_PI))
+    for theta in ctx.zero_set(kind, n).without_base_point().absolute_angles():
+        tau = np.exp(1j * theta)
         bound = v_n * dist_to_support(model, tau) / (sqrt_k * norm) if norm > 0 else 0.0
         worst = min(worst, abs(z0 - tau) - bound)
     if math.isfinite(worst):
@@ -517,12 +503,13 @@ def audit_lemma_bounds(ctx: TheoremContext, z0: complex, n: int) -> BoundAuditRe
         checks.append(BoundCheck("h_norm_upper", norm_bound, h_norm))
 
     try:
-        nu_model, notes["nu_support"] = ctx.nu_model()
-    except (PreconditionError, ValueError, SupportModelError, ResolutionError, AmbiguousMinimaError):
+        nu_model = ctx.nu_model()
+    except (SupportModelError, ResolutionError):
         # no flipped-side support available (e.g. its zeros collapse onto
         # an atom beyond float resolution): report the one-sided audit
         notes["nu_support"] = "unavailable"
         return BoundAuditReport(n, theta0, checks, notes)
+    notes["nu_support"] = nu_model.provenance
     delta_nu = dist_to_support(nu_model, z0)
     checks += _bound_side(
         ctx, z0, n, "s", "second", seq=ctx.seq.flipped(), model=nu_model, delta=delta_nu,
@@ -555,8 +542,7 @@ def estimate_support(
         raise ValueError(f"support estimation needs degree >= 50, got {n_estimate}")
     lam = unit_circle_point(lam)
     za, zb = find_zeros_sweep("first", lam, seq, [n_estimate, n_estimate + 1], theta_tol).values()
-    a = np.sort((za.interior_angles() + za.lambda_theta) % TWO_PI)
-    b = np.sort((zb.interior_angles() + zb.lambda_theta) % TWO_PI)
+    a, b = (np.sort(zs.without_base_point().absolute_angles()) for zs in (za, zb))
     marked = a[np.min(_circular_gap(a[:, None], b[None, :]), axis=1) <= TWO_PI / n_estimate]
     if not marked.size:
         raise SupportModelError("no coincident zeros: estimate has nothing to report")

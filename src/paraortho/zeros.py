@@ -80,9 +80,7 @@ class ZeroSet:
 
     def interior_angles(self) -> np.ndarray:
         """Angles with the pinned base-point zero (first kind) removed."""
-        if self.kind == "first":
-            return self.angles[self.angles > 0.0]
-        return self.angles
+        return self.without_base_point().angles
 
     def without_base_point(self) -> "ZeroSet":
         """The set with the pinned base-point zero (first kind) removed."""
@@ -105,8 +103,8 @@ class ZeroSet:
 
     def to_csv_rows(self) -> list[list]:
         rows = []
-        for i, (a, r) in enumerate(zip(self.angles, self.residuals)):
-            rows.append([i, float(a), float((a + self.lambda_theta) % TWO_PI), float(r)])
+        for i, (a, t, r) in enumerate(zip(self.angles, self.absolute_angles(), self.residuals)):
+            rows.append([i, float(a), float(t), float(r)])
         return rows
 
 
@@ -262,7 +260,10 @@ def find_zeros(p: ParaPolynomial, theta_tol: float = THETA_TOL) -> ZeroSet:
     found count; a short list is never returned silently.  This is
     find_zeros_sweep on the one degree of p.
     """
-    return _zero_sets({p.n: p}, theta_tol, skip_unresolved=False)[p.n]
+    zs = _zero_sets({p.n: p}, theta_tol)[p.n]
+    if isinstance(zs, ResolutionError):
+        raise zs
+    return zs
 
 
 def _all_roots(p: ParaPolynomial, roots: np.ndarray) -> np.ndarray:
@@ -277,9 +278,10 @@ def _midpoints(roots: np.ndarray) -> np.ndarray:
 
 
 def _assemble(p: ParaPolynomial, roots: np.ndarray, values: np.ndarray, scale: float,
-              theta_tol: float) -> ZeroSet:
-    """Check and package the refined zeros; values holds the trace at the
-    roots followed by the trace at the midpoints between them."""
+              theta_tol: float) -> ZeroSet | ResolutionError:
+    """Check and package the refined zeros, or the ResolutionError of the
+    check they fail; values holds the trace at the roots followed by the
+    trace at the midpoints between them."""
     residuals = np.abs(values[: roots.size])
     # the trace has frequencies up to n/2, so by Bernstein's inequality a
     # bracket midpoint, within theta_tol / 2 of its zero, has a residual
@@ -287,13 +289,13 @@ def _assemble(p: ParaPolynomial, roots: np.ndarray, values: np.ndarray, scale: f
     tol = max(RESIDUAL_FLOOR, p.n * theta_tol / 4)
     bad = residuals > tol * scale
     if np.any(bad):
-        raise ResolutionError(
+        return ResolutionError(
             p.n,
             int(np.sum(~bad)),
             f"{int(np.sum(bad))} refined zeros have residual above {tol:.3g} * scale",
         )
     if np.any(np.diff(roots) <= 0.0):
-        raise ResolutionError(p.n, len(roots), "refined zeros are not strictly increasing")
+        return ResolutionError(p.n, len(roots), "refined zeros are not strictly increasing")
     msign = np.sign(values[roots.size :])
     simplicity = bool(np.all(msign[:-1] * msign[1:] < 0.0)) and bool(np.all(msign != 0.0))
     lam_theta = float(np.angle(p.lam) % TWO_PI)
@@ -312,24 +314,33 @@ def find_zeros_sweep(
 
     The phase count, all bracket refinements and the final checks are
     batched through one multi-level evaluation per step, which is what
-    makes long degree sweeps affordable.  Results match find_zeros.
+    makes long degree sweeps affordable.  Results agree with find_zeros
+    within theta_tol; their last bits depend on the degrees swept
+    together.
 
-    With skip_unresolved, degrees whose zeros cannot be isolated are
-    left out of the result instead of aborting the sweep; callers must
-    treat missing keys as explicit resolution failures.
+    If the zeros of some degree cannot be isolated, the ResolutionError
+    of the lowest such degree is raised.  With skip_unresolved, such
+    degrees are left out of the result instead; callers must treat
+    missing keys as explicit resolution failures.
     """
     polys = {n: ParaPolynomial(kind, n, lam, seq) for n in sorted(set(int(n) for n in n_values))}
-    return _zero_sets(polys, theta_tol, skip_unresolved)
+    out = _zero_sets(polys, theta_tol)
+    failed = [zs for zs in out.values() if isinstance(zs, ResolutionError)]
+    if failed and not skip_unresolved:
+        raise failed[0]
+    return {n: zs for n, zs in out.items() if not isinstance(zs, ResolutionError)}
 
 
-def _zero_sets(polys: dict[int, ParaPolynomial], theta_tol: float,
-               skip_unresolved: bool) -> dict[int, ZeroSet]:
-    """The zero path of find_zeros and find_zeros_sweep.
+def _zero_sets(polys: dict[int, ParaPolynomial],
+               theta_tol: float) -> dict[int, ZeroSet | ResolutionError]:
+    """The zero path of find_zeros, find_zeros_sweep and TheoremContext.
 
     polys maps increasing degrees to polynomials of one family (kind,
     base point and coefficients).  The highest one evaluates the trace of
     every degree, and its base-point values, one recursion pass, serve
-    every degree: level j does not depend on the degree.
+    every degree: level j does not depend on the degree.  Each degree
+    maps to its zero set, or to the ResolutionError that says why its
+    zeros could not be isolated.
     """
     if not (math.isfinite(theta_tol) and theta_tol > 0):
         raise ValueError(f"theta_tol must be finite and > 0, got {theta_tol}")
@@ -347,13 +358,8 @@ def _zero_sets(polys: dict[int, ParaPolynomial], theta_tol: float,
     def phase(parts):
         return _batched(lambda th, nn: _phase_at_levels(top, th, nn), parts)
 
-    found = _phase_brackets(polys, trace, phase)
-    failed = [n for n in polys if isinstance(found[n], ResolutionError)]
-    if failed and not skip_unresolved:
-        raise found[failed[0]]
-    found = {n: found[n] for n in polys if n not in failed}
-
-    out: dict[int, ZeroSet] = {}
+    out = _phase_brackets(polys, trace, phase)
+    found = {n: b for n, b in out.items() if not isinstance(b, ResolutionError)}
     if not found:
         return out
     lo, hi, side, flo, fhi = (np.concatenate([b[i] for b in found.values()]) for i in range(5))
@@ -363,11 +369,7 @@ def _zero_sets(polys: dict[int, ParaPolynomial], theta_tol: float,
     roots = {n: _all_roots(polys[n], roots[nn == n]) for n in found}
     checks = trace({n: np.concatenate([r, _midpoints(r)]) for n, r in roots.items()})
     for n, r in roots.items():
-        try:
-            out[n] = _assemble(polys[n], r, checks[n], found[n][-1], theta_tol)
-        except ResolutionError:
-            if not skip_unresolved:
-                raise
+        out[n] = _assemble(polys[n], r, checks[n], found[n][-1], theta_tol)
     return out
 
 

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from paraortho import theorems, zeros
 from paraortho.cli import _VERIFY_CHECKS, parse_alpha_spec, parse_angle, parse_range, run
 
 TWO_PI = 2.0 * math.pi
@@ -13,6 +14,20 @@ TWO_PI = 2.0 * math.pi
 def read_json(path):
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def spy_zero_sets(monkeypatch):
+    """Record (kind, degrees) of every zero-set search a run makes."""
+    calls = []
+    search = zeros._zero_sets
+
+    def spy(polys, theta_tol):
+        calls.append((next(iter(polys.values())).kind, list(polys)))
+        return search(polys, theta_tol)
+
+    monkeypatch.setattr(zeros, "_zero_sets", spy)
+    monkeypatch.setattr(theorems, "_zero_sets", spy)
+    return calls
 
 
 class TestParsers:
@@ -202,21 +217,26 @@ class TestVerifyCommand:
         assert code == 1
         assert read_json(out)["all_pass"] is False
 
-    def test_unresolved_degrees_become_error_verdicts(self, tmp_path):
+    def test_unresolved_degrees_become_error_verdicts(self, tmp_path, monkeypatch):
         # const 0.5 at lambda = -1, rotated to lambda = 1 by alternating the
-        # signs of its coefficients: from degree 69 on, the first-kind
+        # signs of its coefficients: at degrees 69 and 71 the first-kind
         # zeros next to the atom lie closer than double angles resolve;
-        # the run still writes a verdict for every requested degree
+        # the run still writes a verdict for every requested degree, and
+        # reports a degree's failure again rather than searching it again
+        calls = spy_zero_sets(monkeypatch)
         spec = "list:" + ",".join(str(0.5 * (-1) ** (k + 1)) for k in range(72))
         out = tmp_path / "r.json"
         code = run(["verify", "consecutive", "--alpha", spec, "--n", "64..70", "--out", str(out)])
         assert code == 1
+        assert calls == [("first", list(range(64, 72)))]
         doc = read_json(out)
         assert doc["all_pass"] is False
         assert [r["n"] for r in doc["results"]] == list(range(64, 71))
         verdicts = [r["verdict"] for r in doc["results"]]
-        assert verdicts[0] == "pass" and verdicts[-3:] == ["error"] * 3
-        assert "isolated 67 of 69 zeros" in doc["results"][-3]["error"]
+        assert verdicts == ["pass", "inconclusive", "pass", "inconclusive"] + ["error"] * 3
+        why = "first-kind degree {0}: isolated {1} of {0} zeros, the rest closer than double angles resolve"
+        assert [r.get("error") for r in doc["results"][-3:]] == [
+            why.format(69, 67) + " (lambda = (1+0j))"] * 2 + [why.format(71, 69) + " (lambda = (1+0j))"]
 
     def test_coarse_theta_tol_passes(self, tmp_path):
         # the residual allowance grows with theta_tol (n theta_tol / 4 of
@@ -256,6 +276,33 @@ class TestVerifyCommand:
         assert code == 0
         doc = read_json(out)
         assert all(r["verdict"] == "pass" for r in doc["results"])
+
+    def test_bounds_sweeps_each_kind_once(self, tmp_path, monkeypatch):
+        # the audit reads h_n and s_n: one search per kind over the run's
+        # degrees, none per degree
+        calls = spy_zero_sets(monkeypatch)
+        support = tmp_path / "support.json"
+        support.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]]}))
+        nu = tmp_path / "nu.json"
+        nu.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]], "points": [0.0]}))
+        assert run([
+            "verify", "bounds", "--alpha", "const:-0.5", "--lambda-theta", "pi",
+            "--z0-theta", "0", "--support", str(support), "--nu-support", str(nu),
+            "--n", "2..10", "--out", str(tmp_path / "r.json"),
+        ]) == 0
+        assert calls == [("first", list(range(2, 12))), ("second", list(range(2, 12)))]
+
+    def test_bounds_with_too_small_nu_estimate_degree_exits_2(self, tmp_path, capsys):
+        support = tmp_path / "support.json"
+        support.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]]}))
+        out = tmp_path / "r.json"
+        assert run([
+            "verify", "bounds", "--alpha", "const:-0.5", "--lambda-theta", "pi",
+            "--z0-theta", "0", "--support", str(support), "--nu-estimate-n", "10",
+            "--n", "3", "--out", str(out),
+        ]) == 2
+        assert "error: support estimation needs degree >= 50, got 10" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSupportCommand:
@@ -401,6 +448,18 @@ class TestExitCodes:
         out = tmp_path / "r.json"
         assert run([command, "--alpha", "const:0.5", "--n", "2..5", "--out", str(out)]) == 2
         assert "error: invalid literal for int() with base 10: '2..5'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["identities", "--count", "0"], "--count must be at least 1, got 0"),
+        (["identities", "--points", "0"], "--points must be at least 1, got 0"),
+        (["identities", "--max-n", "1"], "--max-n must be at least 2, got 1"),
+        (["coeffs", "--alpha", "const:0.5", "--n", "-3"], "--n must be at least 0, got -3"),
+    ])
+    def test_sizes_below_their_least_value_are_usage_errors(self, tmp_path, capsys, args, message):
+        out = tmp_path / "r.json"
+        assert run(args + ["--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_argparse_usage_error(self, capsys):

@@ -166,10 +166,10 @@ class TestTheorem1:
         ctx = pa.TheoremContext(seq=seq, lam=np.exp(2.0j))
         violations = []
         for n in range(2, 61):
-            za = ctx.zero_set("first", n)
-            zb = ctx.zero_set("first", n + 1)
-            ca, _, _ = count_zeros_in_ball(za, 1.0 + 0j, 1.0, exclude_lambda=True)
-            cb, _, _ = count_zeros_in_ball(zb, 1.0 + 0j, 1.0, exclude_lambda=True)
+            za = ctx.zero_set("first", n).without_base_point()
+            zb = ctx.zero_set("first", n + 1).without_base_point()
+            ca, _, _ = count_zeros_in_ball(za, 1.0 + 0j, 1.0)
+            cb, _, _ = count_zeros_in_ball(zb, 1.0 + 0j, 1.0)
             if min(ca, cb) > 0:
                 violations.append(n)
         assert violations, "inflated radius should defeat the disjunction somewhere"
@@ -200,6 +200,18 @@ class TestGapTheorem:
         for gap in ((0.0, 2.0), (0.0, TWO_PI), (np.pi, 3 * np.pi)):
             with pytest.raises(PreconditionError):
                 pa.check_gap_theorem(geronimus_ctx, gap, 5)
+
+    @pytest.mark.parametrize("overlap, rejected", [(1e-10, True), (1e-13, False)])
+    @pytest.mark.parametrize("end", ["start", "end"])
+    def test_overlap_with_an_arc_end_is_tested_to_1e12(self, geronimus_ctx, end, overlap, rejected):
+        # the gap's start runs back into the arc's end, or its end on into
+        # the arc's start; near 2pi a relative tolerance would let 2e-9 pass
+        gap = (ARC[1] - overlap, ARC[0] + TWO_PI) if end == "start" else (ARC[1], ARC[0] + TWO_PI + overlap)
+        if rejected:
+            with pytest.raises(PreconditionError, match="overlaps a modeled support arc"):
+                pa.check_gap_theorem(geronimus_ctx, gap, 5)
+        else:
+            assert pa.check_gap_theorem(geronimus_ctx, gap, 5).passed
 
     def test_wrong_model_shows_failure(self):
         # free case with a (false) one-point support model: the "gap" is
@@ -304,13 +316,21 @@ class TestBoundAudit:
             assert not by_name["s_kernel_lower"].applicable  # delta_nu = 0
 
     def test_without_nu_support_the_audit_is_one_sided(self):
-        # nu_estimate_n below the estimator's least degree: no nu model
-        ctx = pa.TheoremContext(
-            pa.ConstantSequence(-0.5), -1, support=pa.support_model([ARC]), nu_estimate_n=10
-        )
+        # at lambda = -1 the flipped side's h_401 has two zeros no double
+        # angle separates: no nu model can be estimated
+        ctx = pa.TheoremContext(pa.ConstantSequence(-0.5), -1, support=pa.support_model([ARC]))
         rep = pa.audit_lemma_bounds(ctx, 1.0, 5)
         assert rep.notes["nu_support"] == "unavailable"
         assert [c.name for c in rep.checks] == ["h_kernel_lower", "h_distance_lower"]
+
+    def test_bad_nu_estimate_degree_is_raised(self):
+        # a degree below the estimator's least one is an input error, not
+        # a missing model
+        ctx = pa.TheoremContext(
+            pa.ConstantSequence(-0.5), -1, support=pa.support_model([ARC]), nu_estimate_n=10
+        )
+        with pytest.raises(ValueError, match="needs degree >= 50, got 10"):
+            pa.audit_lemma_bounds(ctx, 1.0, 5)
 
     def test_measure_mode_row_order(self, mass_fixture):
         rep = pa.audit_lemma_bounds(mass_fixture, 1.0, 6)
@@ -382,8 +402,8 @@ class TestEstimateSupport:
         # (at lambda = -1 exactly they are 3e-95 apart, which no double
         # angle resolves)
         ctx = pa.TheoremContext(seq=pa.ConstantSequence(-0.5), lam=np.exp(1j * np.pi))
-        model, provenance = ctx.nu_model()
-        assert provenance == "estimated"
+        model = ctx.nu_model()
+        assert model.provenance == "estimated"
         assert len(model.arcs) == 1 and len(model.points) == 1
         assert abs(model.arcs[0][0] - ARC[0]) <= TWO_PI / 400
         assert abs(model.arcs[0][1] - ARC[1]) <= TWO_PI / 400
@@ -415,6 +435,23 @@ class TestEstimateSupport:
             single = pa.find_zeros(pa.ParaPolynomial("first", n, lam, seq))
             assert np.array_equal(swept[n].angles, single.angles)
             assert swept[n].scale == single.scale
+
+
+def test_context_sweeps_its_degrees_once_per_kind(monkeypatch):
+    calls = []
+    search = theorems._zero_sets
+
+    def spy(polys, theta_tol):
+        calls.append(list(polys))
+        return search(polys, theta_tol)
+
+    monkeypatch.setattr(theorems, "_zero_sets", spy)
+    ctx = pa.TheoremContext(seq=pa.ConstantSequence(0.5), lam=1.0, degrees=range(2, 6))
+    ctx.zero_set("first", 9)  # outside the degrees: found alone
+    ctx.zero_set("first", 3)
+    ctx.zero_set("first", 5)
+    ctx.zero_set("second", 4)
+    assert calls == [[9], [2, 3, 4, 5], [2, 3, 4, 5]]
 
 
 def test_reports_are_reproducible(geronimus_ctx):
