@@ -2,8 +2,8 @@
 verification, support estimation, and identity residual suites.
 
 Every run is a pure function of its resolved configuration, which is
-embedded in each report next to the tool version and the tolerances, so
-reports are reproducible byte for byte apart from the timestamp field.
+embedded in each report next to the tool version, so reports are
+reproducible byte for byte apart from the timestamp field.
 
 Angles on the command line are radians, either plain decimals or
 pi-multiples like "0.5pi".  Exit status: 0 all checks passed, 1 at least
@@ -153,7 +153,6 @@ class RunConfig:
     max_n: int = 100
     points: int = 32
     tol: float = 1e-9
-    theta_tol: float = 1e-12
     out: str | None = None
     csv: str | None = None
     svg: str | None = None
@@ -255,7 +254,7 @@ def _cmd_zeros(cfg: RunConfig) -> int:
     n = int(cfg.n_spec)
     seq, _ = _sequence(cfg, n + 1)
     lam = np.exp(1j * cfg.lambda_theta)
-    zs = find_zeros(ParaPolynomial(cfg.kind, n, lam, seq), cfg.theta_tol)
+    zs = find_zeros(ParaPolynomial(cfg.kind, n, lam, seq))
     doc = _report_skeleton(cfg)
     doc["zeros"] = zs.to_json_dict()
     _emit_json(cfg, doc)
@@ -303,8 +302,7 @@ def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
         nu_support = support_model_from_dict(_load_json(cfg.nu_support_path), cfg.nu_support_path)
     ctx = TheoremContext(
         seq=seq, lam=lam, support=support, nu_support=nu_support, measure=measure,
-        theta_tol=cfg.theta_tol, nu_estimate_n=cfg.nu_estimate_n,
-        degrees=range(min(n_values), max(n_values) + 2),
+        nu_estimate_n=cfg.nu_estimate_n, degrees=range(min(n_values), max(n_values) + 2),
     )
 
     results = []
@@ -348,7 +346,7 @@ def _cmd_support(cfg: RunConfig) -> int:
     n_est = cfg.nu_estimate_n
     seq, _ = _sequence(cfg, n_est + 2)
     lam = np.exp(1j * cfg.lambda_theta)
-    model = estimate_support(seq, lam, n_est, theta_tol=cfg.theta_tol)
+    model = estimate_support(seq, lam, n_est)
     doc = _report_skeleton(cfg)
     doc["support"] = {
         "arcs": [[a, b] for a, b in model.arcs],
@@ -437,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--measure", dest="measure_path", help="measure JSON document")
         if zeros:
             p.add_argument("--lambda-theta", dest="lambda_theta", default="0", help="base point angle (radians or '0.5pi')")
-            p.add_argument("--theta-tol", dest="theta_tol", type=float, default=1e-12)
         p.add_argument("--out", help="JSON output path (default stdout)")
 
     p = sub.add_parser("coeffs", help="emit a coefficient list")

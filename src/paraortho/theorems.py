@@ -11,8 +11,9 @@ radii come from the explicit formulas
 
 with delta / L / delta_nu chordal distances to the relevant support.
 Verdicts are literal: a check passes only when the counted zeros satisfy
-the claimed disjunction, boundary-grazing zeros are warned about and not
-counted, and vacuous configurations (zero radius) are flagged degenerate
+the claimed disjunction, zeros grazing a ball's boundary are warned
+about and not counted (at a gap's end, warned about and counted), and
+vacuous configurations (zero radius) are flagged degenerate
 rather than silently passing.
 """
 
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .para import ParaPolynomial, para_eval
 from .szego import cd_kernel, eval_pair
-from .zeros import THETA_TOL, ZeroSet, _circular_gap, _zero_sets, find_zeros_sweep, interlace
+from .zeros import ZeroSet, _circular_gap, _zero_sets, find_zeros_sweep, interlace
 
 TWO_PI = 2.0 * math.pi
 
@@ -137,7 +138,6 @@ class TheoremContext:
     support: SupportModel | None = None
     nu_support: SupportModel | None = None
     measure: MeasureSpec | None = None  # same measure the seq came from, if any
-    theta_tol: float = THETA_TOL
     nu_estimate_n: int = 400
     # the degrees a run's checks read, swept together per kind by zero_set
     degrees: Collection[int] = ()
@@ -158,7 +158,7 @@ class TheoremContext:
         if (kind, n) not in self._zero_cache:
             swept = self.degrees if n in self.degrees else [n]
             wanted = sorted(m for m in set(swept) if (kind, m) not in self._zero_cache)
-            sets = _zero_sets({m: ParaPolynomial(kind, m, self.lam, self.seq) for m in wanted}, self.theta_tol)
+            sets = _zero_sets({m: ParaPolynomial(kind, m, self.lam, self.seq) for m in wanted})
             self._zero_cache.update(((kind, m), zs) for m, zs in sets.items())
         zs = self._zero_cache[(kind, n)]
         if isinstance(zs, ResolutionError):
@@ -168,15 +168,13 @@ class TheoremContext:
     def nu_model(self) -> SupportModel:
         """The nu support model; its provenance says where it came from.
 
-        Without a given model it is estimated once per context, with the
-        context's theta_tol.
+        Without a given model it is estimated once per context, at degree
+        nu_estimate_n.
         """
         if self.nu_support is not None:
             return self.nu_support
         if self._nu_estimate is None:
-            self._nu_estimate = estimate_support(
-                self.seq.flipped(), self.lam, self.nu_estimate_n, theta_tol=self.theta_tol
-            )
+            self._nu_estimate = estimate_support(self.seq.flipped(), self.lam, self.nu_estimate_n)
         return self._nu_estimate
 
 
@@ -218,6 +216,27 @@ def count_zeros_in_ball(zs: ZeroSet, z0: complex, radius: float) -> tuple[int, l
     return int(np.sum(inside)), [float(a) for a in absolute[inside]], warnings
 
 
+def _ball_counts(ctx: TheoremContext, kind: str, z0: complex, n: int,
+                 balls: dict[tuple[str, str], float], allowed: int) -> dict:
+    """Zeros of kind at degrees n and n + 1, apart from the base point,
+    inside each ball B(z0, r) of balls, which maps the two degrees'
+    count keys to r.  The verdict fails at a ball where both counts
+    exceed `allowed`, whose counted zeros become witnesses.  Returns the
+    verdict, counts, witnesses and warnings as TheoremReport fields.
+    """
+    sets = [ctx.zero_set(kind, m).without_base_point() for m in (n, n + 1)]
+    out = {"verdict": "pass", "counts": {}, "witnesses": [], "warnings": []}
+    for keys, radius in balls.items():
+        found = [count_zeros_in_ball(zs, z0, radius) for zs in sets]
+        for key, (count, _, warnings) in zip(keys, found):
+            out["counts"][key] = count
+            out["warnings"] += warnings
+        if min(count for count, _, _ in found) > allowed:
+            out["verdict"] = "fail"
+            out["witnesses"] += [a for _, inside, _ in found for a in inside]
+    return out
+
+
 def check_theorem1(ctx: TheoremContext, z0: complex, n: int) -> TheoremReport:
     """Around z0 off the support: h_n or h_{n+1} has no zero inside
     B(z0, rho), apart from the base point; with the base point also off
@@ -234,31 +253,15 @@ def check_theorem1(ctx: TheoremContext, z0: complex, n: int) -> TheoremReport:
     lam_dist = dist_to_support(ctx.support, ctx.lam)
     if lam_dist > 0.0:
         radii["rho_prime"] = rho_prime_radius(delta, lam_dist)
-    za, zb = (ctx.zero_set("first", m).without_base_point() for m in (n, n + 1))
-    counts: dict = {}
-    witnesses: list = []
-    warnings: list = []
-    verdict = "pass"
-    for name, r in radii.items():
-        ca, wa, warn_a = count_zeros_in_ball(za, z0, r)
-        cb, wb, warn_b = count_zeros_in_ball(zb, z0, r)
-        counts[f"h_n@{name}"] = ca
-        counts[f"h_n1@{name}"] = cb
-        warnings.extend(warn_a + warn_b)
-        if min(ca, cb) != 0:
-            verdict = "fail"
-            witnesses.extend(wa + wb)
+    balls = {(f"h_n@{name}", f"h_n1@{name}"): r for name, r in radii.items()}
     return TheoremReport(
         "theorem1",
         n,
-        verdict,
         z0_theta=float(np.angle(z0)) % TWO_PI,
         delta=delta,
         radii=radii,
-        counts=counts,
-        witnesses=witnesses,
-        warnings=warnings,
         notes={"lam_dist": repr(lam_dist), "support": ctx.support.provenance},
+        **_ball_counts(ctx, "first", z0, n, balls, 0),
     )
 
 
@@ -271,7 +274,8 @@ def check_gap_theorem(ctx: TheoremContext, gap: tuple[float, float], n: int) -> 
     """h_n has at most one zero in the closed gap arc, which runs
     counterclockwise from gap[0] to gap[1] (coeffs._arc_span): a full turn
     when they differ by a nonzero multiple of 2pi, degenerate (a vacuous
-    pass) when equal."""
+    pass) when equal.  A zero within BOUNDARY_TOL of either end is
+    counted and warned about."""
     if ctx.support is None:
         raise PreconditionError("gap theorem needs a support model")
     start, end = float(gap[0]), float(gap[1])
@@ -293,10 +297,10 @@ def check_gap_theorem(ctx: TheoremContext, gap: tuple[float, float], n: int) -> 
                 raise PreconditionError(
                     f"gap ({start}, {end}) contains the modeled support point {p}"
                 )
-    zs = ctx.zero_set("first", n)
-    absolute = zs.absolute_angles()
+    absolute = ctx.zero_set("first", n).absolute_angles()
     rel = (absolute - start) % TWO_PI
-    inside = rel <= span + BOUNDARY_TOL
+    near = np.minimum(_circular_gap(rel, 0.0), _circular_gap(rel, span)) <= BOUNDARY_TOL
+    inside = (rel <= span) | near
     count = int(np.sum(inside))
     verdict = "pass" if count <= 1 else "fail"
     return TheoremReport(
@@ -307,6 +311,8 @@ def check_gap_theorem(ctx: TheoremContext, gap: tuple[float, float], n: int) -> 
         gap=(start % TWO_PI, end % TWO_PI),
         counts={"h_n": count},
         witnesses=[float(a) for a in absolute[inside]] if verdict == "fail" else [],
+        warnings=[f"zero at angle {float(a):.15g} is within {BOUNDARY_TOL} of a gap end and counted"
+                  for a in absolute[near]],
     )
 
 
@@ -335,8 +341,11 @@ def check_consecutive_interlacing(ctx: TheoremContext, n: int) -> TheoremReport:
 
 def _isolated_point_count(ctx: TheoremContext, z0: complex, n: int, theorem: str, kind: str,
                           labels: tuple[str, str], allowed: int) -> TheoremReport:
-    """Pass when the zeros of kind at degree n or n + 1 in B(z0, rho_tilde)
-    number at most `allowed`, counted under `labels`."""
+    """Pass when the zeros of kind at degree n or n + 1 in B(z0, rho_tilde),
+    apart from the base point, number at most `allowed`, counted under
+    `labels`.  The base point lies outside the ball, as rho_tilde <
+    |z0 - lambda| (delta_nu^2 <= 4 < 8 + |z0 - lambda| delta_nu), so
+    stripping it changes no count."""
     if ctx.support is None:
         raise PreconditionError("isolated-point checks need a support model")
     z0 = unit_circle_point(z0)
@@ -358,20 +367,14 @@ def _isolated_point_count(ctx: TheoremContext, z0: complex, n: int, theorem: str
             notes={"nu_support": nu_model.provenance},
         )
     radius = rho_tilde_radius(delta_nu, d_lam)
-    ca, wa, warn_a = count_zeros_in_ball(ctx.zero_set(kind, n), z0, radius)
-    cb, wb, warn_b = count_zeros_in_ball(ctx.zero_set(kind, n + 1), z0, radius)
-    verdict = "pass" if min(ca, cb) <= allowed else "fail"
     return TheoremReport(
         theorem,
         n,
-        verdict,
         z0_theta=theta0,
         delta_nu=delta_nu,
         radii={"rho_tilde": radius},
-        counts={labels[0]: ca, labels[1]: cb},
-        witnesses=(wa + wb) if verdict == "fail" else [],
-        warnings=warn_a + warn_b,
         notes={"nu_support": nu_model.provenance, "z0_lam_dist": repr(d_lam)},
+        **_ball_counts(ctx, kind, z0, n, {labels: radius}, allowed),
     )
 
 
@@ -524,12 +527,7 @@ def audit_lemma_bounds(ctx: TheoremContext, z0: complex, n: int) -> BoundAuditRe
 # support estimation
 
 
-def estimate_support(
-    seq: VerblunskySequence,
-    lam: complex,
-    n_estimate: int,
-    theta_tol: float = THETA_TOL,
-) -> SupportModel:
+def estimate_support(seq: VerblunskySequence, lam: complex, n_estimate: int) -> SupportModel:
     """Advisory support estimate from coincident zeros of two consecutive
     degrees.
 
@@ -541,7 +539,7 @@ def estimate_support(
     if n_estimate < 50:
         raise ValueError(f"support estimation needs degree >= 50, got {n_estimate}")
     lam = unit_circle_point(lam)
-    za, zb = find_zeros_sweep("first", lam, seq, [n_estimate, n_estimate + 1], theta_tol).values()
+    za, zb = find_zeros_sweep("first", lam, seq, [n_estimate, n_estimate + 1]).values()
     a, b = (np.sort(zs.without_base_point().absolute_angles()) for zs in (za, zb))
     marked = a[np.min(_circular_gap(a[:, None], b[None, :]), axis=1) <= TWO_PI / n_estimate]
     if not marked.size:

@@ -54,12 +54,10 @@ PHASE_SPLIT = 7
 # zero, where the trace sign decides the count: the lifted phase sums n
 # arctangents, so its rounding is some n u turns (1e-13 at n = 600)
 ON_ZERO = 1e-9
-# most trace samples one batched evaluation of find_zeros_sweep takes
-SWEEP_BATCH = 16384
-# least residual allowance of a refined zero, relative to the largest
-# trace sampled
+# residual allowance of a refined zero, relative to the largest trace
+# sampled
 RESIDUAL_FLOOR = 1e-6
-# default width to which each zero's bracket is narrowed
+# width to which each zero's bracket is narrowed
 THETA_TOL = 1e-12
 
 
@@ -158,31 +156,23 @@ def _polish(fun, lo, hi, side, flo, fhi, tol):
     return 0.5 * (lo + hi)
 
 
-def _batched(fun, parts):
-    """fun(thetas, degrees) at per-degree point lists, returned split the same way.
-
-    Degrees go in batches of at most SWEEP_BATCH points, which bounds the
-    memory of the multi-level evaluation.
-    """
-    out, degrees = {}, list(parts)
-    while degrees:
-        batch, size = [], 0
-        while degrees and (not batch or size + parts[degrees[0]].size <= SWEEP_BATCH):
-            batch.append(degrees.pop(0))
-            size += parts[batch[-1]].size
-        th = np.concatenate([parts[n] for n in batch])
-        nn = np.concatenate([np.full(parts[n].size, n) for n in batch])
-        flat = fun(th, nn)
-        out.update(zip(batch, np.split(flat, np.cumsum([parts[n].size for n in batch])[:-1])))
-    return out
+def _at_levels(level_fun, top: ParaPolynomial, parts: dict) -> dict:
+    """level_fun(top, thetas, degrees) at per-degree point lists, in one
+    multi-level pass, returned split the same way."""
+    if not parts:
+        return {}
+    sizes = [t.size for t in parts.values()]
+    flat = level_fun(top, np.concatenate(list(parts.values())), np.repeat(list(parts), sizes))
+    return dict(zip(parts, np.split(flat, np.cumsum(sizes)[:-1])))
 
 
-def _phase_brackets(polys: dict[int, ParaPolynomial], trace, phase) -> dict:
+def _phase_brackets(polys: dict[int, ParaPolynomial]) -> dict:
     """One bracket per zero from the phase count, for every degree of polys.
 
-    phase(parts) and trace(parts) evaluate per-degree point lists.  In
-    turns of the lifted phase (para._phase_at_levels) from an origin, the
-    zeros lie at whole turns: the first kind's origin is its pinned zero;
+    Each pass evaluates the phase and the trace of every degree through
+    the highest one's recursion (see _at_levels).  In turns of the lifted
+    phase (para._phase_at_levels) from an origin, the zeros lie at whole
+    turns: the first kind's origin is its pinned zero;
     the second kind's puts lambda at u0 in [1/2, 3/2) turns, and h = 1
     drops the first whole turn as lying before lambda.  The count of
     zeros in (0, t) is the phase's integer part less h.  h is the choice
@@ -200,11 +190,12 @@ def _phase_brackets(polys: dict[int, ParaPolynomial], trace, phase) -> dict:
     2(-1)^n at theta = 0 and 2pi for the second), and scale the largest
     |trace| sampled.
     """
+    top = polys[max(polys)]
     frac = np.arange(1, PHASE_SPLIT + 1) / (PHASE_SPLIT + 1)
     grids = {n: np.linspace(0.0, TWO_PI, PHASE_GRID * n + 1)[:-1] for n in polys}
-    fresh_u = phase(grids)
+    fresh_u = _at_levels(_phase_at_levels, top, grids)
     grids = {n: g[1:] for n, g in grids.items()}
-    fresh_f = trace(grids)
+    fresh_f = _at_levels(_trace_at_levels, top, grids)
     count, samples, scale = {}, {}, {}
     for n, u in fresh_u.items():
         p, origin, s0, h, total = polys[n], -u[0], -1.0, 0, n - 1
@@ -233,7 +224,7 @@ def _phase_brackets(polys: dict[int, ParaPolynomial], trace, phase) -> dict:
             split = np.nonzero((np.diff(c) > 1) & (np.diff(x) > (PHASE_SPLIT + 1) * np.spacing(x[1:])))[0]
             grids[n] = (x[split, None] + (x[split + 1] - x[split])[:, None] * frac).ravel()
         grids = {n: t for n, t in grids.items() if t.size}
-        fresh_u, fresh_f = phase(grids), trace(grids)
+        fresh_u, fresh_f = _at_levels(_phase_at_levels, top, grids), _at_levels(_trace_at_levels, top, grids)
     out = {}
     for n, (x, c, y) in samples.items():
         cell = np.nonzero(np.diff(c))[0]
@@ -247,20 +238,20 @@ def _phase_brackets(polys: dict[int, ParaPolynomial], trace, phase) -> dict:
     return out
 
 
-def find_zeros(p: ParaPolynomial, theta_tol: float = THETA_TOL) -> ZeroSet:
+def find_zeros(p: ParaPolynomial) -> ZeroSet:
     """All n zeros of the polynomial, bracketed by sign changes of the trace.
 
     The brackets come from the phase count: one O(n) pass of the
     unimodular phase recursion (para._phase_at_levels) counts the zeros
     before a point exactly, so a few points per zero, and a few more
     inside the cells that hold several, bracket every zero on its own
-    (see _phase_brackets).  Brackets are then narrowed to theta_tol by a
+    (see _phase_brackets).  Brackets are then narrowed to THETA_TOL by a
     safeguarded regula falsi on the trace (see _polish).  A degree
     whose zeros cannot be isolated is a ResolutionError reporting the
     found count; a short list is never returned silently.  This is
     find_zeros_sweep on the one degree of p.
     """
-    zs = _zero_sets({p.n: p}, theta_tol)[p.n]
+    zs = _zero_sets({p.n: p})[p.n]
     if isinstance(zs, ResolutionError):
         raise zs
     return zs
@@ -277,22 +268,18 @@ def _midpoints(roots: np.ndarray) -> np.ndarray:
     return 0.5 * (roots[:-1] + roots[1:])
 
 
-def _assemble(p: ParaPolynomial, roots: np.ndarray, values: np.ndarray, scale: float,
-              theta_tol: float) -> ZeroSet | ResolutionError:
+def _assemble(p: ParaPolynomial, roots: np.ndarray, values: np.ndarray,
+              scale: float) -> ZeroSet | ResolutionError:
     """Check and package the refined zeros, or the ResolutionError of the
     check they fail; values holds the trace at the roots followed by the
     trace at the midpoints between them."""
     residuals = np.abs(values[: roots.size])
-    # the trace has frequencies up to n/2, so by Bernstein's inequality a
-    # bracket midpoint, within theta_tol / 2 of its zero, has a residual
-    # of at most n theta_tol / 4 times the trace's maximum
-    tol = max(RESIDUAL_FLOOR, p.n * theta_tol / 4)
-    bad = residuals > tol * scale
+    bad = residuals > RESIDUAL_FLOOR * scale
     if np.any(bad):
         return ResolutionError(
             p.n,
             int(np.sum(~bad)),
-            f"{int(np.sum(bad))} refined zeros have residual above {tol:.3g} * scale",
+            f"{int(np.sum(bad))} refined zeros have residual above {RESIDUAL_FLOOR:.3g} * scale",
         )
     if np.any(np.diff(roots) <= 0.0):
         return ResolutionError(p.n, len(roots), "refined zeros are not strictly increasing")
@@ -307,7 +294,6 @@ def find_zeros_sweep(
     lam: complex,
     seq,
     n_values,
-    theta_tol: float = THETA_TOL,
     skip_unresolved: bool = False,
 ) -> dict[int, ZeroSet]:
     """find_zeros for a whole range of degrees of one family at once.
@@ -315,7 +301,7 @@ def find_zeros_sweep(
     The phase count, all bracket refinements and the final checks are
     batched through one multi-level evaluation per step, which is what
     makes long degree sweeps affordable.  Results agree with find_zeros
-    within theta_tol; their last bits depend on the degrees swept
+    within THETA_TOL; their last bits depend on the degrees swept
     together.
 
     If the zeros of some degree cannot be isolated, the ResolutionError
@@ -324,15 +310,14 @@ def find_zeros_sweep(
     missing keys as explicit resolution failures.
     """
     polys = {n: ParaPolynomial(kind, n, lam, seq) for n in sorted(set(int(n) for n in n_values))}
-    out = _zero_sets(polys, theta_tol)
+    out = _zero_sets(polys)
     failed = [zs for zs in out.values() if isinstance(zs, ResolutionError)]
     if failed and not skip_unresolved:
         raise failed[0]
     return {n: zs for n, zs in out.items() if not isinstance(zs, ResolutionError)}
 
 
-def _zero_sets(polys: dict[int, ParaPolynomial],
-               theta_tol: float) -> dict[int, ZeroSet | ResolutionError]:
+def _zero_sets(polys: dict[int, ParaPolynomial]) -> dict[int, ZeroSet | ResolutionError]:
     """The zero path of find_zeros, find_zeros_sweep and TheoremContext.
 
     polys maps increasing degrees to polynomials of one family (kind,
@@ -342,8 +327,6 @@ def _zero_sets(polys: dict[int, ParaPolynomial],
     maps to its zero set, or to the ResolutionError that says why its
     zeros could not be isolated.
     """
-    if not (math.isfinite(theta_tol) and theta_tol > 0):
-        raise ValueError(f"theta_tol must be finite and > 0, got {theta_tol}")
     if not polys:
         return {}
     top = polys[max(polys)]
@@ -352,24 +335,17 @@ def _zero_sets(polys: dict[int, ParaPolynomial],
         if p._lam_phi is None:
             p._lam_phi, p._lam_star = lam_phi[: n + 1], lam_star[: n + 1]
 
-    def trace(parts):
-        return _batched(lambda th, nn: _trace_at_levels(top, th, nn), parts)
-
-    def phase(parts):
-        return _batched(lambda th, nn: _phase_at_levels(top, th, nn), parts)
-
-    out = _phase_brackets(polys, trace, phase)
+    out = _phase_brackets(polys)
     found = {n: b for n, b in out.items() if not isinstance(b, ResolutionError)}
     if not found:
         return out
     lo, hi, side, flo, fhi = (np.concatenate([b[i] for b in found.values()]) for i in range(5))
     nn = np.concatenate([np.full(b[0].size, n) for n, b in found.items()])
-    roots = _polish(lambda th, sel: _trace_at_levels(top, th, nn[sel]), lo, hi, side, flo, fhi,
-                    theta_tol)
+    roots = _polish(lambda th, sel: _trace_at_levels(top, th, nn[sel]), lo, hi, side, flo, fhi, THETA_TOL)
     roots = {n: _all_roots(polys[n], roots[nn == n]) for n in found}
-    checks = trace({n: np.concatenate([r, _midpoints(r)]) for n, r in roots.items()})
+    checks = _at_levels(_trace_at_levels, top, {n: np.concatenate([r, _midpoints(r)]) for n, r in roots.items()})
     for n, r in roots.items():
-        out[n] = _assemble(polys[n], r, checks[n], found[n][-1], theta_tol)
+        out[n] = _assemble(polys[n], r, checks[n], found[n][-1])
     return out
 
 
@@ -483,16 +459,17 @@ def _order_collisions(a: ZeroSet, b: ZeroSet, xa, xb, pairs):
     zero lies between the two (as at a symmetric gap in the support).
 
     Returns (xa, xb, decided), or None if a pair stays open, a set has
-    no source polynomial, the sources differ in coefficient sequence or
-    base point, a non-pinned zero lies within COLLISION_TOL of lambda, a
-    zero of b takes part in two pairs, or a zero of a in more than two or
-    lies outside its two partners.
+    no source polynomial, the sources differ in base point or in the
+    coefficients they use (compared by value), a non-pinned zero lies
+    within COLLISION_TOL of lambda, a zero of b takes part in two pairs,
+    or a zero of a in more than two or lies outside its two partners.
     """
     fa, fb = a.source, b.source
     i, j = pairs[:, 0], pairs[:, 1]
     first, repeats = np.unique(i, return_counts=True)
-    if (fa is None or fb is None or fa.seq is not fb.seq or fa.lam != fb.lam or repeats.max() > 2
-            or not (a.simplicity and b.simplicity) or np.unique(j).size < j.size):
+    if (fa is None or fb is None or fa.lam != fb.lam or repeats.max() > 2
+            or not (a.simplicity and b.simplicity) or np.unique(j).size < j.size
+            or not np.array_equal(*(f.seq.alphas(max(fa.n, fb.n)) for f in (fa, fb)))):
         return None
     pinned_a = (a.kind == "first") & (xa[i] == 0.0)
     pinned_b = (b.kind == "first") & (xb[j] == 0.0)

@@ -21,9 +21,9 @@ def spy_zero_sets(monkeypatch):
     calls = []
     search = zeros._zero_sets
 
-    def spy(polys, theta_tol):
+    def spy(polys):
         calls.append((next(iter(polys.values())).kind, list(polys)))
-        return search(polys, theta_tol)
+        return search(polys)
 
     monkeypatch.setattr(zeros, "_zero_sets", spy)
     monkeypatch.setattr(theorems, "_zero_sets", spy)
@@ -238,19 +238,6 @@ class TestVerifyCommand:
         assert [r.get("error") for r in doc["results"][-3:]] == [
             why.format(69, 67) + " (lambda = (1+0j))"] * 2 + [why.format(71, 69) + " (lambda = (1+0j))"]
 
-    def test_coarse_theta_tol_passes(self, tmp_path):
-        # the residual allowance grows with theta_tol (n theta_tol / 4 of
-        # the trace scale), so zeros refined only to 3e-4 still pass
-        out = tmp_path / "r.json"
-        code = run([
-            "verify", "consecutive", "--alpha", "const:0.5", "--n", "18..24",
-            "--theta-tol", "3e-4", "--out", str(out),
-        ])
-        assert code == 0
-        doc = read_json(out)
-        assert [r["verdict"] for r in doc["results"]] == ["pass"] * 7
-        assert "residual_tol" not in doc["config"] and "mode" not in doc["config"]
-
     def test_failed_precondition_exits_1(self, tmp_path, capsys):
         # a gap over the modeled support is a check that could not be
         # established, not a usage error
@@ -425,19 +412,14 @@ class TestExitCodes:
         assert "non-finite arc end or point" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_zero_theta_tol_is_a_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "z.json"
-        assert run([
-            "zeros", "--alpha", "const:0.5", "--n", "6", "--theta-tol", "0", "--out", str(out),
-        ]) == 2
-        assert "theta_tol must be finite and > 0, got 0.0" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("args", [
         ["identities", "--alpha", "const:0.5"],
         ["identities", "--measure", "m.json"],
         ["identities", "--theta-tol", "1e-9"],
         ["coeffs", "--alpha", "const:0.5", "--n", "3", "--theta-tol", "1e-9"],
+        # the zero tolerance is fixed (zeros.THETA_TOL): no command takes it
+        ["zeros", "--alpha", "const:0.5", "--n", "6", "--theta-tol", "1e-9"],
+        ["verify", "theorem2", "--alpha", "const:0.5", "--n", "6", "--theta-tol", "1e-9"],
     ])
     def test_options_a_command_does_not_read_are_rejected(self, capsys, args):
         assert run(args) == 2

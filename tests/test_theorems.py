@@ -213,6 +213,17 @@ class TestGapTheorem:
         else:
             assert pa.check_gap_theorem(geronimus_ctx, gap, 5).passed
 
+    @pytest.mark.parametrize("edge", [np.pi / 3 + 5e-13, 5 * np.pi / 3 - 5e-13])
+    def test_zero_within_1e12_of_either_end_counts_and_warns(self, edge):
+        # an injected h_3: the pinned zero inside the gap, one zero at pi
+        # and one 5e-13 past the gap's end or before its start
+        ctx = pa.TheoremContext(seq=pa.ConstantSequence(-0.5), lam=1.0, support=pa.support_model([ARC]))
+        angles = np.sort([0.0, np.pi, edge])
+        ctx._zero_cache[("first", 3)] = pa.ZeroSet("first", 3, 0.0, angles, np.zeros(3), 1.0, True)
+        rep = pa.check_gap_theorem(ctx, (ARC[1], ARC[0] + TWO_PI), 3)
+        assert (rep.verdict, rep.counts, rep.witnesses) == ("fail", {"h_n": 2}, [0.0, edge])
+        assert rep.warnings == [f"zero at angle {edge:.15g} is within 1e-12 of a gap end and counted"]
+
     def test_wrong_model_shows_failure(self):
         # free case with a (false) one-point support model: the "gap" is
         # almost the whole circle and holds n-1 zeros
@@ -412,18 +423,18 @@ class TestEstimateSupport:
     def test_nu_model_estimated_once_with_context_config(self, monkeypatch):
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("theta_tol"))
-            return estimate_support(*args, **kwargs)
+        def counting(*args):
+            calls.append(args[2])
+            return estimate_support(*args)
 
         monkeypatch.setattr(theorems, "estimate_support", counting)
         ctx = pa.TheoremContext(
             seq=pa.ConstantSequence(0.5), lam=np.exp(1j * np.pi),
-            support=pa.support_model([ARC], points=[0.0]), theta_tol=1e-11, nu_estimate_n=60,
+            support=pa.support_model([ARC], points=[0.0]), nu_estimate_n=60,
         )
         for n in (5, 6):
             assert pa.check_theorem3(ctx, 1.0, n).notes["nu_support"] == "estimated"
-        assert calls == [1e-11]
+        assert calls == [60]
 
     def test_sweep_of_both_degrees_matches_single_degrees(self):
         # estimate_support finds both degrees' zeros in one sweep; the
@@ -441,9 +452,9 @@ def test_context_sweeps_its_degrees_once_per_kind(monkeypatch):
     calls = []
     search = theorems._zero_sets
 
-    def spy(polys, theta_tol):
+    def spy(polys):
         calls.append(list(polys))
-        return search(polys, theta_tol)
+        return search(polys)
 
     monkeypatch.setattr(theorems, "_zero_sets", spy)
     ctx = pa.TheoremContext(seq=pa.ConstantSequence(0.5), lam=1.0, degrees=range(2, 6))

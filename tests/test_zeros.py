@@ -8,7 +8,7 @@ import pytest
 import paraortho as pa
 from paraortho import zeros
 from paraortho.errors import ResolutionError
-from paraortho.para import _phase_at_levels, _trace_at_levels, real_form_grid
+from paraortho.para import _trace_at_levels, real_form_grid
 from paraortho.zeros import ZeroSet, find_zeros_sweep
 
 TWO_PI = 2.0 * math.pi
@@ -78,14 +78,6 @@ class TestFindZeros:
                 if kind == "first":
                     assert zs.angles[0] == 0.0
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])
-    def test_theta_tol_must_be_finite_and_positive(self, tol):
-        # 0 used to escape from the polish as an OverflowError
-        with pytest.raises(ValueError, match="theta_tol must be finite and > 0"):
-            pa.find_zeros(free_poly("first", 4), tol)
-        with pytest.raises(ValueError, match="theta_tol must be finite and > 0"):
-            find_zeros_sweep("second", 1.0, pa.ConstantSequence(0.5), range(2, 6), tol)
-
     def test_geronimus_matches_oracle(self):
         p = pa.ParaPolynomial("first", 10, 1.0, pa.ConstantSequence(0.5))
         a = pa.find_zeros(p)
@@ -108,14 +100,6 @@ class TestFindZeros:
         with pytest.raises(ResolutionError) as info:
             pa.find_zeros(p)
         assert (info.value.expected, info.value.found) == (69, 67)
-
-    def test_coarse_theta_tol_keeps_every_zero(self):
-        # the residual allowance grows with theta_tol: a bracket midpoint
-        # within theta_tol / 2 of its zero is accepted
-        p = pa.ParaPolynomial("second", 9, 1.0, pa.ConstantSequence(0.5))
-        zs = pa.find_zeros(p, theta_tol=0.5)
-        assert zs.angles.size == 9
-        assert np.max(circ_dist(zs.angles, pa.oracle_zeros(p).angles)) <= 0.25
 
     @pytest.mark.parametrize("seed, kind, n", [(17, "second", 65), (5, "first", 140)])
     def test_isolates_close_pairs(self, seed, kind, n):
@@ -224,11 +208,7 @@ class TestPolish:
             for kind in ("first", "second"):
                 p = pa.ParaPolynomial(kind, n, 1.0, pa.RandomSequence(radius, seed))
 
-                def at(level_fun):
-                    return lambda parts: zeros._batched(lambda th, nn: level_fun(p, th, nn), parts)
-
-                lo, hi, side, flo, fhi, _ = zeros._phase_brackets(
-                    {n: p}, at(_trace_at_levels), at(_phase_at_levels))[n]
+                lo, hi, side, flo, fhi, _ = zeros._phase_brackets({n: p})[n]
                 pinned += kind == "first" and lo[0] == 0.0 and flo[0] == 0.0
 
                 def trace(thetas, sel):
@@ -312,6 +292,18 @@ class TestInterlace:
         res = pa.interlace(h, s)
         assert res.verdict == "pass"
         assert res.decided.get("fixed-104", 0) > 0
+
+    @pytest.mark.parametrize("n, decided", [(80, {"long double": 5}),
+                                            (100, {"fixed-104": 5, "long double": 19})])
+    def test_sources_compared_by_coefficients(self, n, decided):
+        # equal coefficients from two sequence objects decide collisions as
+        # one object does; a source with other coefficients leaves them open
+        h, s = (pa.find_zeros(pa.ParaPolynomial(kind, n, 1.0, pa.RandomSequence(0.7, 1)))
+                for kind in ("first", "second"))
+        res = pa.interlace(h, s)
+        assert (res.verdict, res.decided) == ("pass", decided)
+        other = dataclasses.replace(s, source=pa.ParaPolynomial("second", n, 1.0, pa.RandomSequence(0.7, 2)))
+        assert pa.interlace(h, other).verdict == "inconclusive"
 
     def test_zero_between_two_colliding_zeros(self):
         # const -0.5 at lambda = pi, n = 76: h_n's zero in the support gap
