@@ -37,6 +37,7 @@ from .errors import (
     MeasureIngestionError,
     ParaorthoError,
     PreconditionError,
+    ProviderRangeError,
     ResolutionError,
     SpecFileError,
     SupportModelError,
@@ -44,15 +45,16 @@ from .errors import (
 from .para import ParaPolynomial, para_eval
 from . import theorems
 from .szego import cd_kernel, eval_pair, eval_second_kind, mixed_form, mixed_kernel
-from .theorems import BoundAuditReport, SupportModel, TheoremContext, estimate_support, support_model
+from .theorems import SupportModel, TheoremContext, TheoremReport, estimate_support, support_model
 from .zeros import CSV_COLUMNS, find_zeros
 
 TWO_PI = 2.0 * math.pi
 
 # verify's theorem id -> (name of the check in `theorems`, looked up when
 # verify runs; the RunConfig field of its argument before n (z0 or the
-# gap) or None; whether it estimates the flipped-side support without
-# --nu-support, which sets how many coefficients a measure must yield)
+# gap) or None, given exactly for the checks that read --support; whether
+# it estimates the flipped-side support without --nu-support, which sets
+# how many coefficients a measure must yield)
 _VERIFY_CHECKS = {
     "theorem1": ("check_theorem1", "z0_theta", False),
     "theorem2": ("check_interlacing_first_second", None, False),
@@ -273,10 +275,12 @@ VERIFY_CSV_COLUMNS = [
 
 
 def _point_argument(cfg: RunConfig, theorem: str, name: str):
-    """The check's argument before n from its option: z0 as a circle point, or the gap arc."""
+    """The check's argument before n from its option: z0 as a circle point,
+    or the gap arc.  Every check that takes one also needs --support."""
+    for field, flag in ((name, name.replace("_", "-")), ("support_path", "support")):
+        if getattr(cfg, field) is None:
+            raise SpecFileError("<args>", None, f"verify {theorem} needs --{flag}")
     value = getattr(cfg, name)
-    if value is None:
-        raise SpecFileError("<args>", None, f"verify {theorem} needs --{name.replace('_', '-')}")
     if name == "gap":
         lo, _, hi = value.partition(":")
         return parse_angle(lo), parse_angle(hi)
@@ -290,6 +294,8 @@ def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
     check = getattr(theorems, check_name)
     args = () if arg_name is None else (_point_argument(cfg, theorem, arg_name),)
     n_values = parse_range(cfg.n_spec or "2..20")
+    if min(n_values) < 1:
+        raise ValueError(f"--n must be at least 1, got {min(n_values)}")
     needed = max(n_values) + 2
     if estimates_nu and not cfg.nu_support_path:
         needed = max(needed, cfg.nu_estimate_n + 2)
@@ -305,22 +311,14 @@ def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
         nu_estimate_n=cfg.nu_estimate_n, degrees=range(min(n_values), max(n_values) + 2),
     )
 
-    results = []
-    failures = 0
+    reports = []
     for n in n_values:
         try:
-            rep = check(ctx, *args, n)
+            reports.append(check(ctx, *args, n))
         except ResolutionError as exc:
-            results.append({"theorem": theorem, "n": n, "verdict": "error", "error": str(exc)})
-            failures += 1
-            continue
-        row = dataclasses.asdict(rep)
-        if isinstance(rep, BoundAuditReport):
-            verdict = "pass" if rep.passed else "fail"
-            row = {"theorem": theorem, "n": n, "verdict": verdict,
-                   "checks": row["checks"], "notes": row["notes"]}
-        results.append(row)
-        failures += 0 if rep.passed else 1
+            reports.append(TheoremReport(theorem, n, "error", error=str(exc)))
+    results = [dataclasses.asdict(rep) for rep in reports]
+    failures = sum(not rep.passed for rep in reports)
 
     doc = _report_skeleton(cfg)
     doc["results"] = results
@@ -328,9 +326,9 @@ def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
     _emit_json(cfg, doc)
     if cfg.csv:
         rows = [
-            [theorem, r["n"], r["verdict"], r.get("degenerate", False), r.get("delta"), r.get("delta_nu"),
-             json.dumps(r.get("radii", {}), sort_keys=True), json.dumps(r.get("counts", {}), sort_keys=True),
-             json.dumps(r.get("witnesses", []), default=_json_default)]
+            [r["theorem_id"], r["n"], r["verdict"], r["degenerate"], r["delta"], r["delta_nu"],
+             json.dumps(r["radii"], sort_keys=True), json.dumps(r["counts"], sort_keys=True),
+             json.dumps(r["witnesses"], default=_json_default)]
             for r in results
         ]
         _emit_csv(cfg.csv, VERIFY_CSV_COLUMNS, rows)
@@ -512,7 +510,7 @@ def run(argv=None) -> int:
     except PreconditionError as exc:  # a ValueError, but no usage error
         print(f"check could not be established: {exc}", file=sys.stderr)
         return 1
-    except (SpecFileError, MeasureIngestionError, SupportModelError, ValueError) as exc:
+    except (SpecFileError, MeasureIngestionError, SupportModelError, ProviderRangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ParaorthoError as exc:

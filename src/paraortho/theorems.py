@@ -182,7 +182,7 @@ class TheoremContext:
 class TheoremReport:
     theorem_id: str
     n: int
-    verdict: str  # "pass" | "fail" | "inconclusive"
+    verdict: str  # "pass" | "fail" | "inconclusive" | "error"
     degenerate: bool = False
     z0_theta: float | None = None
     gap: tuple[float, float] | None = None
@@ -193,6 +193,8 @@ class TheoremReport:
     witnesses: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
+    checks: list[BoundCheck] = field(default_factory=list)  # the bound audit's rows
+    error: str | None = None  # why an "error" verdict's zeros could not be isolated
 
     @property
     def passed(self) -> bool:
@@ -328,8 +330,6 @@ def _interlacing(ctx: TheoremContext, n: int, theorem: str, kind: str, step: int
 
 def check_interlacing_first_second(ctx: TheoremContext, n: int) -> TheoremReport:
     """Same-degree strict interlacing of the two kinds."""
-    if n < 1:
-        raise PreconditionError("interlacing needs degree >= 1")
     return _interlacing(ctx, n, "theorem2", "second", 0)
 
 
@@ -411,18 +411,6 @@ class BoundCheck:
         return (not self.applicable) or self.margin >= 0.0
 
 
-@dataclass
-class BoundAuditReport:
-    n: int
-    z0_theta: float
-    checks: list[BoundCheck]
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
 def _l2_norm(measure: MeasureSpec, p: ParaPolynomial) -> float:
     def f(thetas):
         v = para_eval(p, np.exp(1j * np.asarray(thetas)), "level_n")
@@ -468,7 +456,7 @@ def _bound_side(ctx: TheoremContext, z0: complex, n: int, side: str, kind: str, 
     return checks
 
 
-def audit_lemma_bounds(ctx: TheoremContext, z0: complex, n: int) -> BoundAuditReport:
+def audit_lemma_bounds(ctx: TheoremContext, z0: complex, n: int) -> TheoremReport:
     """Two-sided evaluation of the quantitative lower and upper bounds.
 
     Kernel-normalized lower bounds need only coefficients; the
@@ -477,6 +465,8 @@ def audit_lemma_bounds(ctx: TheoremContext, z0: complex, n: int) -> BoundAuditRe
     the 2|phi_n(lambda)| upper bound (yielding a weaker but still valid
     inequality; the source is recorded).  The second-kind side is the
     first-kind side of nu, the measure of the flipped coefficients.
+    The report's `checks` hold one BoundCheck per inequality; it passes
+    when every applicable one holds.
     """
     z0 = unit_circle_point(z0)
     theta0 = float(np.angle(z0)) % TWO_PI
@@ -505,22 +495,25 @@ def audit_lemma_bounds(ctx: TheoremContext, z0: complex, n: int) -> BoundAuditRe
     if ctx.measure is not None:
         checks.append(BoundCheck("h_norm_upper", norm_bound, h_norm))
 
+    delta_nu = None
     try:
         nu_model = ctx.nu_model()
     except (SupportModelError, ResolutionError):
         # no flipped-side support available (e.g. its zeros collapse onto
         # an atom beyond float resolution): report the one-sided audit
         notes["nu_support"] = "unavailable"
-        return BoundAuditReport(n, theta0, checks, notes)
-    notes["nu_support"] = nu_model.provenance
-    delta_nu = dist_to_support(nu_model, z0)
-    checks += _bound_side(
-        ctx, z0, n, "s", "second", seq=ctx.seq.flipped(), model=nu_model, delta=delta_nu,
-        kernel_bound=(0.25 * phi_n_lam * d_lam * delta_nu, bool(delta_nu > 0.0)),
-        # nu is not available as quadrature, so its norm is always the bound
-        norm=norm_bound, norm_note="norm=norm_bound",
-    )
-    return BoundAuditReport(n, theta0, checks, notes)
+    else:
+        notes["nu_support"] = nu_model.provenance
+        delta_nu = dist_to_support(nu_model, z0)
+        checks += _bound_side(
+            ctx, z0, n, "s", "second", seq=ctx.seq.flipped(), model=nu_model, delta=delta_nu,
+            kernel_bound=(0.25 * phi_n_lam * d_lam * delta_nu, bool(delta_nu > 0.0)),
+            # nu is not available as quadrature, so its norm is always the bound
+            norm=norm_bound, norm_note="norm=norm_bound",
+        )
+    verdict = "pass" if all(c.ok for c in checks) else "fail"
+    return TheoremReport("bounds", n, verdict, z0_theta=theta0, delta=delta, delta_nu=delta_nu,
+                         checks=checks, notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -14,6 +15,26 @@ TWO_PI = 2.0 * math.pi
 def read_json(path):
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
+
+
+# arguments that make each verify check apply to const 0.5 at lambda = pi:
+# an arc plus an atom at angle 0, whose flipped side is the arc alone
+VERIFY_POINTS = {
+    "theorem1": ["--z0-theta", "0.5"],  # in the gap, off the atom
+    "gap": ["--gap", "0.1:0.9"],
+    "main_lemma": ["--z0-theta", "0"],
+    "theorem3": ["--z0-theta", "0"],
+    "bounds": ["--z0-theta", "0"],
+}
+
+
+def verify_fixture(tmp_path):
+    """Coefficients, base point and support files that VERIFY_POINTS fit."""
+    support = tmp_path / "support.json"
+    support.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]], "points": [0.0]}))
+    nu = tmp_path / "nu.json"
+    nu.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]]}))
+    return ["--alpha", "const:0.5", "--lambda-theta", "pi", "--support", str(support), "--nu-support", str(nu)]
 
 
 def spy_zero_sets(monkeypatch):
@@ -459,6 +480,81 @@ class TestExitCodes:
         flag = {"z0_theta": "--z0-theta", "gap": "--gap"}[field]
         assert f"verify {theorem} needs {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theorem", VERIFY_POINTS)
+    def test_verify_without_support(self, tmp_path, capsys, theorem):
+        # the checks that take a point argument are the ones that read --support
+        out = tmp_path / "r.json"
+        assert run([
+            "verify", theorem, "--alpha", "const:0.5", "--lambda-theta", "pi",
+            *VERIFY_POINTS[theorem], "--n", "3", "--out", str(out),
+        ]) == 2
+        assert f"error: <args>: verify {theorem} needs --support" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_spec", ["0", "0..3"])
+    @pytest.mark.parametrize("theorem", [*_VERIFY_CHECKS, None])
+    def test_degree_below_1_is_a_usage_error(self, tmp_path, capsys, theorem, n_spec):
+        # theorem None runs interlace, which reads no support
+        args = (["interlace", "--alpha", "const:0.5"] if theorem is None else
+                ["verify", theorem, *verify_fixture(tmp_path), *VERIFY_POINTS.get(theorem, [])])
+        out = tmp_path / "r.json"
+        assert run(args + ["--n", n_spec, "--out", str(out)]) == 2
+        assert "error: --n must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["coeffs", "--alpha", "list:0.5,0.2", "--n", "5"], "2 coefficients, index 2"),
+        (["zeros", "--alpha", "list:0.5", "--n", "4"], "1 coefficients, index 1"),
+        (["verify", "theorem2", "--alpha", "list:0.5,0.2,0.1", "--n", "2..6"], "3 coefficients, index 3"),
+    ])
+    def test_too_few_coefficients_is_a_usage_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "r.json"
+        assert run(args + ["--out", str(out)]) == 2
+        assert f"error: explicit sequence has {message} requested" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_verify_rows_share_one_key_set(tmp_path):
+    # pass, fail, bounds and error rows are all one serialized TheoremReport
+    arc = tmp_path / "arc.json"
+    arc.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]]}))
+    arc_atom = tmp_path / "arc_atom.json"
+    arc_atom.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]], "points": [0.0]}))
+    atom = tmp_path / "atom.json"
+    atom.write_text(json.dumps({"points": [math.pi]}))
+    geronimus = ["--alpha", "const:-0.5", "--lambda-theta", "pi", "--z0-theta", "0", "--support", str(arc)]
+    alternating = "list:" + ",".join(str(0.5 * (-1) ** (k + 1)) for k in range(72))
+    runs = {
+        "theorem1": (0, ["verify", "theorem1", *geronimus, "--n", "2..4"]),
+        # the wrong support model of test_gap_failure_exit_code
+        "gap": (1, ["verify", "gap", "--alpha", "const:0", "--support", str(atom),
+                    "--gap", f"{math.pi + 0.01}:{math.pi - 0.01}", "--n", "6"]),
+        "bounds": (0, ["verify", "bounds", *geronimus, "--nu-support", str(arc_atom), "--n", "3..5",
+                       "--csv", str(tmp_path / "bounds.csv")]),
+        # the unresolvable degree of test_unresolved_degrees_become_error_verdicts
+        "consecutive": (1, ["verify", "consecutive", "--alpha", alternating, "--n", "69"]),
+    }
+    rows = {}
+    for theorem, (code, argv) in runs.items():
+        out = tmp_path / f"{theorem}.json"
+        assert run(argv + ["--out", str(out)]) == code
+        rows[theorem] = read_json(out)["results"]
+        assert {r["theorem_id"] for r in rows[theorem]} == {theorem}
+    everything = [r for theorem_rows in rows.values() for r in theorem_rows]
+    assert len({frozenset(r) for r in everything}) == 1
+    assert {r["verdict"] for r in everything} == {"pass", "fail", "error"}
+    for r in everything:
+        assert (r["error"] is None) == (r["verdict"] != "error")
+        assert bool(r["checks"]) == (r["theorem_id"] == "bounds")
+    for r in rows["bounds"]:
+        assert r["z0_theta"] == 0.0
+        assert r["delta"] == pytest.approx(1.0)  # chord to the arc's end at pi/3
+        assert r["delta_nu"] == 0.0  # z0 is the flipped side's atom
+    with open(tmp_path / "bounds.csv", encoding="utf-8") as handle:
+        table = list(csv.DictReader(handle))
+    assert [(float(c["delta"]), float(c["delta_nu"])) for c in table] == [
+        (r["delta"], r["delta_nu"]) for r in rows["bounds"]]
+
 
 def test_verify_looks_its_check_up_when_it_runs(tmp_path, monkeypatch):
     from paraortho import theorems
@@ -479,17 +575,6 @@ def test_verify_looks_its_check_up_when_it_runs(tmp_path, monkeypatch):
         "--out", str(tmp_path / "r.json"),
     ]) == 0
     assert seen == [2, 3, 4]
-
-
-# arguments that make each verify check apply to const 0.5 at lambda = pi:
-# an arc plus an atom at angle 0, whose flipped side is the arc alone
-VERIFY_POINTS = {
-    "theorem1": ["--z0-theta", "0.5"],  # in the gap, off the atom
-    "gap": ["--gap", "0.1:0.9"],
-    "main_lemma": ["--z0-theta", "0"],
-    "theorem3": ["--z0-theta", "0"],
-    "bounds": ["--z0-theta", "0"],
-}
 
 
 def test_reports_deterministic_modulo_timestamp(tmp_path):

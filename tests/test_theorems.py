@@ -332,6 +332,7 @@ class TestBoundAudit:
         ctx = pa.TheoremContext(pa.ConstantSequence(-0.5), -1, support=pa.support_model([ARC]))
         rep = pa.audit_lemma_bounds(ctx, 1.0, 5)
         assert rep.notes["nu_support"] == "unavailable"
+        assert rep.delta_nu is None
         assert [c.name for c in rep.checks] == ["h_kernel_lower", "h_distance_lower"]
 
     def test_bad_nu_estimate_degree_is_raised(self):
