@@ -2,15 +2,15 @@
 
 `interlace` hands over the zero pairs of two sets that lie closer than
 its collision tolerance.  For each pair, the zero x of one polynomial F
-is refined by Newton steps and the other polynomial G is evaluated at
-the refined zero; the sign of G's real trace there, set against the
-sign pattern G has between its own zeros, says on which side of G's
-colliding zero x lies.  A zero paired with the pinned base-point zero is
-placed instead by the side of lambda its refined position lies on.  A
-sign is accepted only where the value exceeds the stated bound on
-everything that could have moved it; the points still open go on to the
-next precision of LADDER.  Each evaluation is one pass over every open
-point of an `order` call, with lambda as one more row.
+is refined by Newton steps and the sign of the other polynomial G's
+real trace at the refined zero, set against the sign pattern G has
+between its own zeros, says on which side of G's colliding zero x lies.
+A zero paired with the pinned base-point zero is placed instead by the
+side of lambda its refined position lies on.  A sign is accepted only
+where the value exceeds the stated bound on everything that could have
+moved it; the points still open go on to the next precision of LADDER.
+Each evaluation is one pass over every open point of an `order` call,
+one row per point, on F's recursion, with lambda as one more row.
 
 All evaluations use the monic Szego recursion
 
@@ -28,17 +28,35 @@ sign, and the polynomial of either kind reads
 with (P, Q) the z-side pair at level n - 1, (L, L*) the plain pair at
 lambda, and sigma = +1 (first kind) or -1 (second kind).
 
+G of F's kind (consecutive degrees) is read from F's own row, one more
+level.  G of the other kind and F's degree needs no row of its own: the
+Wronskian Phi Psi* - Phi* Psi of the two starts is -2 at level 0 and
+gains z (1 - |a_j|^2) per level, so
+
+    s_n Phi_{n-1} + h_n Psi_{n-1} = 2 conj(L*) z^(n-1) prod_{j<n-1} (1 - |a_j|^2)
+
+(Simon, OPUC Part 1, AMS 2005, 3.2), and at a zero zeta of F, G(zeta) is
+conj(L* P_F(zeta)) zeta^(n-1) times the positive 2 prod / |P_F(zeta)|^2,
+with P_F F's own Phi_{n-1}.  Its sign then needs L* P_F(zeta) only to a
+relative error below 1, with no cancellation.  The bound on that product
+sums the pass's bound on L* P_F and its derivative, the Newton error err
+of zeta times |(L* P_F)'| and n (the power's move), and the long double
+rounding.  The long double pass decides nearly every such point; it
+leaves to the fixed-point stages those where P_F(zeta) has decayed far
+below its recursion's running magnitude (localized zeros at n ~ 300).
+
 Stages: long double carries [value, d/dz, d2/dz2] of the pairs as (3,
 rows) stacks (z P has the derivatives [z P, P + z P', 2 P' + z P'']) and
-decides at z0 = lambda e^{i x} from F, F', F'', G, G', G'' there.  Every
-stage above it is the same code at a binary precision p: values only,
-in Python-integer fixed point at scale 2^B, B = p + FIXED_GUARD_BITS, at
-points held exactly as z0 plus an offset.  The offset starts at the
-second-order Newton step d0 = -F/F' - F'' F^2 / (2 F'^3) and moves by
-d1 = -F / (F'(z0) + F''(z0) d0), added exactly, until every open
-point's |d1| < 8 2^-p or for at most NEWTON_STEPS evaluations; points
-still open carry it, shifted, to the next stage.  G at the zero is G + G' d1, with the
-derivatives at z0 carried to the point to first order.  One judge, in
+decides at z0 = lambda e^{i x} from F, F', F'' and G or L* P_F with their
+derivatives there.  Every stage above it is the same code at a binary
+precision p: values only, in Python-integer fixed point at scale 2^B,
+B = p + FIXED_GUARD_BITS, at points held exactly as z0 plus an offset.
+The offset starts at the second-order Newton step d0 = -F/F' - F'' F^2 /
+(2 F'^3) and moves by d1 = -F / (F'(z0) + F''(z0) d0), added exactly,
+until every open point's |d1| < 8 2^-p or for at most NEWTON_STEPS
+evaluations; points still open carry it, shifted, to the next stage.  G
+(or L* P_F) at the zero is its value plus its derivative times d1, with
+the derivatives at z0 carried to the point to first order.  One judge, in
 long double, decides every stage: each fixed-point value is rounded
 once to long double from its top bits, and the side of lambda is
 Im(x conj(lambda)), exact in integers, plus Im(d1 conj(lambda)).
@@ -59,7 +77,8 @@ covers the rounding of the value v to long double, and the judge bounds
 its own long double arithmetic by multiples of U_LONG.  Every decided
 sign agreed with mpmath at 80 digits on 10,644 colliding pairs and
 pinned-zero sides (seeds 1 to 15, same and consecutive degrees 60, 70,
-..., 150).
+..., 150) when G had a row of its own, and on 10,120 with the identity
+(the same seeds, same degrees 60, 70, ..., 150, both argument orders).
 """
 
 from __future__ import annotations
@@ -81,32 +100,34 @@ _DERIVATIVE = np.array([[1.0], [2.0]])
 
 
 def _rows(groups, sizes):
-    """Rows of one pass: the sizes[i] points of group (f, g, ...) once per
-    kind among f and g, then lambda.  Returns the group of each block of
-    rows, the start of Phi* per row (1 first kind, -1 second), per group
-    the (polynomial, columns) of f and, if not None, g, and the levels
-    they need."""
-    blocks, star0, requests = [], [], []
-    start = 0
-    for i, ((f, g, *_), size) in enumerate(zip(groups, sizes)):
-        cols = {}
-        for p in (f, g):
-            if p is not None and p.kind not in cols:
-                cols[p.kind] = slice(start, start + size)
-                start += size
-                blocks.append(i)
-                star0 += [1 if p.kind == "first" else -1] * size
-        requests.append([(p, cols[p.kind]) for p in (f, g) if p is not None])
-    levels = {p.n - 1 for r in requests for p, _ in r}
-    return blocks, star0 + [1], requests, levels
+    """Rows of one pass: the sizes[i] points of group (f, g, ...), on f's
+    row, then lambda.  Returns the start of Phi* per row (1 first kind,
+    -1 second), the columns of each group and the levels they need."""
+    star0, cols, start = [], [], 0
+    for (f, *_), size in zip(groups, sizes):
+        star0 += [1 if f.kind == "first" else -1] * size
+        cols.append(slice(start, start + size))
+        start += size
+    levels = {n - 1 for f, g, *_ in groups for _, n in _entries(f, g)}
+    return star0 + [1], cols, levels
+
+
+def _entries(f, g):
+    """What a pass evaluates for the group (f, g), as (polynomial, degree)
+    on f's row: f, then g of f's kind or, for g of the other kind and
+    f's degree, "pair": the product L* P_F."""
+    if g is None:
+        return [(f, f.n)]
+    return [(f, f.n), (g, g.n) if g.kind == f.kind else ("pair", f.n)]
 
 
 def _fused_values(groups, z):
     """F, F', F'' and their bounds at the long double points z, in one long
-    double pass: per group one (F, F', F'', bound, bound, bound) per
-    polynomial, values in long double, bounds in float64."""
-    blocks, star0, requests, levels = _rows(groups, [zk.size for zk in z])
-    pts = np.concatenate([z[i] for i in blocks] + [np.array([groups[0][0].lam], dtype=z[0].dtype)])
+    double pass: per group one (F, F', F'', bound, bound, bound) for f and,
+    unless g is None, the same for g (same kind) or for L* P_F (g of the
+    other kind); values in long double, bounds in float64."""
+    star0, cols, levels = _rows(groups, [zk.size for zk in z])
+    pts = np.concatenate(z + [np.array([groups[0][0].lam], dtype=z[0].dtype)])
     top = max(levels)
     alphas = groups[0][0].seq.alphas(top).astype(np.clongdouble)
     phi = np.zeros((3, pts.size), dtype=np.clongdouble)
@@ -124,16 +145,18 @@ def _fused_values(groups, z):
             mag = np.maximum(mag, np.abs(phi))
     cl = np.conj(groups[0][0].lam)
 
-    def values(p, c):
-        phi, star, t, mag = saved[p.n - 1]
+    def values(p, n, c):
+        phi, star, t, mag = saved[n - 1]
         lp, ls = np.conj(phi[0, -1]), np.conj(star[0, -1])
-        sigma = 1.0 if p.kind == "first" else -1.0
-        f = sigma * (ls * star[:, c] - cl * lp * t[:, c])
+        if p == "pair":
+            v = np.conj(ls) * phi[:, c]
+        else:
+            v = (1.0 if p.kind == "first" else -1.0) * (ls * star[:, c] - cl * lp * t[:, c])
         size = (abs(lp) * mag[:, c] + mag[0, -1] * np.abs(phi[:, c])).astype(float)
-        scale = ROUNDING_FACTOR * p.n * U_LONG
-        return (*f, scale * size[0], scale * (size[0] + size[1]), scale * (size[1] + size[2]))
+        scale = ROUNDING_FACTOR * n * U_LONG
+        return (*v, scale * size[0], scale * (size[0] + size[1]), scale * (size[1] + size[2]))
 
-    return [[values(p, c) for p, c in r] for r in requests]
+    return [[values(p, n, c) for p, n in _entries(f, g)] for (f, g, *_), c in zip(groups, cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +204,11 @@ def _fixed_pairs(alphas, x, star0: int, levels: set[int], bits: int):
 def _fixed_value(p, x, pair, lam_pair, cl, bits: int):
     """p at the fixed-point point x from its pair (P, Q) there, the pair
     (L, L*) at lambda and cl = conj(lambda): sigma (conj(L*) Q - x cl
-    conj(L) P), the products summed exactly and shifted back once."""
+    conj(L) P), the products summed exactly and shifted back once; with p
+    "pair", L* P."""
     (xr, xi), ((pr, pi), (qr, qi)), ((lr, li), (mr, mi)), (cr, ci) = x, pair, lam_pair, cl
+    if p == "pair":
+        return (mr * pr - mi * pi) >> bits, (mr * pi + mi * pr) >> bits
     wr, wi = (xr * cr - xi * ci) >> bits, (xr * ci + xi * cr) >> bits
     wr, wi = (wr * lr + wi * li) >> bits, (wi * lr - wr * li) >> bits  # x cl conj(L)
     vr = (mr * qr + mi * qi - wr * pr + wi * pi) >> bits
@@ -193,23 +219,23 @@ def _fixed_value(p, x, pair, lam_pair, cl, bits: int):
 def _fixed_values(groups, points, bits: int):
     """Values at fixed-point points in one pass at scale 2^bits, one
     _fixed_pairs walk per row.  points holds per group the (real, imag)
-    object arrays of its points.  Returns per group one value per
-    polynomial and Im(x conj(lambda)) per point x, this exact in
-    integers, each rounded once to long double."""
-    blocks, star0, requests, levels = _rows(groups, [xr.size for xr, _ in points])
+    object arrays of its points.  Returns per group the values of
+    _fused_values (F and, unless g is None, g or L* P_F) and Im(x
+    conj(lambda)) per point x, this exact in integers, each rounded once
+    to long double."""
+    star0, cols, levels = _rows(groups, [xr.size for xr, _ in points])
     f = groups[0][0]
     alphas = list(zip(*(a.tolist() for a in _to_fixed(f.seq.alphas(max(levels)), bits))))
     (lr,), (li,) = _to_fixed(f.lam, bits)
-    xs = [x for i in blocks for x in zip(*points[i])] + [(lr, li)]
+    xs = [x for xr, xi in points for x in zip(xr, xi)] + [(lr, li)]
     pairs = [_fixed_pairs(alphas, x, s, levels, bits) for x, s in zip(xs, star0)]
 
-    def value(p, c):
-        j = p.n - 1
-        vr, vi = zip(*(_fixed_value(p, xs[r], pairs[r][j], pairs[-1][j], (lr, -li), bits)
+    def value(p, n, c):
+        vr, vi = zip(*(_fixed_value(p, xs[r], pairs[r][n - 1], pairs[-1][n - 1], (lr, -li), bits)
                        for r in range(c.start, c.stop)))
         return _to_long(vr, bits) + 1j * _to_long(vi, bits)
 
-    return ([[value(p, c) for p, c in r] for r in requests],
+    return ([[value(p, n, c) for p, n in _entries(f, g)] for (f, g, *_), c in zip(groups, cols)],
             [_to_long(xi * lr - xr * li, 2 * bits) for xr, xi in points])
 
 
@@ -223,36 +249,54 @@ def _newton(f0, f1, f2):
     return -q - f2 * q * q / (2 * f1)
 
 
-def _judge(f, g, theta, d0, values, derivs, im, u):
-    """Sign, decision and Newton step d1 to the zero of F at one precision,
-    in long double arrays.
-
-    The point lies d0 from z0; values holds (F, bound) there and, unless
-    g is None (a side-of-lambda decision), (G, bound); derivs the
-    matching (value, first and second derivative, their bounds) at z0
-    from the long double pass; im is Im(z conj(lambda)) at the point, and
-    u the unit roundoff of the pass that gave the values.  The
-    derivatives at z0 are carried to the point to first order; the
-    dropped terms are bounded through the curvatures |F''/F'| and
-    |G''/G'|.
-    """
-    (fz, ef), *gv = values
-    (_, f1, f2, _, e1, e2), *gd = derivs
+def _step(fv, fd, d0):
+    """Newton step d1 from the point, d0 from z0, to the zero of F, and a
+    bound on its error: fv holds (F, bound) at the point, fd (value, first
+    and second derivative, their bounds) at z0 from the long double pass.
+    The derivatives are carried to the point to first order; the dropped
+    terms are bounded through the curvature |F''/F'|."""
+    (fz, ef), (_, f1, f2, _, e1, e2) = fv, fd
     k_f = abs(f2 / f1)
     f1z = f1 + f2 * d0
     e1z = e1 + e2 * abs(d0) + abs(f1) * (k_f * abs(d0)) ** 2
     d1 = -fz / f1z
-    err = (ef + abs(d1) * e1z) / abs(f1z) + k_f * abs(d1) ** 2
+    return d1, (ef + abs(d1) * e1z) / abs(f1z) + k_f * abs(d1) ** 2
+
+
+def _carry(gv, gd, d0, d1, err):
+    """G at the zero of F, d0 + d1 from z0 to within err, and its bound:
+    gv holds (G, bound) at the point d0 from z0, gd G's derivatives and
+    bounds at z0, carried as in _step."""
+    (gz, eg), (_, g1, g2, _, h1, h2) = gv, gd
+    k_g = abs(g2 / g1)
+    g1z = g1 + g2 * d0
+    h1z = h1 + h2 * abs(d0) + abs(g1) * (k_g * abs(d0)) ** 2
+    return gz + g1z * d1, eg + abs(d1) * h1z + abs(g1z) * (err + k_g * abs(d1) ** 2)
+
+
+def _judge(f, g, theta, d0, values, derivs, im, u):
+    """Sign, decision and Newton step d1 to the zero of F at one precision,
+    in long double arrays.
+
+    The point lies d0 from z0 = lambda e^{i theta}; values holds (F,
+    bound) there and, unless g is None (a side-of-lambda decision), (G,
+    bound) for g of f's kind or (L* P_F, bound) for g of the other kind;
+    derivs the matching (value, first and second derivative, their
+    bounds) at z0 from the long double pass; im is Im(z conj(lambda)) at
+    the point, and u the unit roundoff of the pass that gave the values.
+    """
+    d1, err = _step(values[0], derivs[0], d0)
     if g is None:
         offset = im + (d1 * np.conj(f.lam)).imag
         bound = err + 8 * (U_LONG * abs(im) + u) + 8 * U_LONG * abs(d1)
         return (offset > 0) * 2.0 - 1.0, abs(offset) > bound, d1
-    (gz, eg), (_, g1, g2, _, h1, h2) = gv[0], gd[0]
-    k_g = abs(g2 / g1)
-    g1z = g1 + g2 * d0
-    h1z = h1 + h2 * abs(d0) + abs(g1) * (k_g * abs(d0)) ** 2
-    value = gz + g1z * d1
-    bound = eg + abs(d1) * h1z + abs(g1z) * (err + k_g * abs(d1) ** 2)
+    value, bound = _carry(values[1], derivs[1], d0, d1, err)
+    if g.kind != f.kind:
+        # at the zero, g is 2 prod(1 - |a_j|^2) / |P_F|^2 times
+        # conj(L* P_F) z^(n-1); the power moves by n err / |z| with the zero
+        power = (f.lam * np.exp(1j * theta) + d0 + d1) ** (f.n - 1)
+        bound = abs(power) * (bound + abs(value) * f.n * (err + 8 * U_LONG))
+        value = np.conj(value) * power
     factor = np.exp(-0.5j * g.n * theta)  # makes g real on the circle
     trace = (value * (-1j * factor if g.kind == "first" else factor)).real
     return (trace > 0) * 2.0 - 1.0, abs(trace) > bound + 8 * U_LONG * abs(value), d1
@@ -262,13 +306,17 @@ def order(groups):
     """Order zeros near given angles against another family or lambda.
 
     groups lists (f, g, theta), all polynomials sharing one coefficient
-    sequence and base point.  With g a polynomial, the sign of g's real
-    trace at the zeros of f near the angles theta; with g None, the side
-    of lambda (+1 counterclockwise, -1 clockwise) those zeros lie on.
+    sequence and base point, g of f's kind or of the other kind and f's
+    degree (a ValueError otherwise).  With g a polynomial, the sign of
+    g's real trace at the zeros of f near the angles theta; with g None,
+    the side of lambda (+1 counterclockwise, -1 clockwise) those zeros
+    lie on.
     Each point is decided at the first precision of LADDER whose value
     clears its rounding bound.  Returns one (signs, labels) per group:
     labels name that precision, "" where none did.
     """
+    if any(g is not None and g.kind != f.kind and g.n != f.n for f, g, _ in groups):
+        raise ValueError("a polynomial of the other kind must share f's degree")
     groups = [(f, g, np.atleast_1d(np.asarray(t, dtype=float))) for f, g, t in groups]
     z0 = [(f.lam * np.exp(1j * t)).astype(np.clongdouble) for f, _, t in groups]
     derivs = _fused_values(groups, z0)

@@ -459,15 +459,19 @@ def _order_collisions(a: ZeroSet, b: ZeroSet, xa, xb, pairs):
     zero lies between the two (as at a symmetric gap in the support).
 
     Returns (xa, xb, decided), or None if a pair stays open, a set has
-    no source polynomial, the sources differ in base point or in the
-    coefficients they use (compared by value), a non-pinned zero lies
-    within COLLISION_TOL of lambda, a zero of b takes part in two pairs,
-    or a zero of a in more than two or lies outside its two partners.
+    no source polynomial, the sources differ in base point, in the
+    coefficients they use (compared by value) or in both kind and degree
+    (no identity gives one's sign at the other's zeros from one
+    recursion, see the precision module, and no paper statement compares
+    them), a non-pinned zero lies within COLLISION_TOL of lambda, a zero
+    of b takes part in two pairs, or a zero of a in more than two or lies
+    outside its two partners.
     """
     fa, fb = a.source, b.source
     i, j = pairs[:, 0], pairs[:, 1]
     first, repeats = np.unique(i, return_counts=True)
     if (fa is None or fb is None or fa.lam != fb.lam or repeats.max() > 2
+            or (fa.kind != fb.kind and fa.n != fb.n)
             or not (a.simplicity and b.simplicity) or np.unique(j).size < j.size
             or not np.array_equal(*(f.seq.alphas(max(fa.n, fb.n)) for f in (fa, fb)))):
         return None
@@ -519,10 +523,13 @@ def interlace(a: ZeroSet, b: ZeroSet) -> InterlaceVerdict:
     Float64 angles cannot order two zeros closer than COLLISION_TOL.
     Such pairs are ordered at raised precision from the source
     polynomials of the two sets (see _order_collisions and the precision
-    module); the verdict records how many pairs each precision decided.
-    It is "inconclusive", with the closest pair as witness, if a set has
-    no source, a pair stays open at the highest precision, or the
-    collisions take a shape _order_collisions does not decide.  The one
+    module), one recursion per colliding zero: the other set's sign at
+    that zero follows from it for a set of the same kind (consecutive
+    degrees) or of the other kind and the same degree; the verdict
+    records how many pairs each precision decided.  It is "inconclusive", with the closest pair
+    as witness, if a set has no source, a pair stays open at the highest
+    precision, or the collisions take a shape _order_collisions does not
+    decide (among them two kinds of two degrees).  The one
     exception is two identical angle lists - a degenerate
     self-comparison, which fails outright with an empty-arc witness.
     """

@@ -41,8 +41,21 @@ def mp_evaluator(p):
     return value
 
 
-def mp_value(p, z):
-    return mp_evaluator(p)(z)
+def mp_pair_product(f):
+    """z -> L* P_F(z): f's monic Phi_{n-1} (its own kind's start) times
+    the first-kind Phi*_{n-1} at lambda, as the passes carry it for a g
+    of the other kind."""
+    alphas = [mpmath.mpc(a) for a in f.seq.alphas(f.n - 1)]
+    _, ls = mp_pairs(alphas, mpmath.mpc(f.lam), 1)
+    return lambda z: ls * mp_pairs(alphas, z, 1 if f.kind == "first" else -1)[0]
+
+
+def mp_entries(f, g):
+    """References for the entries the passes return for the group (f, g):
+    F, then g (same kind) or L* P_F (other kind), none for g None."""
+    if g is None:
+        return [mp_evaluator(f)]
+    return [mp_evaluator(f), mp_evaluator(g) if g.kind == f.kind else mp_pair_product(f)]
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +78,8 @@ def ld_to_mp(z):
     return mpmath.mpc(mpmath.mpf(re) + float(z.real - re), mpmath.mpf(im) + float(z.imag - im))
 
 
-# rows of two kinds (h_100, s_100), of one kind at two levels (h_101,
-# h_100), and a group without g (s_101)
+# the two kinds of one degree (h_100, s_100: F and L* P_F on h's row),
+# one kind at two levels (h_101, h_100), and a group without g (s_101)
 SHAPES = ((("first", 100), ("second", 100)), (("first", 101), ("first", 100)), (("second", 101), None))
 
 
@@ -81,11 +94,13 @@ def test_long_double_pass_matches_mpmath(colliding):
     values = precision._fused_values(groups, [z] * len(groups))
     with mpmath.workdps(60):
         for (f, g), per_poly in zip(groups, values):
-            for p, (f0, f1, f2, e0, e1, e2) in zip((f, g), per_poly):
+            refs = mp_entries(f, g)
+            assert len(per_poly) == len(refs)
+            for reference, (f0, f1, f2, e0, e1, e2) in zip(refs, per_poly):
                 for i in range(z.size):
                     x = ld_to_mp(z[i])
                     # F, F' and F'' by mpmath's differentiation of the reference
-                    ref = [mpmath.diff(lambda w: mp_value(p, w), x, k) for k in range(3)]
+                    ref = [mpmath.diff(reference, x, k) for k in range(3)]
                     for got, want, bound in zip((f0[i], f1[i], f2[i]), ref, (e0[i], e1[i], e2[i])):
                         assert abs(ld_to_mp(got) - want) <= bound
 
@@ -112,12 +127,14 @@ def test_fixed_point_stages_match_mpmath(colliding, p):
                 for i, x in enumerate(xs):
                     # Im(x conj(lambda)) is exact before its rounding to long double
                     assert abs(ld_to_mp(im[i]) - (x * lam.conjugate()).imag) <= U_LONG * float(abs(im[i]))
-                for q, (_, _, _, e0, _, _), v in zip((f, g), per_poly, fixed_per_poly):
+                refs = mp_entries(f, g)
+                assert len(fixed_per_poly) == len(refs)
+                for reference, (_, _, _, e0, _, _), v in zip(refs, per_poly, fixed_per_poly):
                     for i, x in enumerate(xs):
                         # the stated bound of a fixed-point stage: the long double value
                         # bound rescaled to 2^-p, plus the rounding to long double
                         bound = e0[i] * 2.0**-p / U_LONG + U_LONG * float(abs(v[i]))
-                        assert abs(ld_to_mp(v[i]) - mp_value(q, x)) <= bound
+                        assert abs(ld_to_mp(v[i]) - reference(x)) <= bound
 
 
 def test_values_past_the_double_range_round_from_their_top_bits():
@@ -152,22 +169,61 @@ def test_newton_steps_recover_a_start_off_the_zero(monkeypatch):
         assert set(labels) <= {"fixed-104", "mpmath-40"}
 
 
+def mp_zero(value, z):
+    """The zero of value near z, by Newton steps in the reference
+    (derivatives by a difference quotient)."""
+    h = mpmath.sqrt(mpmath.eps)
+    for _ in range(12):
+        fz = value(z)
+        step = -fz * h / (value(z + h) - fz)
+        z += step
+        if abs(step) < mpmath.eps ** 0.4:  # z is then within about eps^0.8 of the zero
+            return z
+    raise AssertionError(f"no convergence at z = {z!r}")
+
+
+@pytest.mark.parametrize("p", [p for _, p in precision.LADDER], ids=[label for label, _ in precision.LADDER])
+def test_step_and_carried_pair_product_match_mpmath(colliding, p):
+    # at each stage, the Newton step from the point to h_100's zero zeta
+    # and L* P_F carried to zeta, against the reference at zeta, within
+    # the bounds _step and _carry state; the fixed-point stages start from
+    # the long double Newton offset, as order does
+    polys, theta = colliding
+    f = polys["first", 100]
+    group = (f, polys["second", 100])
+    z = (f.lam * np.exp(1j * theta)).astype(np.clongdouble)
+    derivs, = precision._fused_values([group], [z])
+    d0 = 0.0
+    values = [(v[0], v[3]) for v in derivs]
+    if p is not None:
+        bits = p + precision.FIXED_GUARD_BITS
+        offset = precision._to_fixed(precision._newton(*derivs[0][:3]), bits)
+        d0 = precision._to_long(offset[0], bits) + 1j * precision._to_long(offset[1], bits)
+        points = tuple(a + b for a, b in zip(precision._to_fixed(z, bits), offset))
+        (fixed,), _ = precision._fixed_values([group], [points], bits)
+        values = [(v, e[3] * 2.0**-p / U_LONG + U_LONG * abs(v)) for v, e in zip(fixed, derivs)]
+    d1, err = precision._step(values[0], derivs[0], d0)
+    carried, bound = precision._carry(values[1], derivs[1], d0, d1, err)
+    with mpmath.workdps(100):
+        value, reference = mp_evaluator(f), mp_pair_product(f)
+        for i in range(z.size):
+            zeta = mp_zero(value, ld_to_mp(z[i]))
+            if p is None:
+                point = ld_to_mp(z[i])
+            else:  # exactly the fixed-point point
+                point = mpmath.mpc(mpmath.mpf((int(points[0][i]), -bits)), mpmath.mpf((int(points[1][i]), -bits)))
+            assert abs(point + ld_to_mp(d1[i]) - zeta) <= float(err[i])
+            # plus the rounding of the carried sum, which _judge allows for
+            assert abs(ld_to_mp(carried[i]) - reference(zeta)) <= float(bound[i] + 2 * U_LONG * abs(carried[i]))
+
+
 def mp_decision(f, g, theta, evaluator=mp_evaluator):
     """The sign precision.order should give for the zero of f near the
     angle theta: found by Newton steps in the mpmath reference (derivatives
     by a difference quotient), then g's real trace there, or with g None
     the side of lambda it lies on."""
     lam = mpmath.mpc(f.lam)
-    value, h = evaluator(f), mpmath.sqrt(mpmath.eps)
-    z = lam * mpmath.expj(theta)
-    for _ in range(12):
-        fz = value(z)
-        step = -fz * h / (value(z + h) - fz)
-        z += step
-        if abs(step) < mpmath.eps ** 0.4:  # z is then within about eps^0.8 of the zero
-            break
-    else:
-        raise AssertionError(f"no convergence at theta = {theta!r}")
+    z = mp_zero(evaluator(f), lam * mpmath.expj(theta))
     if g is None:
         return mpmath.sign(mpmath.im(z / lam))
     angle = theta + mpmath.arg(z / (lam * mpmath.expj(theta)))
@@ -179,12 +235,12 @@ def mp_decision(f, g, theta, evaluator=mp_evaluator):
 
 def test_decided_signs_agree_with_mpmath_80(monkeypatch):
     # every sign that interlace's collision ladder decides, on seed 1's
-    # h_100 against s_100, seed 5's interior zeros of h_179 against h_180
+    # h_100 against s_100, seed 4's interior zeros of h_207 against h_208
     # and seed 16's h_140 against s_140, recomputed in the 80-digit
-    # reference: 66 long double and 127 fixed-104 (one pinned-zero side
-    # in each), 7 mpmath-40 and 1 mpmath-80 decisions; seed 16's pair
-    # at 4.38 is one of the two that the criterion-4 corpus leaves to 80
-    # digits
+    # reference: 123 long double and 93 fixed-104 (one pinned-zero side
+    # in each), 20 mpmath-40 and 1 mpmath-80 decisions; the two highest
+    # stages come from the consecutive degrees, since the same-degree
+    # pairs are decided from f's row alone
     order, calls = precision.order, []
 
     def recording(groups):
@@ -194,7 +250,7 @@ def test_decided_signs_agree_with_mpmath_80(monkeypatch):
 
     monkeypatch.setattr(precision, "order", recording)
     verdicts = []
-    for seed, kinds, n, m in ((1, ("first", "second"), 100, 100), (5, ("first", "first"), 179, 180),
+    for seed, kinds, n, m in ((1, ("first", "second"), 100, 100), (4, ("first", "first"), 207, 208),
                               (16, ("first", "second"), 140, 140)):
         seq = pa.RandomSequence(0.7, seed)
         a, b = (pa.find_zeros(pa.ParaPolynomial(k, d, 1.0, seq)) for k, d in zip(kinds, (n, m)))
@@ -211,3 +267,39 @@ def test_decided_signs_agree_with_mpmath_80(monkeypatch):
                     assert mp_decision(f, g, mpmath.mpf(float(t)), evaluator) == sign, (label, f.kind, f.n, t)
     assert stages == {"long double", "fixed-104", "mpmath-40", "mpmath-80"} and sides > 0
     assert verdicts == ["pass", "pass", "pass"]
+
+
+def test_same_degree_signs_from_the_identity_agree_with_mpmath_80(monkeypatch):
+    # every sign decided for g of the other kind from f's row alone (the
+    # Wronskian identity), recomputed in the 80-digit reference: seed 1's
+    # h_100 and s_100 in both orders, seed 9 at lambda = e^{0.9i}, n =
+    # 120, seed 16 at n = 140 (its pair at 4.38 needed 80 digits when g
+    # had a walk of its own) and seed 3 at n = 300, whose 222 points reach
+    # the fixed-point stages: there P_F(zeta) has decayed far below the
+    # running magnitude of its recursion, beyond long double
+    order, calls = precision.order, []
+
+    def recording(groups):
+        result = order(groups)
+        calls.append((groups, result))
+        return result
+
+    monkeypatch.setattr(precision, "order", recording)
+    verdicts = []
+    for seed, lam, n, swap in ((1, 1.0, 100, False), (1, 1.0, 100, True), (9, np.exp(0.9j), 120, False),
+                               (16, 1.0, 140, False), (3, 1.0, 300, False)):
+        seq = pa.RandomSequence(0.7, seed)
+        h, s = (pa.find_zeros(pa.ParaPolynomial(kind, n, lam, seq)) for kind in ("first", "second"))
+        verdicts.append(pa.interlace(*((s, h) if swap else (h, s))).verdict)
+    stages, points, evaluator = set(), 0, functools.cache(mp_evaluator)
+    with mpmath.workdps(80):
+        for groups, result in calls:
+            for (f, g, theta), (signs, labels) in zip(groups, result):
+                if g is None or g.kind == f.kind:
+                    continue
+                for t, sign, label in zip(np.atleast_1d(theta), signs, labels):
+                    stages.add(label)
+                    points += 1
+                    assert mp_decision(f, g, mpmath.mpf(float(t)), evaluator) == sign, (label, f.kind, f.n, t)
+    assert {"long double", "fixed-104", "mpmath-40"} <= stages and points > 300
+    assert verdicts == ["pass"] * 5

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import paraortho as pa
-from paraortho import zeros
+from paraortho import precision, zeros
 from paraortho.errors import ResolutionError
 from paraortho.para import _trace_at_levels, real_form_grid
 from paraortho.zeros import ZeroSet, find_zeros_sweep
@@ -281,20 +281,22 @@ class TestInterlace:
         assert res.verdict == "inconclusive"
         assert res.witness["min_pair_distance"] < 1e-10
 
-    @pytest.mark.parametrize("n", [100, 140])
-    def test_same_degree_collisions_need_double_double(self, n):
+    @pytest.mark.parametrize("n, decided", [(100, {"long double": 24}),
+                                            (140, {"fixed-104": 1, "long double": 63})])
+    def test_same_degree_collisions_decided_from_one_row(self, n, decided):
         # seed 1 at n = 100: 24 zero pairs closer than 1e-10, the closest
-        # 3.8e-18 apart, far below float64 and long double resolution; at
-        # n = 140 a second-kind zero also lies 4.9e-13 from the pinned one
+        # 3.8e-18 apart, far below float64 and long double resolution, yet
+        # s_n's sign at h_n's refined zero follows from h_n's own row in
+        # long double; at n = 140 a second-kind zero also lies 4.9e-13 from
+        # the pinned one, a side of lambda decided at 2^-104
         seq = pa.RandomSequence(0.7, 1)
         h = pa.find_zeros(pa.ParaPolynomial("first", n, 1.0, seq))
         s = pa.find_zeros(pa.ParaPolynomial("second", n, 1.0, seq))
-        res = pa.interlace(h, s)
-        assert res.verdict == "pass"
-        assert res.decided.get("fixed-104", 0) > 0
+        for res in (pa.interlace(h, s), pa.interlace(s, h)):
+            assert (res.verdict, res.decided) == ("pass", decided)
 
     @pytest.mark.parametrize("n, decided", [(80, {"long double": 5}),
-                                            (100, {"fixed-104": 5, "long double": 19})])
+                                            (100, {"long double": 24})])
     def test_sources_compared_by_coefficients(self, n, decided):
         # equal coefficients from two sequence objects decide collisions as
         # one object does; a source with other coefficients leaves them open
@@ -304,6 +306,19 @@ class TestInterlace:
         assert (res.verdict, res.decided) == ("pass", decided)
         other = dataclasses.replace(s, source=pa.ParaPolynomial("second", n, 1.0, pa.RandomSequence(0.7, 2)))
         assert pa.interlace(h, other).verdict == "inconclusive"
+
+    def test_other_kind_and_degree_is_inconclusive(self):
+        # h_141 without its base point against s_140: six pairs closer than
+        # 1e-10 between two kinds of two degrees, a shape no identity
+        # relates and no paper statement compares
+        seq = pa.RandomSequence(0.7, 1)
+        h = pa.find_zeros(pa.ParaPolynomial("first", 141, 1.0, seq)).without_base_point()
+        s = pa.find_zeros(pa.ParaPolynomial("second", 140, 1.0, seq))
+        res = pa.interlace(h, s)
+        assert res.verdict == "inconclusive"
+        assert res.witness["min_pair_distance"] < zeros.COLLISION_TOL
+        with pytest.raises(ValueError, match="share f's degree"):
+            precision.order([(h.source, s.source, h.angles[:1])])
 
     def test_zero_between_two_colliding_zeros(self):
         # const -0.5 at lambda = pi, n = 76: h_n's zero in the support gap
