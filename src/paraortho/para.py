@@ -158,6 +158,18 @@ def _deepest_first(thetas, n_for_each):
     return order, np.asarray(thetas, dtype=float)[order], nn, active
 
 
+def _trace_from(p: ParaPolynomial, pair, z, th, n) -> np.ndarray:
+    """Real trace at z = lambda e^{i th} of degree n (one for all points
+    or one each), from the z-side pair at level n - 1."""
+    lam_phi, lam_star = p._lambda_values()
+    val, _ = _level_form((lam_phi[n - 1], lam_star[n - 1]), pair, z * np.conj(p.lam),
+                         -1 if p.kind == "first" else 1)
+    tr = val * np.exp(-0.5j * n * th)
+    if p.kind == "first":
+        tr = tr * -1j
+    return tr.real
+
+
 def _trace_at_levels(p: ParaPolynomial, thetas, n_for_each) -> np.ndarray:
     """Real trace where each sample carries its own degree, up to p's.
 
@@ -169,17 +181,36 @@ def _trace_at_levels(p: ParaPolynomial, thetas, n_for_each) -> np.ndarray:
         return np.empty(0)
     order, th, nn, active = _deepest_first(thetas, n_for_each)
     z = p.lam * np.exp(1j * th)
-    lam_phi, lam_star = p._lambda_values()
-    want, top = nn - 1, int(nn[0]) - 1  # z-side values are taken at level n-1
+    top = int(nn[0]) - 1  # z-side values are taken at level n-1
     vz = _szego_levels(p._z_alphas(top), z, (top,), active)[0]
-    val, _ = _level_form((lam_phi[want], lam_star[want]), vz, z * np.conj(p.lam),
-                         -1 if p.kind == "first" else 1)
-    tr = val * np.exp(-0.5j * nn * th)
-    if p.kind == "first":
-        tr = tr * -1j
     out = np.empty(th.size)
-    out[order] = tr.real
+    out[order] = _trace_from(p, vz, z, th, nn)
     return out
+
+
+def _phase_levels(alphas, z, levels, active=None, widths=None) -> list:
+    """sum_{k < L} arg q_k of the b_k recursion (see _phase_at_levels) at
+    each level L of levels, from one pass over the m coefficients of
+    alphas; levels within 0..m, active and widths as in
+    szego._szego_levels, and one array per level."""
+    row_of = {level: i for i, level in enumerate(levels)}
+    widths = [z.size] * len(levels) if widths is None else widths
+    b, acc, rows = z.copy(), np.zeros(z.size), [None] * len(levels)
+    for k in range(len(alphas) + 1):
+        if k in row_of:
+            rows[row_of[k]] = acc[: widths[row_of[k]]].copy()
+        if k == len(alphas):
+            break
+        c = z.size if active is None else active[k]
+        q = 1.0 - alphas[k] * b[:c]
+        acc[:c] += np.arctan2(q.imag, q.real)
+        b[:c] *= z[:c] * np.conj(q) / q
+    return rows
+
+
+def _lift(p: ParaPolynomial, acc, th, n) -> np.ndarray:
+    """The lifted phase in turns of degree n from its sum of arg q_k."""
+    return (n * (np.angle(p.lam) + th) - 2.0 * acc) / (2.0 * np.pi)
 
 
 def _phase_at_levels(p: ParaPolynomial, thetas, n_for_each) -> np.ndarray:
@@ -200,12 +231,29 @@ def _phase_at_levels(p: ParaPolynomial, thetas, n_for_each) -> np.ndarray:
         return np.empty(0)
     order, th, nn, active = _deepest_first(thetas, n_for_each)
     z = p.lam * np.exp(1j * th)
-    a = p._z_alphas(int(nn[0]) - 1)
-    b, acc = z.copy(), np.zeros(th.size)
-    for k, c in enumerate(active):
-        q = 1.0 - a[k] * b[:c]
-        acc[:c] += np.arctan2(q.imag, q.real)
-        b[:c] *= z[:c] * np.conj(q) / q
+    top = int(nn[0]) - 1
+    acc = _phase_levels(p._z_alphas(top), z, (top,), active)[0]
     out = np.empty(th.size)
-    out[order] = (nn * (np.angle(p.lam) + th) - 2.0 * acc) / (2.0 * np.pi)
+    out[order] = _lift(p, acc, th, nn)
     return out
+
+
+def _nested_levels(p: ParaPolynomial, thetas, widths: dict) -> dict:
+    """Phase and trace of each degree n of widths at the widths[n] leading
+    samples, from one pass of each recursion to the highest degree.
+
+    The samples share p's kind, base point and coefficients, as in
+    _phase_at_levels and _trace_at_levels, whose values these are.  Each
+    degree's points are a prefix of thetas, and each pass keeps only
+    that prefix at level n - 1, so a sweep's nested grids cost one pass
+    over the largest.  Returns {n: (phase, trace)}.
+    """
+    th = np.asarray(thetas, dtype=float)
+    z = p.lam * np.exp(1j * th)
+    degrees = sorted(widths)
+    levels, kept = [n - 1 for n in degrees], [widths[n] for n in degrees]
+    alphas = p._z_alphas(levels[-1])
+    acc = _phase_levels(alphas, z, levels, widths=kept)
+    pairs = _szego_levels(alphas, z, levels, widths=kept)
+    return {n: (_lift(p, a, th[:w], n), _trace_from(p, pair, z[:w], th[:w], n))
+            for n, w, a, pair in zip(degrees, kept, acc, pairs)}

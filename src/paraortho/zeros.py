@@ -9,13 +9,16 @@ Blaschke product z phi_{n-1} / phi*_{n-1} rises strictly by n turns per
 turn of z, and the zeros are exactly where it passes a fixed value
 modulo one turn, so one O(n) pass at a point counts the zeros before it,
 as a Sturm sequence does on the line, and a few points per zero split
-the circle into cells of one zero each.  Each cell is then narrowed by a
-safeguarded regula falsi on the trace, whose signs alone decide which
-part holds the zero.  The base point itself is
-handled out of band: for the first kind it is a known zero pinned at
-theta = 0; for the second kind the trace equals +2 at theta = 0 and
-2(-1)^n as theta -> 2pi, and those exact values are used as endpoint
-signs (the evaluated trace loses all precision there once magnitudes
+the circle into cells of one zero each.  Degree n's first points are the
+2^ceil(log2(PHASE_GRID n)) equally spaced angles from the base point;
+these grids nest, so one pass over the top degree's grid samples every
+degree of a sweep, and a degree gets the same cells alone or swept.
+Each cell is then narrowed by a safeguarded regula falsi on the trace,
+whose signs alone decide which part holds the zero.  The base point
+itself is handled out of band: for the first kind it is a known zero
+pinned at theta = 0; for the second kind the trace equals +2 at theta =
+0 and 2(-1)^n as theta -> 2pi, and those exact values are used as
+endpoint signs (the evaluated trace loses all precision there once magnitudes
 are large, while the true values are fixed).
 
 Interlacing compares two zero sets.  Zeros of the two sets closer than
@@ -38,7 +41,8 @@ import numpy as np
 
 from . import precision
 from .errors import AmbiguousMinimaError, ResolutionError
-from .para import ParaPolynomial, _phase_at_levels, _trace_at_levels, para_eval, real_form_grid
+from .para import (ParaPolynomial, _nested_levels, _phase_at_levels, _trace_at_levels, para_eval,
+                   real_form_grid)
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,8 +50,9 @@ TWO_PI = 2.0 * math.pi
 # angles cannot order two zeros and interlace raises the precision
 COLLISION_TOL = 1e-10
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# phase samples per zero of the first phase pass, and the points each
-# further pass puts into a cell that holds more than one zero
+# the least phase samples per zero of the first phase pass (degree n
+# takes the next power of two at or above PHASE_GRID n), and the points
+# each further pass puts into a cell that holds more than one zero
 PHASE_GRID = 4
 PHASE_SPLIT = 7
 # a phase within this many turns of a whole turn marks a sample on a
@@ -166,11 +171,28 @@ def _at_levels(level_fun, top: ParaPolynomial, parts: dict) -> dict:
     return dict(zip(parts, np.split(flat, np.cumsum(sizes)[:-1])))
 
 
+def _bit_reversed(size: int) -> np.ndarray:
+    """0..size-1 (a power of two) in bit-reversed order: its leading m
+    entries, for each power of two m, are the multiples of size / m."""
+    order = np.zeros(1, dtype=int)
+    while order.size < size:
+        order = np.concatenate([2 * order, 2 * order + 1])
+    return order
+
+
 def _phase_brackets(polys: dict[int, ParaPolynomial]) -> dict:
     """One bracket per zero from the phase count, for every degree of polys.
 
-    Each pass evaluates the phase and the trace of every degree through
-    the highest one's recursion (see _at_levels).  In turns of the lifted
+    The first pass samples degree n at 2^ceil(log2(PHASE_GRID n))
+    equally spaced angles from 0, all of them points of the highest
+    degree's grid.  That grid goes in bit-reversed order, which makes
+    each degree's points a prefix of it, and one pass of the phase and
+    one of the trace to the highest degree keep each prefix at its
+    degree (see para._nested_levels): the sweep costs one pass over the
+    largest grid, and a degree's first samples, hence its brackets, do
+    not depend on the degrees swept with it.  Each further pass
+    evaluates the points of every degree through the highest one's
+    recursion (see _at_levels).  In turns of the lifted
     phase (para._phase_at_levels) from an origin, the zeros lie at whole
     turns: the first kind's origin is its pinned zero;
     the second kind's puts lambda at u0 in [1/2, 3/2) turns, and h = 1
@@ -179,9 +201,9 @@ def _phase_brackets(polys: dict[int, ParaPolynomial]) -> dict:
     the trace signs at the first samples back more often, which puts a
     zero within rounding of lambda on its true side; on a whole turn (to
     ON_ZERO; the phase is flat across a gap in the support) the trace
-    sign picks the count.  The first pass takes PHASE_GRID samples per
-    zero; each further one cuts every cell of several zeros into
-    PHASE_SPLIT + 1 parts while they are distinct doubles, and one left
+    sign picks the count.  The first pass takes at least PHASE_GRID
+    samples per zero; each further one cuts every cell of several zeros
+    into PHASE_SPLIT + 1 parts while they are distinct doubles, and one left
     makes the degree a ResolutionError.  The trace at a cell's low end
     has the sign of the count: s0 (-1 first kind, +1 second) before the
     first zero, flipping at each.  Returns {n: (lo, hi, side, f_lo, f_hi,
@@ -192,14 +214,15 @@ def _phase_brackets(polys: dict[int, ParaPolynomial]) -> dict:
     """
     top = polys[max(polys)]
     frac = np.arange(1, PHASE_SPLIT + 1) / (PHASE_SPLIT + 1)
-    grids = {n: np.linspace(0.0, TWO_PI, PHASE_GRID * n + 1)[:-1] for n in polys}
-    fresh_u = _at_levels(_phase_at_levels, top, grids)
-    grids = {n: g[1:] for n, g in grids.items()}
-    fresh_f = _at_levels(_trace_at_levels, top, grids)
+    sizes = {n: 1 << (PHASE_GRID * n - 1).bit_length() for n in polys}
+    grid = _bit_reversed(sizes[top.n]) * (TWO_PI / sizes[top.n])
+    first = _nested_levels(top, grid, sizes)
+    grids = {n: grid[1:m] for n, m in sizes.items()}
+    fresh_u = {n: u[1:] for n, (u, _) in first.items()}
+    fresh_f = {n: f[1:] for n, (_, f) in first.items()}
     count, samples, scale = {}, {}, {}
-    for n, u in fresh_u.items():
+    for n, (u, _) in first.items():
         p, origin, s0, h, total = polys[n], -u[0], -1.0, 0, n - 1
-        fresh_u[n] = u[1:]
         if p.kind == "second":
             lam_phi, lam_star = p._lambda_values()
             origin += (u[0] - np.angle(-p.lam * lam_phi[n - 1] / lam_star[n - 1]) / TWO_PI - 0.5) % 1.0 + 0.5
@@ -243,13 +266,13 @@ def find_zeros(p: ParaPolynomial) -> ZeroSet:
 
     The brackets come from the phase count: one O(n) pass of the
     unimodular phase recursion (para._phase_at_levels) counts the zeros
-    before a point exactly, so a few points per zero, and a few more
-    inside the cells that hold several, bracket every zero on its own
-    (see _phase_brackets).  Brackets are then narrowed to THETA_TOL by a
-    safeguarded regula falsi on the trace (see _polish).  A degree
-    whose zeros cannot be isolated is a ResolutionError reporting the
-    found count; a short list is never returned silently.  This is
-    find_zeros_sweep on the one degree of p.
+    before a point exactly, so PHASE_GRID to twice as many points per
+    zero, and a few more inside the cells that hold several, bracket
+    every zero on its own (see _phase_brackets).  Brackets are then
+    narrowed to THETA_TOL by a safeguarded regula falsi on the trace
+    (see _polish).  A degree whose zeros cannot be isolated is a
+    ResolutionError reporting the found count; a short list is never
+    returned silently.  This is find_zeros_sweep on the one degree of p.
     """
     zs = _zero_sets({p.n: p})[p.n]
     if isinstance(zs, ResolutionError):
@@ -300,9 +323,11 @@ def find_zeros_sweep(
 
     The phase count, all bracket refinements and the final checks are
     batched through one multi-level evaluation per step, which is what
-    makes long degree sweeps affordable.  Results agree with find_zeros
-    within THETA_TOL; their last bits depend on the degrees swept
-    together.
+    makes long degree sweeps affordable; the first phase pass walks the
+    top degree's grid alone, whose nested prefixes are every other
+    degree's grid.  A degree gets the same brackets as from find_zeros,
+    and results agree with it within THETA_TOL; their last bits depend
+    on the degrees swept together.
 
     If the zeros of some degree cannot be isolated, the ResolutionError
     of the lowest such degree is raised.  With skip_unresolved, such
@@ -438,6 +463,35 @@ def _circular_gap(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.abs((x - y + math.pi) % TWO_PI - math.pi)
 
 
+def _close_pairs(xa: np.ndarray, xb: np.ndarray):
+    """The least circular gap between an angle of xa and one of xb, and
+    the pairs (i, j) with xa[i] and xb[j] closer than COLLISION_TOL, in
+    row-major order (None if there are none).
+
+    These are the minimum and the np.argwhere of the |xa| x |xb| gap
+    matrix, read off xb sorted modulo 2pi and copied a turn down and up:
+    an angle's nearest zero of b is one of its two neighbours there, and
+    its pairs lie within 2 COLLISION_TOL of it, a margin far above the
+    rounding of the copies.
+    """
+    yb = xb % TWO_PI
+    sort = np.argsort(yb)
+    ring = np.concatenate([yb[sort] - TWO_PI, yb[sort], yb[sort] + TWO_PI])
+    ya = xa % TWO_PI
+    at = np.searchsorted(ring, ya)
+    dmin = float(np.min(_circular_gap(xa, xb[sort[np.stack([at - 1, at]) % xb.size]])))
+    if dmin >= COLLISION_TOL:
+        return dmin, None
+    lo = np.searchsorted(ring, ya - 2.0 * COLLISION_TOL)
+    count = np.searchsorted(ring, ya + 2.0 * COLLISION_TOL, side="right") - lo
+    i = np.repeat(np.arange(xa.size), count)
+    j = sort[(np.arange(i.size) - np.repeat(np.cumsum(count) - count - lo, count)) % xb.size]
+    close = _circular_gap(xa[i], xb[j]) < COLLISION_TOL
+    i, j = i[close], j[close]
+    order = np.lexsort((j, i))
+    return dmin, np.stack([i[order], j[order]], axis=1)
+
+
 def _order_collisions(a: ZeroSet, b: ZeroSet, xa, xb, pairs):
     """The angles of a and b with each colliding pair moved into its true order.
 
@@ -546,10 +600,9 @@ def interlace(a: ZeroSet, b: ZeroSet) -> InterlaceVerdict:
     identical = xa.size == xb.size and bool(np.array_equal(xa, xb))
     decided = {}
     if xa.size and xb.size and not identical:
-        gaps = _circular_gap(xa[:, None], xb[None, :])
-        dmin = float(np.min(gaps))
+        dmin, pairs = _close_pairs(xa, xb)
         if dmin < COLLISION_TOL:
-            ordered = _order_collisions(a, b, xa, xb, np.argwhere(gaps < COLLISION_TOL))
+            ordered = _order_collisions(a, b, xa, xb, pairs)
             if ordered is None:
                 return InterlaceVerdict(
                     "inconclusive",

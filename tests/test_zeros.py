@@ -197,6 +197,41 @@ class TestPhaseRoute:
         single = pa.find_zeros(pa.ParaPolynomial("second", 401, 1.0, seq))
         assert np.array_equal(swept[401].angles, single.angles)
 
+    def test_one_first_pass_per_sweep(self, monkeypatch):
+        # degree n samples 2^ceil(log2(4 n)) points, every one of them a
+        # point of the top degree's 512 (4 * 101 = 404 rounded up), where
+        # one grid per degree of 4 n points would sample 20,400
+        calls, first_pass = [], zeros._nested_levels
+
+        def spy(p, thetas, widths):
+            calls.append((p.n, np.size(thetas)))
+            assert widths == {n: 1 << (4 * n - 1).bit_length() for n in range(2, 102)}
+            return first_pass(p, thetas, widths)
+
+        monkeypatch.setattr(zeros, "_nested_levels", spy)
+        seq = pa.RandomSequence(0.7, 1)
+        out = zeros._zero_sets({n: pa.ParaPolynomial("first", n, 1.0, seq) for n in range(2, 102)})
+        assert calls == [(101, 512)]
+        assert all(zs.angles.size == n for n, zs in out.items())
+
+    @pytest.mark.parametrize("seq, lam", [
+        (pa.ConstantSequence(-0.5), np.exp(1j * np.pi)),
+        (pa.RandomSequence(0.7, 1), 1.0),
+    ], ids=["const-0.5", "random0.7-seed1"])
+    @pytest.mark.parametrize("kind", ["first", "second"])
+    def test_brackets_do_not_depend_on_the_sweep(self, seq, lam, kind):
+        # a degree's first samples are points of every larger degree's
+        # grid, so it gets the same cells alone or swept with others
+        def brackets(degrees):
+            return zeros._phase_brackets({m: pa.ParaPolynomial(kind, m, lam, seq) for m in degrees})
+
+        sweep = brackets(range(2, 102))
+        for n in (2, 5, 33, 64, 65, 100, 101):
+            alone = brackets([n])[n]
+            for swept in (sweep[n], brackets(range(n, 2 * n + 2))[n]):
+                for got, want in zip(swept[:3], alone[:3]):
+                    assert np.array_equal(got, want), n
+
 
 class TestPolish:
     def test_matches_bisection(self):
@@ -228,7 +263,7 @@ class TestPolish:
                     assert len(passes) <= worst, case
                     if ends is flo:
                         assert len(passes) < bisection, case
-        assert pinned == 3
+        assert pinned == 2
 
     def test_worst_case_on_a_steep_trace(self):
         # a zero between values 1 and 1e262 in size, as at the edge of a
@@ -319,6 +354,32 @@ class TestInterlace:
         assert res.witness["min_pair_distance"] < zeros.COLLISION_TOL
         with pytest.raises(ValueError, match="share f's degree"):
             precision.order([(h.source, s.source, h.angles[:1])])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_close_pairs_match_the_gap_matrix(self, seed):
+        # random sets with colliding pairs planted at and near the
+        # threshold, one across the wrap at 2pi, and one zero of a within
+        # COLLISION_TOL of two zeros of b
+        rng, tol = np.random.default_rng(seed), zeros.COLLISION_TOL
+        na = int(rng.integers(3, 60))
+        xa = np.sort(rng.uniform(0.0, TWO_PI, na))
+        xb = np.sort(rng.uniform(0.0, TWO_PI, na + int(rng.integers(0, 2))))
+        if seed % 3:
+            picks = rng.choice(xb.size - 2, size=min(5, xb.size - 2), replace=False)
+            xb[picks] = (xa[picks] + tol * rng.choice([-1.5, -1.0, -0.999999, 0.5, 0.999999, 1.000001],
+                                                      size=picks.size)) % TWO_PI
+            xa[0], xb[-1] = 3e-11, TWO_PI - 4e-11
+            xb[-3], xb[-2] = xa[-1] - 0.4 * tol, xa[-1] + 0.5 * tol
+        xa, xb = np.sort(xa), np.sort(xb)
+        gaps = zeros._circular_gap(xa[:, None], xb[None, :])
+        dmin, pairs = zeros._close_pairs(xa, xb)
+        assert dmin == float(np.min(gaps))
+        want = np.argwhere(gaps < tol)
+        if want.size:
+            assert np.array_equal(pairs, want)
+            assert seed % 3 == 0 or want.shape[0] >= 3
+        else:
+            assert pairs is None
 
     def test_zero_between_two_colliding_zeros(self):
         # const -0.5 at lambda = pi, n = 76: h_n's zero in the support gap
