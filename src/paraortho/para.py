@@ -144,20 +144,6 @@ def real_form_grid(p: ParaPolynomial, thetas):
     return t.real, np.abs(t.imag), scale
 
 
-def _deepest_first(thetas, n_for_each):
-    """Samples sorted by degree, deepest first, for a pass to level n - 1.
-
-    Returns (order, thetas, degrees, active): active[j] leading samples
-    take step j of the pass (level j to j + 1), so each level updates a
-    prefix.
-    """
-    nn = np.asarray(n_for_each, dtype=int)
-    order = np.argsort(-nn, kind="stable")
-    nn = nn[order]
-    active = np.searchsorted(1 - nn, -np.arange(1, nn[0]), side="right")
-    return order, np.asarray(thetas, dtype=float)[order], nn, active
-
-
 def _trace_from(p: ParaPolynomial, pair, z, th, n) -> np.ndarray:
     """Real trace at z = lambda e^{i th} of degree n (one for all points
     or one each), from the z-side pair at level n - 1."""
@@ -173,32 +159,32 @@ def _trace_from(p: ParaPolynomial, pair, z, th, n) -> np.ndarray:
 def _trace_at_levels(p: ParaPolynomial, thetas, n_for_each) -> np.ndarray:
     """Real trace where each sample carries its own degree, up to p's.
 
-    The samples share p's kind, base point and coefficients.  One
-    recursion pass to the maximum degree serves every sample; this is
-    what lets degree sweeps batch their bracket refinements.
+    The samples share p's kind, base point and coefficients, and come
+    deepest first: their degrees do not increase, so each step of one
+    recursion pass to the first sample's degree updates a prefix of
+    them (the active mode of szego._szego_levels).  Values come back in
+    the samples' order.  Degree sweeps batch their bracket refinements
+    this way (see zeros._at_levels).
     """
     if np.size(thetas) == 0:
         return np.empty(0)
-    order, th, nn, active = _deepest_first(thetas, n_for_each)
+    th, nn = np.asarray(thetas, dtype=float), np.asarray(n_for_each, dtype=int)
     z = p.lam * np.exp(1j * th)
+    active = np.searchsorted(1 - nn, -np.arange(1, nn[0]), side="right")
     top = int(nn[0]) - 1  # z-side values are taken at level n-1
-    vz = _szego_levels(p._z_alphas(top), z, (top,), active)[0]
-    out = np.empty(th.size)
-    out[order] = _trace_from(p, vz, z, th, nn)
-    return out
+    return _trace_from(p, _szego_levels(p._z_alphas(top), z, (top,), active)[0], z, th, nn)
 
 
-def _phase_levels(alphas, z, levels, active=None, widths=None) -> list:
+def _phase_levels(alphas, z, levels, active=None) -> list:
     """sum_{k < L} arg q_k of the b_k recursion (see _phase_at_levels) at
     each level L of levels, from one pass over the m coefficients of
-    alphas; levels within 0..m, active and widths as in
-    szego._szego_levels, and one array per level."""
+    alphas; levels within 0..m, active as in szego._szego_levels, and
+    one array per level."""
     row_of = {level: i for i, level in enumerate(levels)}
-    widths = [z.size] * len(levels) if widths is None else widths
     b, acc, rows = z.copy(), np.zeros(z.size), [None] * len(levels)
     for k in range(len(alphas) + 1):
         if k in row_of:
-            rows[row_of[k]] = acc[: widths[row_of[k]]].copy()
+            rows[row_of[k]] = acc.copy()
         if k == len(alphas):
             break
         c = z.size if active is None else active[k]
@@ -225,17 +211,16 @@ def _phase_at_levels(p: ParaPolynomial, thetas, n_for_each) -> np.ndarray:
     q_k >= 1 - |alpha_k| > 0, each arg q_k lies in (-pi/2, pi/2) and the
     lift is arg b = n arg z - 2 sum_{k < n-1} arg q_k with no unwrapping,
     where arg z = arg lambda + theta.  Every factor is unimodular, so
-    nothing overflows whatever the degree.
+    nothing overflows whatever the degree.  The samples come deepest
+    first and the values back in their order, as in _trace_at_levels.
     """
     if np.size(thetas) == 0:
         return np.empty(0)
-    order, th, nn, active = _deepest_first(thetas, n_for_each)
+    th, nn = np.asarray(thetas, dtype=float), np.asarray(n_for_each, dtype=int)
     z = p.lam * np.exp(1j * th)
+    active = np.searchsorted(1 - nn, -np.arange(1, nn[0]), side="right")
     top = int(nn[0]) - 1
-    acc = _phase_levels(p._z_alphas(top), z, (top,), active)[0]
-    out = np.empty(th.size)
-    out[order] = _lift(p, acc, th, nn)
-    return out
+    return _lift(p, _phase_levels(p._z_alphas(top), z, (top,), active)[0], th, nn)
 
 
 def _nested_levels(p: ParaPolynomial, thetas, widths: dict) -> dict:
@@ -244,16 +229,16 @@ def _nested_levels(p: ParaPolynomial, thetas, widths: dict) -> dict:
 
     The samples share p's kind, base point and coefficients, as in
     _phase_at_levels and _trace_at_levels, whose values these are.  Each
-    degree's points are a prefix of thetas, and each pass keeps only
-    that prefix at level n - 1, so a sweep's nested grids cost one pass
-    over the largest.  Returns {n: (phase, trace)}.
+    degree's points are a prefix of thetas: every sample walks to the
+    highest degree, and degree n reads its prefix off the row at level
+    n - 1, so a sweep's nested grids cost one pass over the largest.
+    Returns {n: (phase, trace)}.
     """
     th = np.asarray(thetas, dtype=float)
     z = p.lam * np.exp(1j * th)
     degrees = sorted(widths)
     levels, kept = [n - 1 for n in degrees], [widths[n] for n in degrees]
     alphas = p._z_alphas(levels[-1])
-    acc = _phase_levels(alphas, z, levels, widths=kept)
-    pairs = _szego_levels(alphas, z, levels, widths=kept)
-    return {n: (_lift(p, a, th[:w], n), _trace_from(p, pair, z[:w], th[:w], n))
+    acc, pairs = _phase_levels(alphas, z, levels), _szego_levels(alphas, z, levels)
+    return {n: (_lift(p, a[:w], th[:w], n), _trace_from(p, pair[:, :w], z[:w], th[:w], n))
             for n, w, a, pair in zip(degrees, kept, acc, pairs)}

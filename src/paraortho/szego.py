@@ -65,26 +65,22 @@ def _rho(alphas: np.ndarray) -> np.ndarray:
 BLOCK = 4096
 
 
-def _szego_levels(alphas, z, levels, active=None, weights=None, widths=None):
+def _szego_levels(alphas, z, levels, active=None, weights=None):
     """The pairs (phi_j(z), phi_j*(z)) at the given levels, from one pass.
 
     alphas holds the m coefficients to run (negated for the second
     kind), z is a complex array of any shape, and levels increase within
-    0..m.  Returns rows of shape (len(levels), 2) + z.shape.
+    0..m.  Returns rows of shape (len(levels), 2) + z.shape.  Every
+    point walks every level, so a caller whose point sets nest, each a
+    prefix of z, reads each set off its own level's row.
 
-    active, for a flat z ordered deepest point first: active[j] leading
-    points take step j (level j to j + 1) and the others keep their last
-    values, so the row at level L holds each point at min(L, its depth).
-
-    weights, one per level 0..m (a scalar each, or an array of z's
-    shape), without active: the kernel then returns (rows, sum, largest),
-    the sum over j of weights[j] phi_j(z) and the largest such term in
-    modulus.
-
-    widths, one per level, for a flat z: the row at levels[i] keeps only
-    the widths[i] leading points, and the rows come back as a list of
-    (2, widths[i]) arrays.  A pass over nested point sets, each a prefix
-    of z, so holds each set at its own level and no more.
+    Two modes change that.  active, for a flat z ordered deepest point
+    first: active[j] leading points take step j (level j to j + 1) and
+    the others keep their last values, so the row at level L holds each
+    point at min(L, its depth).  weights, one per level 0..m (a scalar
+    each, or an array of z's shape), without active: the kernel then
+    returns (rows, sum, largest), the sum over j of weights[j] phi_j(z)
+    and the largest such term in modulus.
     """
     a = np.asarray(alphas, dtype=complex)
     shape = np.shape(z)
@@ -92,22 +88,13 @@ def _szego_levels(alphas, z, levels, active=None, weights=None, widths=None):
     size = zf.size
     r = 1.0 / _rho(a)
     k = list(np.stack([r, -np.conj(a) * r, -a * r, r], axis=-1).reshape(-1, 2, 2))
-    if widths is None:
-        rows, widths = np.empty((len(levels), 2, size), dtype=complex), [size] * len(levels)
-    else:
-        rows = [np.empty((2, w), dtype=complex) for w in widths]
+    rows = np.empty((len(levels), 2, size), dtype=complex)
     row_of = {level: i for i, level in enumerate(levels)}
     if weights is not None:
         w = np.asarray(weights, dtype=complex)
         w = w.reshape(w.shape[0], -1)
         total, largest = np.zeros(size, dtype=complex), np.zeros(size)
     buf = np.empty((2, 2, min(size, BLOCK)), dtype=complex)
-
-    def keep(i, pair):  # the leading points of row i within the block at b0
-        end = min(widths[i], b0 + width)
-        if end > b0:
-            rows[i][:, b0:end] = pair[:, : end - b0]
-
     for b0 in range(0, size, BLOCK):
         zb = zf[b0 : b0 + BLOCK]
         width = zb.size
@@ -129,7 +116,7 @@ def _szego_levels(alphas, z, levels, active=None, weights=None, widths=None):
         live, zc, head, head_nxt = width, zb, cur[0], nxt[0]
         for j in range(steps + 1):
             if j in row_of:
-                keep(row_of[j], full[j % 2])
+                rows[row_of[j], :, b0 : b0 + width] = full[j % 2]
             if weights is not None:
                 np.multiply(wb[j], full[j % 2][0], out=term)
                 np.add(acc, term, out=acc)
@@ -147,9 +134,8 @@ def _szego_levels(alphas, z, levels, active=None, weights=None, widths=None):
             cur, nxt, head, head_nxt = nxt, cur, head_nxt, head
         for level in levels:
             if level > steps:
-                keep(row_of[level], full[steps % 2])
-    if not isinstance(rows, list):
-        rows = rows.reshape((len(levels), 2) + shape)
+                rows[row_of[level], :, b0 : b0 + width] = full[steps % 2]
+    rows = rows.reshape((len(levels), 2) + shape)
     if weights is None:
         return rows
     return rows, total.reshape(shape), largest.reshape(shape)

@@ -1,11 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import paraortho as pa
-from paraortho.para import _trace_at_levels, kernel_to_monic_factor, para_scale, real_form_grid
+from paraortho.coeffs import exact_arc_mass_moments, verblunsky_from_moments_hp
+from paraortho.para import (_nested_levels, _phase_at_levels, _trace_at_levels, kernel_to_monic_factor,
+                            para_scale, real_form_grid)
 from paraortho.szego import eval_pair, mixed_form, monic_norm
+from paraortho.zeros import ON_ZERO
 
 TWO_PI = 2.0 * math.pi
 
@@ -160,6 +164,78 @@ class TestOneCombine:
             p = pa.ParaPolynomial(kind, n, lam, seq)
             got = _trace_at_levels(p, th, np.full(th.size, n))
             assert real_form_grid(p, th)[0].tobytes() == got.tobytes()
+
+
+class TestLevelPasses:
+    # one recursion pass serves several degrees, deepest sample first
+    # (_trace_at_levels, _phase_at_levels) or over nested prefixes
+    # (_nested_levels); each degree gets its values alone
+
+    @pytest.mark.parametrize("seq, lam", [
+        (pa.ConstantSequence(-0.5), np.exp(1j * np.pi)),
+        (pa.RandomSequence(0.7, 1), np.exp(0.3j)),
+        (pa.RandomSequence(0.9, 2), 1.0),
+    ], ids=["const-0.5", "random0.7-seed1", "random0.9-seed2"])
+    @pytest.mark.parametrize("kind", ["first", "second"])
+    def test_batched_degrees_match_each_degree_alone(self, seq, lam, kind):
+        # a deepest-first batch of 4,604 samples, past one kernel block,
+        # and nested prefixes of one grid
+        rng = np.random.default_rng(11)
+        sizes = {101: 2500, 100: 1700, 65: 300, 64: 64, 33: 33, 5: 7}
+        polys = {n: pa.ParaPolynomial(kind, n, lam, seq) for n in sizes}
+        parts = {n: rng.uniform(0.0, TWO_PI, m) for n, m in sizes.items()}
+        th, nn = np.concatenate(list(parts.values())), np.repeat(list(sizes), list(sizes.values()))
+        grid = rng.uniform(0.0, TWO_PI, 2048)
+        widths = {101: 2048, 100: 1024, 65: 1024, 64: 256, 33: 256, 5: 32}
+        nested = _nested_levels(polys[101], grid, widths)
+        phase, trace = _phase_at_levels(polys[101], th, nn), _trace_at_levels(polys[101], th, nn)
+        start = np.cumsum([0] + list(sizes.values()))
+        for k, (n, p) in enumerate(polys.items()):
+            for t, got_phase, got_trace in ((parts[n], phase[start[k]:start[k + 1]], trace[start[k]:start[k + 1]]),
+                                            (grid[: widths[n]], *nested[n])):
+                alone = np.full(t.size, n)
+                assert got_phase.tobytes() == _phase_at_levels(p, t, alone).tobytes()
+                want = _trace_at_levels(p, t, alone)
+                assert np.max(np.abs(got_trace - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @staticmethod
+    def mp_phase(p, thetas, dps=60):
+        """_phase_at_levels at p's degree from the same b_k recursion in
+        dps digits, at the same double points z = lambda e^{i theta}."""
+        n = p.n
+        with mpmath.workdps(dps):
+            a = [mpmath.mpc(complex(x)) for x in p._z_alphas(n - 1)]
+            arg_lam, out = mpmath.arg(mpmath.mpc(complex(p.lam))), []
+            for t, zt in zip(thetas, p.lam * np.exp(1j * np.asarray(thetas))):
+                z = mpmath.mpc(complex(zt))
+                b, acc = z, mpmath.mpf(0)
+                for ak in a:
+                    q = 1 - ak * b
+                    acc += mpmath.arg(q)
+                    b = z * b * mpmath.conj(q) / q
+                out.append(float((n * (arg_lam + mpmath.mpf(float(t))) - 2 * acc) / (2 * mpmath.pi)))
+        return np.array(out)
+
+    @pytest.fixture(scope="class")
+    def arc_atom(self):
+        # the arc + atom measure of the acceptance suite, 401 coefficients
+        c = exact_arc_mass_moments(np.pi / 3, 5 * np.pi / 3, 0.65, [(0.0, 0.35)], 401, dps=260)
+        return pa.ExplicitSequence(verblunsky_from_moments_hp(c, 401, dps=260))
+
+    @pytest.mark.parametrize("fixture", ["const-0.5", "arc+atom"])
+    @pytest.mark.parametrize("kind", ["first", "second"])
+    def test_phase_rounding_is_far_below_on_zero(self, fixture, kind, request):
+        # at lambda = pi the support arc [pi/3, 5pi/3] runs from 4pi/3 to
+        # 2pi/3 through 0 in angles from lambda; the phase of h_401 on
+        # const -0.5 is off by 1.6e-11 turns at the first point, 0.0085
+        # inside the arc's end
+        seq = pa.ConstantSequence(-0.5) if fixture == "const-0.5" else request.getfixturevalue("arc_atom")
+        p = pa.ParaPolynomial(kind, 401, np.exp(1j * np.pi), seq)
+        inside = np.geomspace(1e-1, 1e-6, 10)
+        th = np.concatenate([[2.0858660456261124], 2 * np.pi / 3 - inside, 4 * np.pi / 3 + inside,
+                             np.random.default_rng(7).uniform(0.0, TWO_PI, 20)])
+        got = _phase_at_levels(p, th, np.full(th.size, p.n))
+        assert np.max(np.abs(got - self.mp_phase(p, th))) < ON_ZERO / 10
 
 
 class TestDifferenceIdentities:

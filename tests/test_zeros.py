@@ -381,6 +381,46 @@ class TestInterlace:
         else:
             assert pairs is None
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_arc_counts_match_the_inside_matrix(self, seed):
+        # verdicts and witnesses of the |a| x |b| arc-membership matrix,
+        # the reference, on interlacing sets of both variants (same-degree
+        # ones turned by a random angle), the same with one zero of b
+        # moved at random or into the arc that wraps at 2pi, and random
+        # sets; |a| = 1, 2 and more
+        def matrix_verdict(xa, xb):
+            if xb.size == xa.size + 1:
+                lo, hi = np.concatenate([[0.0], xa]), np.concatenate([xa, [TWO_PI]])
+                inside = (xb > lo[:, None]) & (xb < hi[:, None])
+            else:
+                span = np.full(1, TWO_PI) if xa.size == 1 else (np.roll(xa, -1) - xa) % TWO_PI
+                rel = (xb - xa[:, None]) % TWO_PI
+                inside = (rel > 0.0) & (rel < span[:, None])
+                lo, hi = xa % TWO_PI, (xa + span) % TWO_PI
+            counts = np.sum(inside, axis=1)
+            if np.all(counts == 1):
+                return "pass", {}
+            k = int(np.argmax(counts != 1))
+            return "fail", {"arc": (float(lo[k]), float(hi[k])), "count": int(counts[k])}
+
+        rng = np.random.default_rng(seed)
+        for na in (1, 2, int(rng.integers(3, 60))):
+            for consecutive in (False, True):
+                points = np.sort(rng.uniform(0.0, TWO_PI, 2 * na + consecutive))
+                if consecutive:
+                    xa, xb = points[1::2], points[0::2]
+                else:
+                    turn = rng.uniform(0.0, TWO_PI)
+                    xa, xb = (np.sort((x + turn) % TWO_PI) for x in (points[0::2], points[1::2]))
+                moved = xb.copy()
+                moved[rng.integers(xb.size)] = rng.uniform(0.0, TWO_PI)
+                wrapped = np.append(xb[1:], rng.uniform(xa[-1], xa[0] + TWO_PI) % TWO_PI)
+                for b in (xb, moved, wrapped, rng.uniform(0.0, TWO_PI, xb.size)):
+                    b = np.sort(b)
+                    sets = [ZeroSet("second", x.size, 0.0, x, np.zeros(x.size), 1.0, True) for x in (xa, b)]
+                    res = pa.interlace(*sets)
+                    assert (res.verdict, res.witness) == matrix_verdict(xa, b)
+
     def test_zero_between_two_colliding_zeros(self):
         # const -0.5 at lambda = pi, n = 76: h_n's zero in the support gap
         # lies 2.4e-22 above one s_n zero and 1.2e-14 below the next
