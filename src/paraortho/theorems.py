@@ -34,7 +34,7 @@ from .errors import (
 )
 from .para import ParaPolynomial, para_eval
 from .szego import cd_kernel, eval_pair
-from .zeros import ZeroSet, _circular_gap, _zero_sets, find_zeros_sweep, interlace
+from .zeros import ZeroSet, _circular_gap, _phase_brackets, _refined_zeros, _zero_sets, interlace
 
 TWO_PI = 2.0 * math.pi
 
@@ -528,24 +528,61 @@ def estimate_support(seq: VerblunskySequence, lam: complex, n_estimate: int) -> 
     within 2pi/n_estimate mark support; marked angles
     closer than GAP_FACTOR * 2pi/n_estimate merge into arcs, loners
     become isolated points.  Output is labelled "estimated".
+
+    Both degrees' zeros come from one phase count (zeros._phase_brackets),
+    which certifies one zero in each cell, and a zero is refined only where
+    the estimate needs its angle.  Marking and merging are decided on
+    whole cells: a zero is marked when a zero of the other degree lies
+    within 2pi/n_estimate of it wherever in their cells both lie, and two
+    marked zeros merge when the farthest points of their cells do.  The
+    zeros these cells leave undecided are refined, and so are the reported
+    arc ends and isolated points, each held to find_zeros' residual check.
+    An unresolvable degree raises its ResolutionError, the lower first.
     """
     if n_estimate < 50:
         raise ValueError(f"support estimation needs degree >= 50, got {n_estimate}")
     lam = unit_circle_point(lam)
-    za, zb = find_zeros_sweep("first", lam, seq, [n_estimate, n_estimate + 1]).values()
-    a, b = (np.sort(zs.without_base_point().absolute_angles()) for zs in (za, zb))
-    marked = a[np.min(_circular_gap(a[:, None], b[None, :]), axis=1) <= TWO_PI / n_estimate]
+    n, m = n_estimate, n_estimate + 1
+    polys = {k: ParaPolynomial("first", k, lam, seq) for k in (n, m)}
+    cells = _phase_brackets(polys)
+    for c in cells.values():
+        if isinstance(c, ResolutionError):
+            raise c
+    # each zero's enclosure in angles from lambda: its cell, then its refined angle (lo == hi)
+    lo, hi = ({k: c[i].copy() for k, c in cells.items()} for i in (0, 1))
+    reach, threshold = TWO_PI / n, GAP_FACTOR * TWO_PI / n
+    while True:
+        ring_lo, ring_hi = (np.concatenate([v[m] - TWO_PI, v[m], v[m] + TWO_PI]) for v in (lo, hi))
+        # a zero of degree m lies within reach of each zero of degree n for sure, or may
+        near = np.searchsorted(ring_hi, lo[n] - reach), np.searchsorted(ring_lo, hi[n] + reach, side="right")
+        sure = np.searchsorted(ring_hi, lo[n] + reach, side="right") > np.searchsorted(ring_lo, hi[n] - reach)
+        open_mark = (near[1] > near[0]) & ~sure
+        # refine an open zero and the zeros of degree m that may lie within its reach
+        cover = np.zeros(ring_lo.size + 1, dtype=int)
+        np.add.at(cover, near[0][open_mark], 1)
+        np.add.at(cover, near[1][open_mark], -1)
+        want = {n: open_mark, m: np.cumsum(cover)[:-1].reshape(3, -1).any(axis=0)}
+        marked = np.nonzero(sure)[0]
+        if not open_mark.any() and marked.size:
+            # the gap after each marked zero is at most wide; where that
+            # exceeds threshold it may end a cluster, so both sides of it
+            # are refined, which makes it exact
+            wide = np.append(hi[n][marked[1:]], hi[n][marked[0]] + TWO_PI) - lo[n][marked]
+            split = wide > threshold
+            want[n][marked[split]] = want[n][np.roll(marked, -1)[split]] = True
+        picks = {k: np.nonzero(w & (lo[k] < hi[k]))[0] for k, w in want.items()}
+        if not any(p.size for p in picks.values()):
+            break
+        for k, r in _refined_zeros(polys, cells, picks).items():
+            lo[k][picks[k]] = hi[k][picks[k]] = r
     if not marked.size:
         raise SupportModelError("no coincident zeros: estimate has nothing to report")
-    gaps = np.diff(np.concatenate([marked, [marked[0] + TWO_PI]]))
-    threshold = GAP_FACTOR * TWO_PI / n_estimate
-    if np.all(gaps <= threshold):
+    if not split.any():
         return support_model([(0.0, TWO_PI)], provenance="estimated")
-    # rotate so a genuine gap sits at the end, then split into clusters
-    cut = int(np.argmax(gaps))
-    order = np.roll(marked, -(cut + 1))
-    order = np.where(order < order[0], order + TWO_PI, order)
-    clusters = np.split(order, np.nonzero(np.diff(order) > threshold)[0] + 1)
-    arcs = [(c[0] % TWO_PI, c[-1] % TWO_PI) for c in clusters if c.size > 1]
-    points = [c[0] % TWO_PI for c in clusters if c.size == 1]
+    # the marked zeros from after the widest gap; each cluster's ends are refined
+    start = int(np.argmax(wide)) + 1
+    angles = (np.roll(lo[n][marked], -start) + float(np.angle(lam) % TWO_PI)) % TWO_PI
+    clusters = np.split(angles, np.nonzero(np.roll(split, -start)[:-1])[0] + 1)
+    arcs = [(c[0], c[-1]) for c in clusters if c.size > 1]
+    points = [c[0] for c in clusters if c.size == 1]
     return support_model(arcs, points, provenance="estimated")

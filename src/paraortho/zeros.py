@@ -132,8 +132,13 @@ def _polish(fun, lo, hi, side, flo, fhi, tol):
     and (hi, -|fhi|) crosses zero, but at least tol/2 inside the bracket,
     so that a point on the zero closes the bracket one pass later.  An
     end kept by a pass that also kept it at the last chord step has its
-    value halved (the Illinois method: Dowell and Jarratt, BIT 11, 1971),
-    so both ends close in on a simple zero.  The point is the midpoint
+    value scaled by 1 - |f(x)| / |f(moved end)|, or halved where that
+    factor is not in (0, 1) (Anderson and Bjorck, BIT 13, 1973), so both
+    ends close in on a simple zero.  Where the chord point is clipped to
+    tol/2 inside the same end on two passes running, the zero lies close
+    to that end while the other end's value dwarfs it; the point then
+    steps sqrt(tol/2 w) in from that end instead, the geometric mean of
+    the clipped step and the width w.  The point is the midpoint
     instead where an end value is zero or not finite (t below is then 0,
     1 or nan), or where the bracket is not half as wide as two passes
     before.  Every three passes therefore at least halve a bracket: one
@@ -145,6 +150,7 @@ def _polish(fun, lo, hi, side, flo, fhi, tol):
     if lo.size == 0:
         return lo
     last = np.zeros(lo.size)  # -1 where the last pass moved hi, +1 where it moved lo
+    clipped = np.zeros(lo.size)  # -1 where the last chord point was clipped at lo, +1 at hi
     w1, w2 = np.full(lo.size, np.inf), np.full(lo.size, np.inf)  # widths one and two passes before
     for _ in range(3 * max(0, math.ceil(math.log2(np.max(hi - lo) / tol)))):
         sel = np.nonzero(hi - lo > tol)[0]
@@ -155,15 +161,22 @@ def _polish(fun, lo, hi, side, flo, fhi, tol):
         with np.errstate(all="ignore"):
             t = a / (a + b)
             regular = (t > 0.0) & (t < 1.0) & (w <= 0.5 * w2[sel])
-            x = np.where(regular, np.clip(l + w * t, l + 0.5 * tol, h - 0.5 * tol), 0.5 * (l + h))
+            x = l + w * t
+            clip = np.where(x < l + 0.5 * tol, -1.0, np.where(x > h - 0.5 * tol, 1.0, 0.0))
+            step = np.sqrt(0.5 * tol * w)
+            x = np.where((clip != 0.0) & (clip == clipped[sel]), np.where(clip < 0.0, l + step, h - step), x)
+            x = np.where(regular, np.clip(x, l + 0.5 * tol, h - 0.5 * tol), 0.5 * (l + h))
         fx = fun(x, sel)
         left = side[sel] * np.sign(fx) <= 0.0
         moved = np.where(left, -1.0, 1.0)
-        kept = np.where(moved == last[sel], 0.5, 1.0)
+        with np.errstate(all="ignore"):
+            factor = 1.0 - np.abs(fx) / np.where(left, b, a)
+        kept = np.where(moved != last[sel], 1.0, np.where((factor > 0.0) & (factor < 1.0), factor, 0.5))
         lo[sel], flo[sel] = np.where(left, l, x), np.where(left, kept * a, np.abs(fx))
         hi[sel], fhi[sel] = np.where(left, x, h), np.where(left, np.abs(fx), kept * b)
         side[sel] = np.where(left, side[sel], np.sign(fx))
         last[sel] = np.where(regular, moved, last[sel])
+        clipped[sel] = np.where(regular & (clip != clipped[sel]), clip, 0.0)
         w2[sel], w1[sel] = w1[sel], w
     return 0.5 * (lo + hi)
 
@@ -191,10 +204,13 @@ def _bit_reversed(size: int) -> np.ndarray:
 def _phase_brackets(polys: dict[int, ParaPolynomial]) -> dict:
     """One bracket per zero from the phase count, for every degree of polys.
 
-    The first pass samples degree n at 2^ceil(log2(PHASE_GRID n))
-    equally spaced angles from 0, all of them points of the highest
-    degree's grid.  That grid goes in bit-reversed order, which makes
-    each degree's points a prefix of it.  One pass of the phase and one
+    polys maps increasing degrees to polynomials of one family; each
+    reads its base-point values off the highest one's, whose recursion
+    rows at lambda serve every degree.  The first pass samples degree n
+    at 2^ceil(log2(PHASE_GRID n)) equally spaced angles from 0, all of
+    them points of the highest degree's grid.  That grid goes in
+    bit-reversed order, which makes each degree's points a prefix of
+    it.  One pass of the phase and one
     of the trace walk the whole grid to the highest degree, and each
     degree reads its prefix off the rows of its level (see
     para._nested_levels): the sweep costs one pass over the largest
@@ -222,6 +238,10 @@ def _phase_brackets(polys: dict[int, ParaPolynomial]) -> dict:
     |trace| sampled.
     """
     top = polys[max(polys)]
+    lam_phi, lam_star = top._lambda_values()
+    for n, p in polys.items():
+        if p._lam_phi is None:
+            p._lam_phi, p._lam_star = lam_phi[: n + 1], lam_star[: n + 1]
     frac = np.arange(1, PHASE_SPLIT + 1) / (PHASE_SPLIT + 1)
     sizes = {n: 1 << (PHASE_GRID * n - 1).bit_length() for n in polys}
     grid = _bit_reversed(sizes[top.n]) * (TWO_PI / sizes[top.n])
@@ -300,19 +320,27 @@ def _midpoints(roots: np.ndarray) -> np.ndarray:
     return 0.5 * (roots[:-1] + roots[1:])
 
 
+def _residual_error(n: int, residuals: np.ndarray, scale: float) -> ResolutionError | None:
+    """The ResolutionError of degree n's refined zeros if a residual
+    exceeds RESIDUAL_FLOOR * scale or is not a number (the trace
+    overflowed there, so its signs placed nothing), else None."""
+    bad = ~(residuals <= RESIDUAL_FLOOR * scale)
+    if not np.any(bad):
+        return None
+    return ResolutionError(
+        n, n - int(np.sum(bad)), f"{int(np.sum(bad))} refined zeros have residual above {RESIDUAL_FLOOR:.3g} * scale"
+    )
+
+
 def _assemble(p: ParaPolynomial, roots: np.ndarray, values: np.ndarray,
               scale: float) -> ZeroSet | ResolutionError:
     """Check and package the refined zeros, or the ResolutionError of the
     check they fail; values holds the trace at the roots followed by the
     trace at the midpoints between them."""
     residuals = np.abs(values[: roots.size])
-    bad = residuals > RESIDUAL_FLOOR * scale
-    if np.any(bad):
-        return ResolutionError(
-            p.n,
-            int(np.sum(~bad)),
-            f"{int(np.sum(bad))} refined zeros have residual above {RESIDUAL_FLOOR:.3g} * scale",
-        )
+    error = _residual_error(p.n, residuals, scale)
+    if error is not None:
+        return error
     if np.any(np.diff(roots) <= 0.0):
         return ResolutionError(p.n, len(roots), "refined zeros are not strictly increasing")
     msign = np.sign(values[roots.size :])
@@ -363,25 +391,42 @@ def _zero_sets(polys: dict[int, ParaPolynomial]) -> dict[int, ZeroSet | Resoluti
     """
     if not polys:
         return {}
-    top = polys[max(polys)]
-    lam_phi, lam_star = top._lambda_values()
-    for n, p in polys.items():
-        if p._lam_phi is None:
-            p._lam_phi, p._lam_star = lam_phi[: n + 1], lam_star[: n + 1]
-
     out = _phase_brackets(polys)
-    # deepest first, so that every polish pass is laid out as _trace_at_levels takes it
-    found = {n: b for n, b in sorted(out.items(), reverse=True) if not isinstance(b, ResolutionError)}
+    found = {n: b for n, b in out.items() if not isinstance(b, ResolutionError)}
     if not found:
         return out
-    lo, hi, side, flo, fhi = (np.concatenate([b[i] for b in found.values()]) for i in range(5))
-    nn = np.concatenate([np.full(b[0].size, n) for n, b in found.items()])
-    roots = _polish(lambda th, sel: _trace_at_levels(top, th, nn[sel]), lo, hi, side, flo, fhi, THETA_TOL)
-    roots = {n: _all_roots(polys[n], roots[nn == n]) for n in found}
+    top = polys[max(polys)]
+    roots = {n: _all_roots(polys[n], r) for n, r in _refine(top, found).items()}
     checks = _at_levels(_trace_at_levels, top, {n: np.concatenate([r, _midpoints(r)]) for n, r in roots.items()})
     for n, r in roots.items():
         out[n] = _assemble(polys[n], r, checks[n], found[n][-1])
     return out
+
+
+def _refine(top: ParaPolynomial, cells: dict) -> dict[int, np.ndarray]:
+    """The zeros in cells {n: (lo, hi, side, f_lo, f_hi, ...)} of degrees
+    up to top's, narrowed to THETA_TOL in one _polish batch through top's
+    recursion, laid out deepest first as _trace_at_levels takes it."""
+    cells = dict(sorted(cells.items(), reverse=True))
+    lo, hi, side, flo, fhi = (np.concatenate([c[i] for c in cells.values()]) for i in range(5))
+    nn = np.concatenate([np.full(c[0].size, n) for n, c in cells.items()])
+    roots = _polish(lambda th, sel: _trace_at_levels(top, th, nn[sel]), lo, hi, side, flo, fhi, THETA_TOL)
+    return {n: roots[nn == n] for n in cells}
+
+
+def _refined_zeros(polys: dict[int, ParaPolynomial], cells: dict, picks: dict) -> dict[int, np.ndarray]:
+    """The zeros in the cells picks[n] (indices) of each degree's
+    _phase_brackets cells, refined in one batch (see _refine) and held to
+    _assemble's residual check; raises the ResolutionError of the lowest
+    degree that fails it."""
+    top = polys[max(polys)]
+    roots = _refine(top, {n: tuple(v[k] for v in cells[n][:5]) for n, k in picks.items() if k.size})
+    values = _at_levels(_trace_at_levels, top, roots)
+    for n in sorted(roots):
+        error = _residual_error(n, np.abs(values[n]), cells[n][-1])
+        if error is not None:
+            raise error
+    return roots
 
 
 def oracle_zeros(p: ParaPolynomial, grid_points: int | None = None) -> ZeroSet:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import paraortho as pa
-from paraortho import theorems
+from paraortho import theorems, zeros
 from paraortho.coeffs import exact_arc_mass_moments, verblunsky_from_moments_hp
 from paraortho.errors import DomainError, PreconditionError, SupportModelError
 from paraortho.theorems import (
@@ -15,7 +15,7 @@ from paraortho.theorems import (
     rho_radius,
     rho_tilde_radius,
 )
-from paraortho.zeros import find_zeros_sweep
+from paraortho.zeros import THETA_TOL, _circular_gap, find_zeros_sweep
 
 TWO_PI = 2.0 * math.pi
 ARC = (np.pi / 3, 5 * np.pi / 3)  # essential support of constant |alpha| = 0.5
@@ -44,6 +44,13 @@ def mass_fixture():
     return pa.TheoremContext(
         seq=seq, lam=np.exp(1j * np.pi), support=model, nu_support=nu_model, measure=measure
     )
+
+
+@pytest.fixture(scope="module")
+def arc_atom_401():
+    # the arc + atom measure of the acceptance suite, 401 coefficients
+    c = exact_arc_mass_moments(ARC[0], ARC[1], 0.65, [(0.0, 0.35)], 401, dps=260)
+    return pa.ExplicitSequence(verblunsky_from_moments_hp(c, 401, dps=260))
 
 
 class TestSupportModel:
@@ -437,9 +444,56 @@ class TestEstimateSupport:
             assert pa.check_theorem3(ctx, 1.0, n).notes["nu_support"] == "estimated"
         assert calls == [60]
 
+    @staticmethod
+    def every_zero_estimate(seq, lam, n):
+        """The estimate from every zero of both degrees, refined: each zero
+        of degree n against all of degree n + 1 in a gap matrix, then the
+        marked angles merged from after the widest gap."""
+        za, zb = find_zeros_sweep("first", lam, seq, [n, n + 1]).values()
+        a, b = (np.sort(zs.without_base_point().absolute_angles()) for zs in (za, zb))
+        marked = a[np.min(_circular_gap(a[:, None], b[None, :]), axis=1) <= TWO_PI / n]
+        gaps = np.diff(np.concatenate([marked, [marked[0] + TWO_PI]]))
+        threshold = theorems.GAP_FACTOR * TWO_PI / n
+        if np.all(gaps <= threshold):
+            return [(0.0, TWO_PI)], []
+        order = np.roll(marked, -(int(np.argmax(gaps)) + 1))
+        order = np.where(order < order[0], order + TWO_PI, order)
+        clusters = np.split(order, np.nonzero(np.diff(order) > threshold)[0] + 1)
+        arcs = [(c[0] % TWO_PI, c[-1] % TWO_PI) for c in clusters if c.size > 1]
+        return arcs, [c[0] % TWO_PI for c in clusters if c.size == 1]
+
+    def test_matches_the_estimate_from_every_zero(self, arc_atom_401, monkeypatch):
+        # the estimate refines only the zeros it reports or cannot decide
+        # from their cells; the random cases leave zeros' marking undecided
+        # by the cells, which seed 5 decides only once zeros of degree
+        # n + 1 are refined as well
+        brackets, polish = [], zeros._polish
+
+        def counting(fun, lo, *args):
+            brackets.append(len(lo))
+            return polish(fun, lo, *args)
+
+        monkeypatch.setattr(zeros, "_polish", counting)
+        lam = np.exp(1j * np.pi)
+        cases = [(pa.ConstantSequence(-0.5), lam, 200), (pa.ConstantSequence(-0.5), lam, 400),
+                 (pa.ConstantSequence(0.5), lam, 400), (arc_atom_401.flipped(), lam, 400),
+                 (pa.RandomSequence(0.9, 3), 1.0, 120), (pa.RandomSequence(0.7, 5), 1.0, 120)]
+        for seq, lam, n in cases:
+            arcs, points = self.every_zero_estimate(seq, lam, n)
+            brackets.clear()
+            model = estimate_support(seq, lam, n)
+            case = f"{seq!r} lambda {lam} n {n}"
+            assert len(model.arcs) == len(arcs) and len(model.points) == len(points), case
+            got = np.array([*np.ravel(model.arcs), *model.points])
+            want = np.array([*np.ravel(arcs), *points])
+            assert np.all(_circular_gap(got, want) <= THETA_TOL), case
+            if n == 400:
+                assert sum(brackets) <= 32, case
+
     def test_sweep_of_both_degrees_matches_single_degrees(self):
-        # estimate_support finds both degrees' zeros in one sweep; the
-        # zeros must be those of one find_zeros call per degree
+        # estimate_support takes both degrees' cells from one phase count;
+        # swept together, their zeros must be those of one find_zeros call
+        # per degree
         seq = pa.ConstantSequence(-0.5)
         lam = np.exp(1j * np.pi)
         swept = find_zeros_sweep("first", lam, seq, [400, 401])

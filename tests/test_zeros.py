@@ -101,6 +101,17 @@ class TestFindZeros:
             pa.find_zeros(p)
         assert (info.value.expected, info.value.found) == (69, 67)
 
+    def test_zero_where_the_trace_overflows_is_unresolved(self):
+        # const 0.95 at lambda = pi: past 1e308 next to the atom at z = 1
+        # h_400's trace is nan, so no sign placed the zero there, and the
+        # estimate that would report it as an isolated point raises too
+        seq, lam = pa.ConstantSequence(0.95), np.exp(1j * np.pi)
+        with np.errstate(all="ignore"), pytest.raises(ResolutionError) as info:
+            pa.find_zeros(pa.ParaPolynomial("first", 400, lam, seq))
+        assert "residual" in str(info.value)
+        with np.errstate(all="ignore"), pytest.raises(ResolutionError):
+            pa.estimate_support(seq, lam, 400)
+
     @pytest.mark.parametrize("seed, kind, n", [(17, "second", 65), (5, "first", 140)])
     def test_isolates_close_pairs(self, seed, kind, n):
         # two zeros 1.5e-4 and 5.5e-6 apart share a cell of the first
@@ -238,31 +249,37 @@ class TestPolish:
         # phase brackets of both kinds, traces past 1e123 at radius 0.9,
         # and first-kind cells whose low end is the pinned zero (value 0)
         tol, pinned = zeros.THETA_TOL, 0
-        for radius, seed, n in [(0.7, 3, 30), (0.7, 3, 80), (0.7, 3, 140), (0.7, 5, 30),
-                                (0.7, 5, 80), (0.7, 5, 140), (0.9, 2, 401)]:
-            for kind in ("first", "second"):
-                p = pa.ParaPolynomial(kind, n, 1.0, pa.RandomSequence(radius, seed))
+        cases = [(kind, 1.0, pa.RandomSequence(radius, seed), n)
+                 for radius, seed, n in [(0.7, 3, 30), (0.7, 3, 80), (0.7, 3, 140), (0.7, 5, 30),
+                                         (0.7, 5, 80), (0.7, 5, 140), (0.9, 2, 401)]
+                 for kind in ("first", "second")]
+        # a zero next to the gap's centre, 7.4e-11 from a cell end where the
+        # trace is 6.4e-11 against 7.0e6 at the other end (n = 44): chord
+        # points land tol/2 inside that end pass after pass
+        cases += [("second", np.exp(1j * np.pi), pa.ConstantSequence(-0.5), n) for n in (30, 44)]
+        for kind, lam, seq, n in cases:
+            p = pa.ParaPolynomial(kind, n, lam, seq)
 
-                lo, hi, side, flo, fhi, _ = zeros._phase_brackets({n: p})[n]
-                pinned += kind == "first" and lo[0] == 0.0 and flo[0] == 0.0
+            lo, hi, side, flo, fhi, _ = zeros._phase_brackets({n: p})[n]
+            pinned += kind == "first" and lo[0] == 0.0 and flo[0] == 0.0
 
-                def trace(thetas, sel):
-                    passes.append(thetas.size)
-                    return _trace_at_levels(p, thetas, np.full(thetas.size, n))
+            def trace(thetas, sel):
+                passes.append(thetas.size)
+                return _trace_at_levels(p, thetas, np.full(thetas.size, n))
 
+            passes = []
+            want = reference_bisect(trace, lo, hi, side, tol)
+            bisection = len(passes)
+            worst = 3 * math.ceil(math.log2(np.max(hi - lo) / tol))
+            case = f"{kind} {seq!r} lambda {lam} n {n}"
+            # the low ends once more as if the trace had overflowed there
+            for ends in (flo, np.where(flo == 0.0, 0.0, np.inf)):
                 passes = []
-                want = reference_bisect(trace, lo, hi, side, tol)
-                bisection = len(passes)
-                worst = 3 * math.ceil(math.log2(np.max(hi - lo) / tol))
-                case = f"{kind} radius {radius} seed {seed} n {n}"
-                # the low ends once more as if the trace had overflowed there
-                for ends in (flo, np.where(flo == 0.0, 0.0, np.inf)):
-                    passes = []
-                    roots = zeros._polish(trace, lo, hi, side, ends, fhi, tol)
-                    assert np.max(np.abs(roots - want)) <= tol, case
-                    assert len(passes) <= worst, case
-                    if ends is flo:
-                        assert len(passes) < bisection, case
+                roots = zeros._polish(trace, lo, hi, side, ends, fhi, tol)
+                assert np.max(np.abs(roots - want)) <= tol, case
+                assert len(passes) <= worst, case
+                if ends is flo:
+                    assert len(passes) < bisection, case
         assert pinned == 2
 
     def test_worst_case_on_a_steep_trace(self):
