@@ -15,8 +15,8 @@ querying the same index twice returns bit-identical values.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from itertools import repeat
 from operator import add, mul, rshift, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -131,9 +131,6 @@ class ConstantSequence(VerblunskySequence):
         self._check_index(n)
         return self.value
 
-    def flipped(self) -> VerblunskySequence:
-        return ConstantSequence(-self.value)
-
     def __repr__(self):
         return f"ConstantSequence({self.value})"
 
@@ -157,11 +154,6 @@ class ExplicitSequence(VerblunskySequence):
             return self.tail
         raise ProviderRangeError(
             f"explicit sequence has {len(self.values)} coefficients, index {n} requested"
-        )
-
-    def flipped(self) -> VerblunskySequence:
-        return ExplicitSequence(
-            [-v for v in self.values], None if self.tail is None else -self.tail
         )
 
     def __repr__(self):
@@ -208,9 +200,6 @@ class DecayingSequence(VerblunskySequence):
         n = self._check_index(n)
         return self.c / (n + 1) ** self.p
 
-    def flipped(self) -> VerblunskySequence:
-        return DecayingSequence(-self.c, self.p)
-
     def __repr__(self):
         return f"DecayingSequence(c={self.c}, p={self.p})"
 
@@ -234,17 +223,19 @@ class _PanelGrid(NamedTuple):
     z: np.ndarray
 
 
-# (support, panels) -> grid, least recently used first
-_grids: dict[tuple, _PanelGrid] = {}
-_grids_lock = threading.Lock()
-
 # the grid of a purely atomic measure
 _NO_GRID = _PanelGrid(np.empty(0), np.empty(0), np.empty(0, dtype=complex))
 
+# the support of a weight on the whole circle
+_CIRCLE = ((0.0, TWO_PI),)
 
-def _build_grid(support: tuple[tuple[float, float], ...], panels: int) -> _PanelGrid:
-    """Panels shared out over the intervals in proportion to their length,
-    at least one each, 8 Gauss-Legendre nodes per panel."""
+
+@functools.lru_cache(maxsize=GRID_CAP)
+def _panel_grid(support: tuple[tuple[float, float], ...], panels: int) -> _PanelGrid:
+    """The grid of `support` at `panels`, shared while it stays among the
+    GRID_CAP most recently used: panels shared out over the intervals in
+    proportion to their length, at least one each, 8 Gauss-Legendre
+    nodes per panel."""
     total_len = sum(b - a for a, b in support)
     thetas, weights = [], []
     remaining = panels
@@ -265,31 +256,6 @@ def _build_grid(support: tuple[tuple[float, float], ...], panels: int) -> _Panel
     for arr in grid:
         arr.flags.writeable = False
     return grid
-
-
-def _panel_grid(support: tuple[tuple[float, float], ...], panels: int) -> _PanelGrid:
-    """The grid of `support` at `panels`, built once while it stays among
-    the GRID_CAP most recently used."""
-    key = (support, panels)
-    with _grids_lock:
-        grid = _grids.pop(key, None)
-    if grid is None:
-        grid = _build_grid(support, panels)
-    with _grids_lock:
-        _grids[key] = grid
-        while len(_grids) > GRID_CAP:
-            del _grids[next(iter(_grids))]
-    return grid
-
-
-def _circle_points(t) -> np.ndarray:
-    """e^{i t}: read from the panel grid whose node array `t` is, else computed."""
-    with _grids_lock:
-        grids = list(_grids.values())
-    for grid in grids:
-        if grid.t is t:
-            return grid.z
-    return np.exp(1j * np.asarray(t))
 
 
 class MeasureSpec:
@@ -332,19 +298,12 @@ class MeasureSpec:
         if weight is None:
             self.support = ()
         elif support is None:
-            self.support = ((0.0, TWO_PI),)
+            self.support = _CIRCLE
         else:
             self.support = tuple((float(a), float(b)) for a, b in support)
             for a, b in self.support:
                 if not b > a:
                     raise MeasureIngestionError(f"bad support interval ({a}, {b})")
-        self.panels = self._check_panels(panels)
-        self._node_cache: dict[int, tuple[_PanelGrid, np.ndarray]] = {}
-        self._norm_cache: dict[int, float] = {}
-
-    # -- quadrature machinery ------------------------------------------------
-
-    def _check_panels(self, panels) -> int:
         if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)):
             raise MeasureIngestionError(f"panel count must be an integer, got {panels!r}")
         least = max(1, len(self.support))
@@ -352,43 +311,49 @@ class MeasureSpec:
             raise MeasureIngestionError(
                 f"panel count must be >= {least}, one per support interval, got {panels}"
             )
-        return int(panels)
+        self.panels = int(panels)
 
-    def _quadrature(self, panels: int) -> tuple[_PanelGrid, np.ndarray]:
+    # -- quadrature machinery ------------------------------------------------
+
+    @functools.cached_property
+    def _quadrature(self) -> tuple[_PanelGrid, np.ndarray]:
         """The panel grid and its weights W_i with sum W_i f(t_i) ~ int f w dtheta/2pi."""
-        if panels in self._node_cache:
-            return self._node_cache[panels]
-        self._check_panels(panels)
         if self.weight is None:
-            out = (_NO_GRID, _NO_GRID.w)
-        else:
-            grid = _panel_grid(self.support, panels)
-            dens = np.asarray(self.weight(grid.t), dtype=float)
-            if dens.shape != grid.t.shape:
-                raise MeasureIngestionError("weight function must return one value per angle")
-            if np.any(dens < 0) or not np.all(np.isfinite(dens)):
-                raise MeasureIngestionError("weight function produced negative or non-finite values")
-            out = (grid, grid.w * dens / TWO_PI)
-        self._node_cache[panels] = out
-        return out
+            return _NO_GRID, _NO_GRID.w
+        grid = _panel_grid(self.support, self.panels)
+        dens = np.asarray(self.weight(grid.t), dtype=float)
+        if dens.shape != grid.t.shape:
+            raise MeasureIngestionError("weight function must return one value per angle")
+        if np.any(dens < 0) or not np.all(np.isfinite(dens)):
+            raise MeasureIngestionError("weight function produced negative or non-finite values")
+        return grid, grid.w * dens / TWO_PI
+
+    @functools.cached_property
+    def _raw_mass(self) -> float:
+        total = float(self._quadrature[1].sum()) + sum(m for _, m in self.masses)
+        if not math.isfinite(total) or total <= 1e-300:
+            raise MeasureIngestionError(f"measure is not normalizable (raw total mass {total})")
+        return total
+
+    def _own_panels(self, panels) -> None:
+        if panels != self.panels:
+            raise MeasureIngestionError(
+                f"the measure's quadrature has {self.panels} panels, {panels!r} requested"
+            )
 
     def _nodes(self, panels: int) -> tuple[np.ndarray, np.ndarray]:
-        """Quadrature nodes and raw weights W_i with sum W_i f(t_i) ~ int f w dtheta/2pi."""
-        grid, w = self._quadrature(panels)
+        """Quadrature nodes and raw weights W_i with sum W_i f(t_i) ~ int f w dtheta/2pi;
+        `panels` must be the measure's own count."""
+        self._own_panels(panels)
+        grid, w = self._quadrature
         return grid.t, w
 
     def normalization(self, panels: int | None = None) -> float:
-        """Total raw mass (weight integral plus atoms) before normalization."""
-        panels = self.panels if panels is None else self._check_panels(panels)
-        if panels not in self._norm_cache:
-            _, w = self._nodes(panels)
-            total = float(w.sum()) + sum(m for _, m in self.masses)
-            if not math.isfinite(total) or total <= 1e-300:
-                raise MeasureIngestionError(
-                    f"measure is not normalizable (raw total mass {total})"
-                )
-            self._norm_cache[panels] = total
-        return self._norm_cache[panels]
+        """Total raw mass (weight integral plus atoms) before normalization;
+        `panels`, if given, must be the measure's own count."""
+        if panels is not None:
+            self._own_panels(panels)
+        return self._raw_mass
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> complex:
         """Integral of f(theta) against the normalized measure."""
@@ -443,7 +408,9 @@ def bernstein_szego_measure(alphas: Sequence[complex], panels: int = 2048) -> Me
     def weight(t):
         from .szego import eval_pair
 
-        pv = eval_pair(seq, order, _circle_points(t))
+        # nodes of another size are not its grid's: build no grid for them
+        grid = _panel_grid(_CIRCLE, panels) if np.size(t) == _GL_NODES.size * panels else _NO_GRID
+        pv = eval_pair(seq, order, grid.z if t is grid.t else np.exp(1j * np.asarray(t)))
         return 1.0 / np.abs(pv.phi) ** 2
 
     return MeasureSpec(weight=weight, panels=panels)
@@ -493,7 +460,7 @@ def moments_table(measure: MeasureSpec, order: int) -> MomentTable:
     grid's e^{i theta}, which np.exp gives bit for bit.
     """
     norm = measure.normalization()
-    grid, w = measure._quadrature(measure.panels)
+    grid, w = measure._quadrature
     c = np.zeros(order + 1, dtype=complex)
     for b0 in range(0, w.size, BLOCK):
         step = np.conj(grid.z[b0 : b0 + BLOCK])

@@ -26,6 +26,8 @@ Values at the base point are cached on the polynomial, so sweeps over z
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .coeffs import VerblunskySequence, unit_circle_point
@@ -46,18 +48,15 @@ class ParaPolynomial:
         self.n = int(n)
         self.lam = unit_circle_point(lam)
         self.seq = seq
-        self._lam_phi = None  # phi_j(lam), j = 0..n
-        self._lam_star = None  # phi_j*(lam), j = 0..n
 
     def __repr__(self):
         return f"ParaPolynomial({self.kind!r}, n={self.n}, lam={self.lam})"
 
-    # values of the base-point polynomials, all levels at once
+    @cached_property
     def _lambda_values(self):
-        if self._lam_phi is None:
-            rows = _szego_levels(self.seq.alphas(self.n), self.lam, range(self.n + 1))
-            self._lam_phi, self._lam_star = rows[:, 0], rows[:, 1]
-        return self._lam_phi, self._lam_star
+        """phi_j(lam) and phi_j*(lam), j = 0..n, from one recursion pass."""
+        rows = _szego_levels(self.seq.alphas(self.n), self.lam, range(self.n + 1))
+        return rows[:, 0], rows[:, 1]
 
     def _z_alphas(self, count: int) -> np.ndarray:
         """Coefficients of the z-side pair: phi (first kind) or psi (second, negated)."""
@@ -67,7 +66,7 @@ class ParaPolynomial:
 
 def _eval_with_scale(p: ParaPolynomial, z: np.ndarray, definition: str):
     """Value and a per-point magnitude scale (largest term entering it)."""
-    lam_phi, lam_star = p._lambda_values()
+    lam_phi, lam_star = p._lambda_values
     if definition == "kernel":
         weights = np.conj(lam_phi[: p.n])
         _, acc, scale = _szego_levels(p._z_alphas(p.n - 1), z, (), weights=weights)
@@ -106,7 +105,7 @@ def beta_coefficient(p: ParaPolynomial) -> complex:
     First kind: conj(lam) phi*_{n-1}(lam) / phi_{n-1}(lam); second kind
     is its negation.
     """
-    lam_phi, lam_star = p._lambda_values()
+    lam_phi, lam_star = p._lambda_values
     beta = np.conj(p.lam) * lam_star[p.n - 1] / lam_phi[p.n - 1]
     return complex(-beta) if p.kind == "second" else complex(beta)
 
@@ -121,7 +120,7 @@ def kernel_to_monic_factor(p: ParaPolynomial) -> complex:
     """
     from .szego import monic_norm
 
-    lam_phi, _ = p._lambda_values()
+    lam_phi, _ = p._lambda_values
     c = np.conj(p.lam * lam_phi[p.n - 1]) / monic_norm(p.seq, p.n - 1)
     return complex(-c) if p.kind == "first" else complex(c)
 
@@ -147,7 +146,7 @@ def real_form_grid(p: ParaPolynomial, thetas):
 def _trace_from(p: ParaPolynomial, pair, z, th, n) -> np.ndarray:
     """Real trace at z = lambda e^{i th} of degree n (one for all points
     or one each), from the z-side pair at level n - 1."""
-    lam_phi, lam_star = p._lambda_values()
+    lam_phi, lam_star = p._lambda_values
     val, _ = _level_form((lam_phi[n - 1], lam_star[n - 1]), pair, z * np.conj(p.lam),
                          -1 if p.kind == "first" else 1)
     tr = val * np.exp(-0.5j * n * th)

@@ -92,6 +92,7 @@ ROUNDING_FACTOR = 1024.0
 LADDER = (("long double", None), ("fixed-104", 104), ("mpmath-40", 136), ("mpmath-80", 269))
 
 LONG = np.longdouble
+CLONG = np.result_type(LONG, np.complex64).type  # complex with LONG parts
 U_LONG = float(np.finfo(LONG).eps) / 2  # 2^-64 where long double is x87 extended
 U_DOUBLE = 2.0**-53
 FIXED_GUARD_BITS = 16  # bits of the fixed-point scale below the working precision
@@ -129,8 +130,8 @@ def _fused_values(groups, z):
     star0, cols, levels = _rows(groups, [zk.size for zk in z])
     pts = np.concatenate(z + [np.array([groups[0][0].lam], dtype=z[0].dtype)])
     top = max(levels)
-    alphas = groups[0][0].seq.alphas(top).astype(np.clongdouble)
-    phi = np.zeros((3, pts.size), dtype=np.clongdouble)
+    alphas = groups[0][0].seq.alphas(top).astype(CLONG)
+    phi = np.zeros((3, pts.size), dtype=CLONG)
     star = phi.copy()
     phi[0], star[0] = 1.0, star0
     mag = np.ones(phi.shape, dtype=LONG)
@@ -167,7 +168,7 @@ def _to_fixed(z, bits: int):
     """Double or long double complex numbers as fixed point: the object
     arrays of their real and imaginary parts as ints at scale 2^bits,
     exact down to 2^-bits (a long double by its hi/lo double split)."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.clongdouble))
+    z = np.atleast_1d(np.asarray(z, dtype=CLONG))
     hi = z.astype(complex)
     lo = (z - hi).astype(complex)
     parts = [np.ldexp(v, bits).tolist() for v in (hi.real, lo.real, hi.imag, lo.imag)]
@@ -318,7 +319,7 @@ def order(groups):
     if any(g is not None and g.kind != f.kind and g.n != f.n for f, g, _ in groups):
         raise ValueError("a polynomial of the other kind must share f's degree")
     groups = [(f, g, np.atleast_1d(np.asarray(t, dtype=float))) for f, g, t in groups]
-    z0 = [(f.lam * np.exp(1j * t)).astype(np.clongdouble) for f, _, t in groups]
+    z0 = [(f.lam * np.exp(1j * t)).astype(CLONG) for f, _, t in groups]
     derivs = _fused_values(groups, z0)
     signs = [np.zeros(t.size) for *_, t in groups]
     labels = [np.full(t.size, "", dtype=object) for *_, t in groups]

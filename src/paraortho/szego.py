@@ -5,10 +5,12 @@ Everything here is pointwise: the coupled recursion
     phi_n  = (z phi_{n-1} - conj(a_{n-1}) phi*_{n-1}) / rho_{n-1}
     phi*_n = (phi*_{n-1} - a_{n-1} z phi_{n-1}) / rho_{n-1}
 
-with rho_j = (1 - |a_j|^2)^{1/2} produces orthonormal values directly;
-the log of the monic norm is accumulated on the side so that levels in
-the hundreds stay inside double range even for non-decaying
-coefficients.  `z` may be a scalar or any ndarray; results broadcast.
+with rho_j = (1 - |a_j|^2)^{1/2} produces orthonormal values directly.
+`eval_pair` also reports log ||Phi_n||, the sum of the log rho_j, but no
+pass carries a norm or rescales: the values grow with the degree where
+the coefficients do not decay, and can leave double range (the trace of
+const 0.95 at lambda = pi overflows near z = 1 at n = 400).  `z` may be
+a scalar or any ndarray; results broadcast.
 
 Every float64 pass of the recursion, here and in the para module (the
 second kind on the negated coefficients), runs through `_szego_levels`:

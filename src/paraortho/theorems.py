@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Collection
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -145,7 +146,6 @@ class TheoremContext:
     def __post_init__(self):
         self.lam = unit_circle_point(self.lam)
         self._zero_cache: dict[tuple[str, int], ZeroSet | ResolutionError] = {}
-        self._nu_estimate: SupportModel | None = None
 
     def zero_set(self, kind: str, n: int) -> ZeroSet:
         """The zeros of `kind` at degree n, found once per context.
@@ -173,9 +173,11 @@ class TheoremContext:
         """
         if self.nu_support is not None:
             return self.nu_support
-        if self._nu_estimate is None:
-            self._nu_estimate = estimate_support(self.seq.flipped(), self.lam, self.nu_estimate_n)
         return self._nu_estimate
+
+    @cached_property
+    def _nu_estimate(self) -> SupportModel:
+        return estimate_support(self.seq.flipped(), self.lam, self.nu_estimate_n)
 
 
 @dataclass

@@ -204,9 +204,9 @@ def _bit_reversed(size: int) -> np.ndarray:
 def _phase_brackets(polys: dict[int, ParaPolynomial]) -> dict:
     """One bracket per zero from the phase count, for every degree of polys.
 
-    polys maps increasing degrees to polynomials of one family; each
-    reads its base-point values off the highest one's, whose recursion
-    rows at lambda serve every degree.  The first pass samples degree n
+    polys maps increasing degrees to polynomials of one family; the
+    highest one's recursion rows at lambda serve every degree, and the
+    others are not written.  The first pass samples degree n
     at 2^ceil(log2(PHASE_GRID n)) equally spaced angles from 0, all of
     them points of the highest degree's grid.  That grid goes in
     bit-reversed order, which makes each degree's points a prefix of
@@ -238,10 +238,7 @@ def _phase_brackets(polys: dict[int, ParaPolynomial]) -> dict:
     |trace| sampled.
     """
     top = polys[max(polys)]
-    lam_phi, lam_star = top._lambda_values()
-    for n, p in polys.items():
-        if p._lam_phi is None:
-            p._lam_phi, p._lam_star = lam_phi[: n + 1], lam_star[: n + 1]
+    lam_phi, lam_star = top._lambda_values
     frac = np.arange(1, PHASE_SPLIT + 1) / (PHASE_SPLIT + 1)
     sizes = {n: 1 << (PHASE_GRID * n - 1).bit_length() for n in polys}
     grid = _bit_reversed(sizes[top.n]) * (TWO_PI / sizes[top.n])
@@ -253,7 +250,6 @@ def _phase_brackets(polys: dict[int, ParaPolynomial]) -> dict:
     for n, (u, _) in first.items():
         p, origin, s0, h, total = polys[n], -u[0], -1.0, 0, n - 1
         if p.kind == "second":
-            lam_phi, lam_star = p._lambda_values()
             origin += (u[0] - np.angle(-p.lam * lam_phi[n - 1] / lam_star[n - 1]) / TWO_PI - 0.5) % 1.0 + 0.5
             s0, total, w = 1.0, n, u[1:] + origin
             clear = np.abs(w - np.rint(w)) >= ON_ZERO
@@ -486,7 +482,7 @@ def oracle_zeros(p: ParaPolynomial, grid_points: int | None = None) -> ZeroSet:
             f"zeros on a {m}-point grid",
         )
     values, _, _ = real_form_grid(p, zeros)
-    grid_scale = float(np.max(g(th)))
+    grid_scale = float(np.max(gv))
     lam_theta = float(np.angle(p.lam) % TWO_PI)
     simplicity = True
     if len(zeros) > 1:

@@ -200,6 +200,8 @@ class TestProviders:
         seq = pa.ExplicitSequence([0.1, -0.2j])
         with pytest.raises(ProviderRangeError):
             seq.alpha(2)
+        with pytest.raises(ProviderRangeError):
+            seq.flipped().alpha(2)
 
     def test_explicit_tail(self):
         seq = pa.ExplicitSequence([0.5], tail=0.0)
@@ -218,6 +220,21 @@ class TestProviders:
     def test_flip_constant(self):
         assert pa.ConstantSequence(0.5).flipped().alpha(4) == -0.5
         assert pa.ConstantSequence(0.0).flipped().alpha(4) == 0.0
+
+    @pytest.mark.parametrize(
+        "seq, count",
+        [
+            (pa.ConstantSequence(0.5), 40),
+            (pa.ConstantSequence(0.0), 40),
+            (pa.ExplicitSequence([0.1, -0.2j, 0.3 + 0.4j], tail=-0.25j), 40),
+            (pa.ExplicitSequence([0.1, -0.2j, 0.3 + 0.4j]), 3),
+            (pa.RandomSequence(0.7, 5), 40),
+            (pa.DecayingSequence(0.9 + 0.1j, 1.5), 40),
+        ],
+        ids=["const", "const_zero", "explicit_tail", "explicit", "random", "decaying"],
+    )
+    def test_flip_negates_every_coefficient_exactly(self, seq, count):
+        assert seq.flipped().alphas(count).tobytes() == (-seq.alphas(count)).tobytes()
 
     def test_flip_involution_pointwise(self):
         seq = pa.RandomSequence(0.8, 123)
@@ -358,9 +375,9 @@ class TestPanelGrid:
         b = pa.bernstein_szego_measure([-0.2, 0.1, 0.4j], panels=4096)
         (ta, wa), (tb, wb) = a._nodes(4096), b._nodes(4096)
         assert ta is tb
-        assert a._quadrature(4096)[0].z is b._quadrature(4096)[0].z
+        assert a._quadrature[0].z is b._quadrature[0].z
         assert not np.array_equal(wa, wb)
-        for arr in a._quadrature(4096)[0]:
+        for arr in a._quadrature[0]:
             assert not arr.flags.writeable
         other = pa.arc_measure(ARC[0], ARC[1], panels=4096)
         assert other._nodes(4096)[0] is not ta
@@ -374,14 +391,49 @@ class TestPanelGrid:
         t, w = atoms._nodes(atoms.panels)
         assert t.size == w.size == 0
 
+    def test_quadrature_and_mass_are_kept_at_the_measures_own_panel_count(self):
+        measure = pa.arc_measure(5.0, 1.0, masses=[(3.0, 0.2)], panels=64)
+        t, w = measure._nodes(measure.panels)
+        again = measure._nodes(64)
+        assert again[0] is t and again[1] is w
+        assert measure.normalization(64) == measure.normalization()
+        for panels in (32, 65):
+            with pytest.raises(MeasureIngestionError, match=f"64 panels, {panels} requested"):
+                measure._nodes(panels)
+            with pytest.raises(MeasureIngestionError, match=f"64 panels, {panels} requested"):
+                measure.normalization(panels)
+        # a bad weight raises when first used, not when the measure is built,
+        # and again on every later use
+        bad = pa.MeasureSpec(weight=lambda t: -np.ones_like(t), panels=64)
+        for _ in range(2):
+            with pytest.raises(MeasureIngestionError, match="negative or non-finite"):
+                moments_table(bad, 1)
+
+    def test_borrowed_bernstein_szego_weight_builds_no_grid_of_its_own(self):
+        # on another measure's nodes the weight computes e^{it} itself
+        base = pa.bernstein_szego_measure([0.5, 0.3j], panels=65536)
+        coeffs._panel_grid.cache_clear()
+        measure = pa.MeasureSpec(weight=base.weight, masses=[(1.0, 0.2)], panels=64)
+        shared = moments_table(measure, 6)
+        assert coeffs._panel_grid.cache_info().misses == 1
+        assert shared.c.tobytes() == fresh_moments_table(measure, 6).c.tobytes()
+
     def test_cache_keeps_at_most_its_cap(self):
+        assert coeffs._panel_grid.cache_info().maxsize == GRID_CAP
+        coeffs._panel_grid.cache_clear()
         counts = range(40, 40 + GRID_CAP + 3)
+        nodes = {}
         for panels in counts:
-            pa.lebesgue_measure(panels)._nodes(panels)
-            assert len(coeffs._grids) <= GRID_CAP
+            nodes[panels] = pa.lebesgue_measure(panels)._nodes(panels)[0]
+            assert coeffs._panel_grid.cache_info().currsize <= GRID_CAP
         circle = ((0.0, TWO_PI),)
-        assert (circle, counts[-1]) in coeffs._grids
-        assert (circle, counts[0]) not in coeffs._grids
+        # the newest grid is still held, the oldest was evicted and is built anew
+        hits = coeffs._panel_grid.cache_info().hits
+        assert coeffs._panel_grid(circle, counts[-1]).t is nodes[counts[-1]]
+        assert coeffs._panel_grid.cache_info().hits == hits + 1
+        misses = coeffs._panel_grid.cache_info().misses
+        assert coeffs._panel_grid(circle, counts[0]).t is not nodes[counts[0]]
+        assert coeffs._panel_grid.cache_info().misses == misses + 1
 
     def test_threads_share_the_cache_safely(self):
         # more threads than cores and more panel counts than the cap, so
@@ -409,7 +461,7 @@ class TestPanelGrid:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(coeffs._grids) <= GRID_CAP
+        assert coeffs._panel_grid.cache_info().currsize <= GRID_CAP
 
 
 class TestLevinson:

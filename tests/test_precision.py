@@ -303,3 +303,23 @@ def test_same_degree_signs_from_the_identity_agree_with_mpmath_80(monkeypatch):
                     assert mp_decision(f, g, mpmath.mpf(float(t)), evaluator) == sign, (label, f.kind, f.n, t)
     assert {"long double", "fixed-104", "mpmath-40"} <= stages and points > 300
     assert verdicts == ["pass"] * 5
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_ladder_with_long_double_as_double(monkeypatch, seed):
+    # where long double is float64 (Windows, macOS on arm64) the first
+    # stage runs in doubles: pairs move up to fixed point, and every
+    # verdict and the number of pairs decided stay the same
+    seq = pa.RandomSequence(0.7, seed)
+    h = {n: pa.find_zeros(pa.ParaPolynomial("first", n, 1.0, seq)) for n in (100, 101)}
+    s = pa.find_zeros(pa.ParaPolynomial("second", 100, 1.0, seq))
+    pairs = [(h[100], s), (h[100].without_base_point(), h[101].without_base_point())]
+    native = [pa.interlace(a, b) for a, b in pairs]
+    monkeypatch.setattr(precision, "LONG", np.float64)
+    monkeypatch.setattr(precision, "CLONG", np.complex128)
+    monkeypatch.setattr(precision, "U_LONG", 2.0**-53)
+    double = [pa.interlace(a, b) for a, b in pairs]
+    for x, y in zip(native, double):
+        assert x.verdict == y.verdict == "pass"
+        assert sum(x.decided.values()) == sum(y.decided.values()) > 0
+    assert sum(y.decided.get("long double", 0) for y in double) < sum(x.decided["long double"] for x in native)

@@ -225,6 +225,18 @@ class TestPhaseRoute:
         assert calls == [(101, 512)]
         assert all(zs.angles.size == n for n, zs in out.items())
 
+    @pytest.mark.parametrize("kind", ["first", "second"])
+    def test_sweep_writes_nothing_into_the_lower_degrees(self, kind):
+        # the top degree's base-point rows serve every degree of a sweep
+        seq = pa.ConstantSequence(-0.5)
+        polys = {n: pa.ParaPolynomial(kind, n, np.exp(1j * np.pi), seq) for n in range(2, 41)}
+        before = {n: dict(vars(p)) for n, p in polys.items()}
+        out = zeros._zero_sets(polys)
+        assert all(out[n].angles.size == n for n in polys)
+        for n in range(2, 40):
+            assert vars(polys[n]).keys() == before[n].keys()
+            assert all(vars(polys[n])[k] is v for k, v in before[n].items())
+
     @pytest.mark.parametrize("seq, lam", [
         (pa.ConstantSequence(-0.5), np.exp(1j * np.pi)),
         (pa.RandomSequence(0.7, 1), 1.0),
@@ -309,6 +321,19 @@ class TestOracle:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             pa.oracle_zeros(free_poly("first", 4), grid_points=100)
+
+    def test_dense_grid_is_evaluated_once(self, monkeypatch):
+        sizes, evaluate = [], zeros.para_eval
+
+        def spy(p, z, definition="level_nm1"):
+            sizes.append(np.size(z))
+            return evaluate(p, z, definition)
+
+        monkeypatch.setattr(zeros, "para_eval", spy)
+        p = pa.ParaPolynomial("first", 20, np.exp(1j * np.pi), pa.ConstantSequence(-0.5))
+        zs = pa.oracle_zeros(p, grid_points=256 * 20)
+        assert zs.angles.size == 20
+        assert sizes.count(256 * 20) == 1
 
 
 class TestInterlace:
