@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -420,7 +421,10 @@ def _cmd_identities(cfg: RunConfig) -> int:
 # argument wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every run shares it."""
     parser = argparse.ArgumentParser(
         prog="paraortho",
         description="Paraorthogonal polynomials on the unit circle: zeros and theorem checks",

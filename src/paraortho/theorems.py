@@ -13,8 +13,13 @@ with delta / L / delta_nu chordal distances to the relevant support.
 Verdicts are literal: a check passes only when the counted zeros satisfy
 the claimed disjunction, zeros grazing a ball's boundary are warned
 about and not counted (at a gap's end, warned about and counted), and
-vacuous configurations (zero radius) are flagged degenerate
+vacuous configurations (zero radius, empty gap) are flagged degenerate
 rather than silently passing.
+
+The ball and gap counts are the whole turns of the lifted Blaschke phase
+between the ends of the ball's or gap's arc (_arc_counts).  A zero set
+is read only where such a count is undecided or fails the check; it
+gives the same counts, and every witness and warning (see _ball_counts).
 """
 
 from __future__ import annotations
@@ -33,14 +38,18 @@ from .errors import (
     ResolutionError,
     SupportModelError,
 )
-from .para import ParaPolynomial, para_eval
+from .para import ParaPolynomial, _phase_at_levels, para_eval
 from .szego import cd_kernel, eval_pair
-from .zeros import ZeroSet, _circular_gap, _phase_brackets, _refined_zeros, _zero_sets, interlace
+from .zeros import (ON_ZERO, THETA_TOL, ZeroSet, _at_levels, _circular_gap, _phase_brackets,
+                    _phase_origin, _refined_zeros, _zero_sets, interlace)
 
 TWO_PI = 2.0 * math.pi
 
 # zeros within this of a ball boundary are reported, not counted
 BOUNDARY_TOL = 1e-12
+# a count from the phase decides an arc end only with no zero within
+# this many radians of it
+GUARD = 4 * THETA_TOL
 # estimate_support merges marked angles closer than this many 2pi/n
 GAP_FACTOR = 4.0
 
@@ -141,11 +150,25 @@ class TheoremContext:
     measure: MeasureSpec | None = None  # same measure the seq came from, if any
     nu_estimate_n: int = 400
     # the degrees a run's checks read, swept together per kind by zero_set
+    # and per (kind, arc) by arc_count
     degrees: Collection[int] = ()
 
     def __post_init__(self):
         self.lam = unit_circle_point(self.lam)
         self._zero_cache: dict[tuple[str, int], ZeroSet | ResolutionError] = {}
+        self._count_cache: dict[tuple[str, float, float, int], int | None] = {}
+
+    def _swept(self, cache: dict, key: tuple, n: int, find):
+        """cache[(*key, n)], where key starts with a kind.  The first miss
+        at a degree in `degrees` fills every uncached degree of `degrees`
+        from one find({degree: polynomial of that kind}) call; a degree
+        outside them is found alone."""
+        if (*key, n) not in cache:
+            swept = self.degrees if n in self.degrees else [n]
+            wanted = sorted(m for m in set(swept) if (*key, m) not in cache)
+            found = find({m: ParaPolynomial(key[0], m, self.lam, self.seq) for m in wanted})
+            cache.update(((*key, m), v) for m, v in found.items())
+        return cache[(*key, n)]
 
     def zero_set(self, kind: str, n: int) -> ZeroSet:
         """The zeros of `kind` at degree n, found once per context.
@@ -155,15 +178,21 @@ class TheoremContext:
         outside them is found alone.  A degree whose zeros cannot be
         isolated raises its ResolutionError each time it is asked for.
         """
-        if (kind, n) not in self._zero_cache:
-            swept = self.degrees if n in self.degrees else [n]
-            wanted = sorted(m for m in set(swept) if (kind, m) not in self._zero_cache)
-            sets = _zero_sets({m: ParaPolynomial(kind, m, self.lam, self.seq) for m in wanted})
-            self._zero_cache.update(((kind, m), zs) for m, zs in sets.items())
-        zs = self._zero_cache[(kind, n)]
+        zs = self._swept(self._zero_cache, (kind,), n, _zero_sets)
         if isinstance(zs, ResolutionError):
             raise zs
         return zs
+
+    def arc_count(self, kind: str, arc: tuple[float, float], n: int) -> int | None:
+        """The zeros of `kind` at degree n in the open arc (lo, hi) of
+        angles from lambda, from the phase at its ends (_arc_counts), or
+        None where that count is undecided.  An arc that does not keep
+        GUARD clear of lambda on both sides is undecided.  Counts are kept
+        per (kind, arc) and filled as zero_set fills its sets."""
+        lo, hi = arc
+        if not GUARD < lo < hi < TWO_PI - GUARD:
+            return None
+        return self._swept(self._count_cache, (kind, lo, hi), n, lambda polys: _arc_counts(polys, lo, hi))
 
     def nu_model(self) -> SupportModel:
         """The nu support model; its provenance says where it came from.
@@ -220,6 +249,38 @@ def count_zeros_in_ball(zs: ZeroSet, z0: complex, radius: float) -> tuple[int, l
     return int(np.sum(inside)), [float(a) for a in absolute[inside]], warnings
 
 
+def _arc_counts(polys: dict[int, ParaPolynomial], lo: float, hi: float) -> dict[int, int | None]:
+    """The zeros of each degree of polys in the open arc (lo, hi) of
+    angles from lambda, with GUARD < lo < hi < 2pi - GUARD, or None
+    where the phase leaves the count undecided.
+
+    polys maps degrees to polynomials of one family.  Shifted by
+    zeros._phase_origin, the lifted phase v of each degree rises
+    strictly and its zeros lie at whole turns, so the count is
+    floor(v(hi)) - floor(v(lo)).  v is taken at lo +- GUARD and hi +-
+    GUARD, in one deepest-first pass of the highest degree's recursion
+    (zeros._at_levels), and the count is decided when all four values
+    lie farther than ON_ZERO from a whole turn and the two at each end
+    have the same integer part: no zero then lies within GUARD of an
+    end.
+    """
+    top = polys[max(polys)]
+    points = np.array([0.0, lo - GUARD, lo + GUARD, hi - GUARD, hi + GUARD])
+    out = {}
+    for n, u in _at_levels(_phase_at_levels, top, {n: points for n in polys}).items():
+        v = u[1:] + _phase_origin(top, n, u[0])
+        whole = np.floor(v)
+        decided = np.all(np.abs(v - np.rint(v)) > ON_ZERO) and whole[0] == whole[1] and whole[2] == whole[3]
+        out[n] = int(whole[2] - whole[0]) if decided else None
+    return out
+
+
+def _arc_from_lambda(ctx: TheoremContext, theta: float, span: float) -> tuple[float, float]:
+    """The arc of the given span from the absolute angle theta, in angles from lambda."""
+    lo = (theta - float(np.angle(ctx.lam))) % TWO_PI
+    return lo, lo + span
+
+
 def _ball_counts(ctx: TheoremContext, kind: str, z0: complex, n: int,
                  balls: dict[tuple[str, str], float], allowed: int) -> dict:
     """Zeros of kind at degrees n and n + 1, apart from the base point,
@@ -227,7 +288,25 @@ def _ball_counts(ctx: TheoremContext, kind: str, z0: complex, n: int,
     count keys to r.  The verdict fails at a ball where both counts
     exceed `allowed`, whose counted zeros become witnesses.  Returns the
     verdict, counts, witnesses and warnings as TheoremReport fields.
+
+    The counts come from the phase at the ends of each ball's arc
+    (ctx.arc_count).  Where one is undecided or the verdict fails, every
+    count comes from the zero sets instead, which name the witnesses and
+    warn of zeros within BOUNDARY_TOL of a ball's edge.  A decided end
+    has no zero within GUARD of it, and a computed zero lies within
+    THETA_TOL / 2 of its true place, while the chordal distance to z0
+    changes by at least sqrt(1 - r^2 / 4) >= 0.94 per radian at the edge
+    of a ball of radius r <= 2/3, the largest rho, rho_prime or rho_tilde
+    can be; so both routes give the same counts and the phase route has
+    no warning to give.
     """
+    counts = {}
+    for keys, radius in balls.items():
+        half = 2.0 * math.asin(radius / 2.0)
+        arc = _arc_from_lambda(ctx, float(np.angle(z0)) - half, 2.0 * half)
+        counts.update((key, ctx.arc_count(kind, arc, m)) for key, m in zip(keys, (n, n + 1)))
+    if None not in counts.values() and all(min(counts[k] for k in keys) <= allowed for keys in balls):
+        return {"verdict": "pass", "counts": counts, "witnesses": [], "warnings": []}
     sets = [ctx.zero_set(kind, m).without_base_point() for m in (n, n + 1)]
     out = {"verdict": "pass", "counts": {}, "witnesses": [], "warnings": []}
     for keys, radius in balls.items():
@@ -278,29 +357,36 @@ def check_gap_theorem(ctx: TheoremContext, gap: tuple[float, float], n: int) -> 
     """h_n has at most one zero in the closed gap arc, which runs
     counterclockwise from gap[0] to gap[1] (coeffs._arc_span): a full turn
     when they differ by a nonzero multiple of 2pi, degenerate (a vacuous
-    pass) when equal.  A zero within BOUNDARY_TOL of either end is
+    pass, no zero counted) when equal.  The count comes from the phase
+    at the gap's ends (ctx.arc_count), as in _ball_counts; where that is
+    undecided or exceeds one, it comes from the zero set, which names
+    the witnesses, and a zero within BOUNDARY_TOL of either end is
     counted and warned about."""
     if ctx.support is None:
         raise PreconditionError("gap theorem needs a support model")
     start, end = float(gap[0]), float(gap[1])
     if not (math.isfinite(start) and math.isfinite(end)):
         raise ValueError(f"gap ({start}, {end}) has a non-finite end")
-    span = _arc_span(start, end)
-    degenerate = span == 0.0
-    if not degenerate:
-        # measured from start, an arc [t0, t1] meets the open gap (0, span) when
-        # it starts inside it or runs on past 2pi; shared endpoints are fine
-        for a0, a1 in ctx.support.arcs:
-            t0 = (a0 - start) % TWO_PI
-            t1 = t0 + _arc_span(a0, a1)
-            if (_beyond(span, t0) and _beyond(t1, 0.0)) or (_beyond(span, 0.0) and _beyond(t1 - TWO_PI, 0.0)):
-                raise PreconditionError(f"gap ({start}, {end}) overlaps a modeled support arc")
-        for p in ctx.support.points:
-            rel = (p - start) % TWO_PI
-            if 1e-12 < rel < span - 1e-12:
-                raise PreconditionError(
-                    f"gap ({start}, {end}) contains the modeled support point {p}"
-                )
+    span, recorded = _arc_span(start, end), (start % TWO_PI, end % TWO_PI)
+    if span == 0.0:
+        return TheoremReport("gap", n, "pass", degenerate=True, gap=recorded,
+                             warnings=["the gap is empty (its ends coincide): vacuous"])
+    # measured from start, an arc [t0, t1] meets the open gap (0, span) when
+    # it starts inside it or runs on past 2pi; shared endpoints are fine
+    for a0, a1 in ctx.support.arcs:
+        t0 = (a0 - start) % TWO_PI
+        t1 = t0 + _arc_span(a0, a1)
+        if (_beyond(span, t0) and _beyond(t1, 0.0)) or (_beyond(span, 0.0) and _beyond(t1 - TWO_PI, 0.0)):
+            raise PreconditionError(f"gap ({start}, {end}) overlaps a modeled support arc")
+    for p in ctx.support.points:
+        rel = (p - start) % TWO_PI
+        if 1e-12 < rel < span - 1e-12:
+            raise PreconditionError(
+                f"gap ({start}, {end}) contains the modeled support point {p}"
+            )
+    count = ctx.arc_count("first", _arc_from_lambda(ctx, start, span), n)
+    if count is not None and count <= 1:
+        return TheoremReport("gap", n, "pass", gap=recorded, counts={"h_n": count})
     absolute = ctx.zero_set("first", n).absolute_angles()
     rel = (absolute - start) % TWO_PI
     near = np.minimum(_circular_gap(rel, 0.0), _circular_gap(rel, span)) <= BOUNDARY_TOL
@@ -311,8 +397,7 @@ def check_gap_theorem(ctx: TheoremContext, gap: tuple[float, float], n: int) -> 
         "gap",
         n,
         verdict,
-        degenerate=degenerate,
-        gap=(start % TWO_PI, end % TWO_PI),
+        gap=recorded,
         counts={"h_n": count},
         witnesses=[float(a) for a in absolute[inside]] if verdict == "fail" else [],
         warnings=[f"zero at angle {float(a):.15g} is within {BOUNDARY_TOL} of a gap end and counted"

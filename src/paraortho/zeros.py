@@ -201,6 +201,25 @@ def _bit_reversed(size: int) -> np.ndarray:
     return order
 
 
+def _phase_origin(top: ParaPolynomial, n: int, u0: float) -> float:
+    """The shift, in turns, that puts the zeros of top's family at degree
+    n on whole turns of its lifted phase (para._phase_at_levels), given
+    u0, that phase at lambda.
+
+    The first kind vanishes where b_n takes its value at lambda, so the
+    shift is -u0 and lambda, its pinned zero, sits at 0.  The second kind
+    vanishes where b_n (built from psi) takes -lam phi_{n-1}(lam) /
+    phi*_{n-1}(lam), read off top's rows at lambda; the shift puts lambda
+    at [1/2, 3/2) turns.  Differences of integer parts of the shifted
+    phase count the zeros between two points.
+    """
+    origin = -u0
+    if top.kind == "second":
+        lam_phi, lam_star = top._lambda_values
+        origin += (u0 - np.angle(-top.lam * lam_phi[n - 1] / lam_star[n - 1]) / TWO_PI - 0.5) % 1.0 + 0.5
+    return origin
+
+
 def _phase_brackets(polys: dict[int, ParaPolynomial]) -> dict:
     """One bracket per zero from the phase count, for every degree of polys.
 
@@ -218,11 +237,11 @@ def _phase_brackets(polys: dict[int, ParaPolynomial]) -> dict:
     depend on the degrees swept with it.  Each further pass evaluates
     the points of every degree, deepest first, through the highest
     one's recursion (see _at_levels).  In turns of the lifted
-    phase (para._phase_at_levels) from an origin, the zeros lie at whole
-    turns: the first kind's origin is its pinned zero;
-    the second kind's puts lambda at u0 in [1/2, 3/2) turns, and h = 1
-    drops the first whole turn as lying before lambda.  The count of
-    zeros in (0, t) is the phase's integer part less h.  h is the choice
+    phase (para._phase_at_levels) shifted by _phase_origin, the zeros lie
+    at whole turns, and the count of zeros in (0, t) is the phase's
+    integer part less h: 0 for the first kind, while for the second,
+    which puts lambda at [1/2, 3/2) turns, h = 1 drops the first whole
+    turn as lying before lambda.  h is the choice
     the trace signs at the first samples back more often, which puts a
     zero within rounding of lambda on its true side; on a whole turn (to
     ON_ZERO; the phase is flat across a gap in the support) the trace
@@ -238,7 +257,6 @@ def _phase_brackets(polys: dict[int, ParaPolynomial]) -> dict:
     |trace| sampled.
     """
     top = polys[max(polys)]
-    lam_phi, lam_star = top._lambda_values
     frac = np.arange(1, PHASE_SPLIT + 1) / (PHASE_SPLIT + 1)
     sizes = {n: 1 << (PHASE_GRID * n - 1).bit_length() for n in polys}
     grid = _bit_reversed(sizes[top.n]) * (TWO_PI / sizes[top.n])
@@ -248,9 +266,8 @@ def _phase_brackets(polys: dict[int, ParaPolynomial]) -> dict:
     fresh_f = {n: f[1:] for n, (_, f) in first.items()}
     count, samples, scale = {}, {}, {}
     for n, (u, _) in first.items():
-        p, origin, s0, h, total = polys[n], -u[0], -1.0, 0, n - 1
-        if p.kind == "second":
-            origin += (u[0] - np.angle(-p.lam * lam_phi[n - 1] / lam_star[n - 1]) / TWO_PI - 0.5) % 1.0 + 0.5
+        origin, s0, h, total = _phase_origin(top, n, u[0]), -1.0, 0, n - 1
+        if top.kind == "second":
             s0, total, w = 1.0, n, u[1:] + origin
             clear = np.abs(w - np.rint(w)) >= ON_ZERO
             h = int(np.sum((np.sign(fresh_f[n]) * (-1.0) ** np.floor(w))[clear]) < 0)

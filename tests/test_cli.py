@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from paraortho import theorems, zeros
-from paraortho.cli import _VERIFY_CHECKS, parse_alpha_spec, parse_angle, parse_range, run
+from paraortho.cli import _VERIFY_CHECKS, build_parser, parse_alpha_spec, parse_angle, parse_range, run
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,6 +78,33 @@ class TestParsers:
         assert parse_alpha_spec("list:0.1,0.2j").alpha(1) == 0.2j
         with pytest.raises(ValueError):
             parse_alpha_spec("magic:1")
+
+    def test_argument_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_runs_sharing_the_parser_write_what_each_writes_alone(self, tmp_path):
+        support = tmp_path / "arc.json"
+        support.write_text(json.dumps({"arcs": [[math.pi / 3, 5 * math.pi / 3]]}))
+        runs = [
+            ["zeros", "--alpha", "const:0.5", "--n", "6", "--kind", "second"],
+            ["verify", "theorem1", "--alpha", "const:-0.5", "--lambda-theta", "pi", "--z0-theta", "0",
+             "--support", str(support), "--n", "2..4"],
+            ["zeros", "--alpha", "const:0.5", "--n", "6"],  # --kind back at its default
+        ]
+
+        def report(k):
+            out = tmp_path / f"{k}.json"
+            assert run(runs[k] + ["--out", str(out)]) == 0
+            doc = read_json(out)
+            doc.pop("generated_at")
+            return doc
+
+        alone = []
+        for k in range(len(runs)):
+            build_parser.cache_clear()
+            alone.append(report(k))
+        assert [report(k) for k in range(len(runs))] == alone
+        assert alone[0]["zeros"]["kind"] == "second" and alone[2]["zeros"]["kind"] == "first"
 
 
 class TestZerosCommand:
@@ -258,6 +285,21 @@ class TestVerifyCommand:
         why = "first-kind degree {0}: isolated {1} of {0} zeros, the rest closer than double angles resolve"
         assert [r.get("error") for r in doc["results"][-3:]] == [
             why.format(69, 67) + " (lambda = (1+0j))"] * 2 + [why.format(71, 69) + " (lambda = (1+0j))"]
+
+    def test_phase_counts_decide_degrees_whose_zeros_cannot_be_isolated(self, tmp_path, monkeypatch):
+        # the alternating list above, whose support is the arc [4pi/3, 8pi/3]
+        # plus the atom at pi: h_69 and h_71 stay unresolved next to the
+        # atom, but the phase counts the ball around e^{2.6i} without them
+        calls = spy_zero_sets(monkeypatch)
+        spec = "list:" + ",".join(str(0.5 * (-1) ** (k + 1)) for k in range(72))
+        support = tmp_path / "support.json"
+        support.write_text(json.dumps({"arcs": [[4 * math.pi / 3, 8 * math.pi / 3]], "points": [math.pi]}))
+        out = tmp_path / "r.json"
+        argv = ["verify", "theorem1", "--alpha", spec, "--z0-theta", "2.6", "--support", str(support)]
+        assert run(argv + ["--n", "68..70", "--out", str(out)]) == 0
+        assert calls == []
+        assert [(r["verdict"], r["counts"]) for r in read_json(out)["results"]] == [
+            ("pass", {"h_n@rho": 0, "h_n1@rho": 0})] * 3
 
     def test_failed_precondition_exits_1(self, tmp_path, capsys):
         # a gap over the modeled support is a check that could not be

@@ -185,6 +185,29 @@ class TestTheorem1:
         ctx2 = pa.TheoremContext(seq=seq, lam=np.exp(2.0j), support=model)
         assert all(pa.check_theorem1(ctx2, 1.0, n).passed for n in violations)
 
+    def test_base_point_inside_the_balls(self):
+        # lambda in the gap, 0.01 from z0: inside B(z0, rho) and B(z0,
+        # rho_prime), both about 0.1098; the pinned zero is left out
+        ctx = pa.TheoremContext(seq=pa.ConstantSequence(-0.5), lam=np.exp(-0.005j),
+                                support=pa.support_model([ARC]), degrees=range(2, 32))
+        for n in range(2, 31):
+            rep = pa.check_theorem1(ctx, np.exp(0.005j), n)
+            assert rep.radii["rho_prime"] == pytest.approx(0.1098, abs=1e-4)
+            assert (rep.verdict, rep.witnesses, rep.warnings) == ("pass", [], [])
+            assert rep.counts == {"h_n@rho": 0, "h_n1@rho": 0, "h_n@rho_prime": 0, "h_n1@rho_prime": 0}
+
+    def test_failing_phase_counts_name_their_witnesses(self):
+        # free case with a false one-point model at pi: B(1, 2/3) and
+        # B(1, rho_prime) hold two zeros of h_10 and of h_11
+        ctx = pa.TheoremContext(seq=pa.ConstantSequence(0.0), lam=1j, support=pa.support_model([], points=[np.pi]))
+        rep = pa.check_theorem1(ctx, 1.0, 10)
+        assert rep.verdict == "fail"
+        half = 2.0 * math.asin(rep.radii["rho"] / 2.0)
+        arc = theorems._arc_from_lambda(ctx, -half, 2.0 * half)
+        assert [ctx.arc_count("first", arc, n) for n in (10, 11)] == [rep.counts["h_n@rho"], rep.counts["h_n1@rho"]]
+        assert min(rep.counts.values()) == 2
+        assert len(rep.witnesses) == sum(rep.counts.values())
+
 
 class TestGapTheorem:
     def test_geronimus_gap(self, geronimus_ctx):
@@ -196,6 +219,16 @@ class TestGapTheorem:
     def test_degenerate_gap(self, geronimus_ctx):
         rep = pa.check_gap_theorem(geronimus_ctx, (0.5, 0.5), 5)
         assert rep.passed and rep.degenerate
+
+    def test_empty_gap_is_vacuous_and_counts_nothing(self):
+        # an injected h_3 with two zeros within 4e-13 of the empty gap's
+        # point: no zero is counted there, so they cannot fail it
+        ctx = pa.TheoremContext(seq=pa.ConstantSequence(-0.5), lam=1.0, support=pa.support_model([ARC]))
+        angles = np.array([0.0, 0.5 - 4e-13, 0.5 + 4e-13])
+        ctx._zero_cache[("first", 3)] = pa.ZeroSet("first", 3, 0.0, angles, np.zeros(3), 1.0, True)
+        rep = pa.check_gap_theorem(ctx, (0.5, 0.5), 3)
+        assert (rep.verdict, rep.degenerate, rep.counts, rep.witnesses) == ("pass", True, {}, [])
+        assert rep.warnings == ["the gap is empty (its ends coincide): vacuous"]
 
     @pytest.mark.parametrize("gap", [(float("nan"), 1.0), (1.0, float("inf"))])
     def test_non_finite_gap_rejected(self, geronimus_ctx, gap):
@@ -240,6 +273,15 @@ class TestGapTheorem:
         rep = pa.check_gap_theorem(ctx, (np.pi + 0.01, np.pi - 0.01), 6)
         assert not rep.passed
         assert rep.counts["h_n"] == 5
+
+    def test_failing_phase_count_names_its_witnesses(self):
+        # the free case's h_6 has five zeros in (0.1, 5.9), a gap clear of
+        # lambda = 1 under a false one-point model at 6
+        ctx = pa.TheoremContext(seq=pa.ConstantSequence(0.0), lam=1.0, support=pa.support_model([], points=[6.0]))
+        assert ctx.arc_count("first", (0.1, 5.9), 6) == 5
+        rep = pa.check_gap_theorem(ctx, (0.1, 5.9), 6)
+        assert (rep.verdict, rep.counts) == ("fail", {"h_n": 5})
+        assert rep.witnesses == pytest.approx([k * TWO_PI / 6 for k in range(1, 6)], abs=1e-12)
 
 
 class TestInterlacingChecks:
@@ -501,6 +543,71 @@ class TestEstimateSupport:
             single = pa.find_zeros(pa.ParaPolynomial("first", n, lam, seq))
             assert np.array_equal(swept[n].angles, single.angles)
             assert swept[n].scale == single.scale
+
+
+class TestPhaseCounts:
+    def test_agree_with_the_zero_sets_on_random_balls(self, record_property):
+        # four sequences, four base points, both kinds, degrees 2..60 and
+        # 12 balls of radius up to 2/3, the most rho, rho_prime or rho_tilde
+        # can be; arcs within GUARD of lambda are left to the zero sets
+        rng = np.random.default_rng(0)
+        balls = [(rng.uniform(0.0, TWO_PI), rng.uniform(0.0, 2.0 / 3.0)) for _ in range(12)]
+        seqs = [pa.ConstantSequence(0.5), pa.ConstantSequence(-0.5), pa.RandomSequence(0.7, 3), pa.RandomSequence(0.9, 5)]
+        cases = decided = 0
+        for seq in seqs:
+            for lam_theta in (0.0, 1.0, np.pi, 4.0):
+                ctx = pa.TheoremContext(seq=seq, lam=np.exp(1j * lam_theta), degrees=range(2, 61))
+                for kind in ("first", "second"):
+                    for theta, r in balls:
+                        half = 2.0 * math.asin(r / 2.0)
+                        arc = theorems._arc_from_lambda(ctx, theta - half, 2.0 * half)
+                        if not theorems.GUARD < arc[0] < arc[1] < TWO_PI - theorems.GUARD:
+                            continue
+                        for n in range(2, 61):
+                            zs = ctx.zero_set(kind, n).without_base_point()
+                            count, _, warnings = count_zeros_in_ball(zs, np.exp(1j * theta), r)
+                            assert warnings == []
+                            phase = ctx.arc_count(kind, arc, n)
+                            assert phase in (None, count), (seq, lam_theta, kind, theta, r, n)
+                            cases += 1
+                            decided += phase is not None
+        record_property("decided_share", decided / cases)
+        assert cases > 20000
+        assert decided / cases > 0.99, f"{decided} of {cases} counts decided"
+
+    @pytest.mark.parametrize("fixture, offset", [
+        ("const", 5e-13),  # on a gentle phase, ON_ZERO and GUARD each catch it
+        ("atom", 5e-13),  # next to the atom the phase rises ~1e7 turns per radian: GUARD catches it
+        ("const", theorems.GUARD + 5e-13),  # next to a guard point: ON_ZERO catches it
+    ])
+    def test_end_next_to_a_zero_is_undecided(self, fixture, offset, mass_fixture):
+        # a gap that starts `offset` after a computed zero of h_20 and holds
+        # no other; its warning and count come from the zero set
+        seq = mass_fixture.seq if fixture == "atom" else pa.ConstantSequence(-0.5)
+        zs = pa.TheoremContext(seq=seq, lam=-1.0).zero_set("first", 20)
+        k = int(np.argmin(np.abs(zs.angles - (np.pi if fixture == "atom" else 2.0))))
+        width = 0.3 if fixture == "atom" else 0.5 * (zs.angles[k + 1] - zs.angles[k])
+        zero = float(zs.absolute_angles()[k])
+        start = zero + offset
+        ctx = pa.TheoremContext(seq=seq, lam=-1.0, support=pa.support_model([(start + width, start + TWO_PI)]))
+        assert ctx.arc_count("first", theorems._arc_from_lambda(ctx, start, width), 20) is None
+        rep = pa.check_gap_theorem(ctx, (start, start + width), 20)
+        grazes = offset <= theorems.BOUNDARY_TOL
+        assert (rep.verdict, rep.counts) == ("pass", {"h_n": int(grazes)})
+        assert rep.warnings == [f"zero at angle {zero:.15g} is within 1e-12 of a gap end and counted"] * grazes
+
+    def test_const_fixture_reads_no_zero_set(self, monkeypatch):
+        # verify's theorem1 and gap runs over 2..100
+        def search(polys):
+            raise AssertionError(f"zero sets searched at {list(polys)}")
+
+        monkeypatch.setattr(zeros, "_zero_sets", search)
+        monkeypatch.setattr(theorems, "_zero_sets", search)
+        ctx = pa.TheoremContext(seq=pa.ConstantSequence(-0.5), lam=-1.0, support=pa.support_model([ARC]),
+                                degrees=range(2, 102))
+        for n in range(2, 101):
+            assert pa.check_theorem1(ctx, 1.0, n).passed
+            assert pa.check_gap_theorem(ctx, (ARC[1], ARC[0] + TWO_PI), n).passed
 
 
 def test_context_sweeps_its_degrees_once_per_kind(monkeypatch):
