@@ -166,7 +166,7 @@ def test_newton_steps_recover_a_start_off_the_zero(monkeypatch):
     moved = order([(f, g, np.asarray(theta) + 1e-5) for f, g, theta in groups])
     for (signs, labels), (want, _) in zip(moved, order(groups)):
         assert np.array_equal(signs, want)
-        assert set(labels) <= {"fixed-104", "mpmath-40"}
+        assert set(labels) <= {"fixed-104", "fixed-136"}
 
 
 def mp_zero(value, z):
@@ -238,7 +238,7 @@ def test_decided_signs_agree_with_mpmath_80(monkeypatch):
     # h_100 against s_100, seed 4's interior zeros of h_207 against h_208
     # and seed 16's h_140 against s_140, recomputed in the 80-digit
     # reference: 123 long double and 93 fixed-104 (one pinned-zero side
-    # in each), 20 mpmath-40 and 1 mpmath-80 decisions; the two highest
+    # in each), 20 fixed-136 and 1 fixed-269 decisions; the two highest
     # stages come from the consecutive degrees, since the same-degree
     # pairs are decided from f's row alone
     order, calls = precision.order, []
@@ -265,7 +265,7 @@ def test_decided_signs_agree_with_mpmath_80(monkeypatch):
                     stages.add(label)
                     sides += g is None
                     assert mp_decision(f, g, mpmath.mpf(float(t)), evaluator) == sign, (label, f.kind, f.n, t)
-    assert stages == {"long double", "fixed-104", "mpmath-40", "mpmath-80"} and sides > 0
+    assert stages == {"long double", "fixed-104", "fixed-136", "fixed-269"} and sides > 0
     assert verdicts == ["pass", "pass", "pass"]
 
 
@@ -301,7 +301,7 @@ def test_same_degree_signs_from_the_identity_agree_with_mpmath_80(monkeypatch):
                     stages.add(label)
                     points += 1
                     assert mp_decision(f, g, mpmath.mpf(float(t)), evaluator) == sign, (label, f.kind, f.n, t)
-    assert {"long double", "fixed-104", "mpmath-40"} <= stages and points > 300
+    assert {"long double", "fixed-104", "fixed-136"} <= stages and points > 300
     assert verdicts == ["pass"] * 5
 
 
@@ -323,3 +323,68 @@ def test_ladder_with_long_double_as_double(monkeypatch, seed):
         assert x.verdict == y.verdict == "pass"
         assert sum(x.decided.values()) == sum(y.decided.values()) > 0
     assert sum(y.decided.get("long double", 0) for y in double) < sum(x.decided["long double"] for x in native)
+
+
+def recording(monkeypatch, name):
+    """The (groups, result) of every call of precision's function name
+    from now on, in a list that the calls fill."""
+    fn, calls = getattr(precision, name), []
+
+    def record(groups):
+        result = fn(groups)
+        calls.append((groups, result))
+        return result
+
+    monkeypatch.setattr(precision, name, record)
+    return calls
+
+
+def test_signs_the_theorem2_certificate_trusts_agree_with_mpmath_80(monkeypatch, record_property):
+    # every window sign trace_signs decides for the certificate, and every
+    # sign its ladder call decides, recomputed in the 80-digit reference:
+    # seed 5 at lambda = 1, n = 60 and 150; const -0.5 at lambda = pi, n =
+    # 100, with one site per degree at z = 1 on the ladder; const 0.5 at
+    # lambda = pi, n = 45, whose atom at z = 1 holds two zeros of h_45
+    windows, ladder = recording(monkeypatch, "trace_signs"), recording(monkeypatch, "order")
+    for seq, lam, degrees in ((pa.RandomSequence(0.7, 5), 1.0, (60, 150)),
+                              (pa.ConstantSequence(-0.5), np.exp(1j * np.pi), (100,)),
+                              (pa.ConstantSequence(0.5), np.exp(1j * np.pi), (45,))):
+        ctx = pa.TheoremContext(seq=seq, lam=lam, degrees=degrees)
+        assert all(ctx.second_kind_interlaces(n) for n in degrees)
+    trusted = disagreements = 0
+    evaluator = functools.cache(mp_evaluator)
+    with mpmath.workdps(80):
+        for groups, result in windows:
+            for (p, points), (signs, decided) in zip(groups, result):
+                value, lam = evaluator(p), mpmath.mpc(p.lam)
+                for t, sign in zip(points[decided], signs[decided]):
+                    t = mpmath.mpf(float(t))
+                    rotate = mpmath.expj(-0.5 * p.n * t) * (-1j if p.kind == "first" else 1)
+                    trusted += 1
+                    disagreements += mpmath.sign((value(lam * mpmath.expj(t)) * rotate).real) != sign
+        for groups, result in ladder:
+            for (f, g, theta), (signs, labels) in zip(groups, result):
+                for t, sign in zip(np.atleast_1d(theta), signs):
+                    trusted += 1
+                    disagreements += mp_decision(f, g, mpmath.mpf(float(t)), evaluator) != sign
+    record_property("trusted_signs", trusted)
+    assert disagreements == 0 and trusted > 1000
+
+
+def test_sign_at_z1_for_lambda_minus_one_agrees_with_mpmath_80(monkeypatch):
+    # const -0.5 at lambda = -1 exactly: for even n, h_n vanishes at z = 1
+    # (angle pi from lambda), the middle of its n - 1 interior zeros, and
+    # s_n has a zero on either side closer than doubles resolve; the
+    # certificate's ladder gives s_n's sign there, (-1)^(n/2)
+    ladder = recording(monkeypatch, "order")
+    ctx = pa.TheoremContext(seq=pa.ConstantSequence(-0.5), lam=-1.0, degrees=range(70, 101, 2))
+    assert all(ctx.second_kind_interlaces(n) for n in range(70, 101, 2))
+    (groups, result), = ladder
+    sites = {f.n: (f, g, theta, signs) for (f, g, theta), (signs, _) in zip(groups, result)}
+    evaluator = functools.cache(mp_evaluator)
+    with mpmath.workdps(80):
+        for n in range(70, 101, 2):
+            f, g, theta, signs = sites[n]
+            at_pi = np.nonzero(np.abs(np.atleast_1d(theta) - np.pi) < 1e-12)[0]
+            assert at_pi.size == 1
+            assert signs[at_pi[0]] == (-1) ** (n // 2) == mp_decision(f, g, mpmath.pi, evaluator)

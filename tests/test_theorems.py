@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import paraortho as pa
-from paraortho import theorems, zeros
+from paraortho import precision, theorems, zeros
 from paraortho.coeffs import exact_arc_mass_moments, verblunsky_from_moments_hp
-from paraortho.errors import DomainError, PreconditionError, SupportModelError
+from paraortho.errors import DomainError, PreconditionError, ResolutionError, SupportModelError
 from paraortho.theorems import (
     count_zeros_in_ball,
     estimate_support,
@@ -637,3 +637,129 @@ def test_reports_are_reproducible(geronimus_ctx):
         pa.TheoremContext(seq=seq, lam=np.exp(1j * np.pi), support=model), 1.0, 9
     )
     assert dataclasses.asdict(a) == dataclasses.asdict(b)
+
+
+# (sequence, lambda) of the certificate's comparison with the zero-set route
+CERTIFICATE_CASES = {
+    "const-0.5@pi": (pa.ConstantSequence(-0.5), np.pi),
+    "const+0.5@pi": (pa.ConstantSequence(0.5), np.pi),
+    "const-0.5@1": (pa.ConstantSequence(-0.5), 0.0),
+    "const+0.5@1": (pa.ConstantSequence(0.5), 0.0),
+    "seed1@1": (pa.RandomSequence(0.7, 1), 0.0),
+    "seed5@1": (pa.RandomSequence(0.7, 5), 0.0),
+    "seed9@1": (pa.RandomSequence(0.7, 9), 0.0),
+}
+# the degrees the certificate decides where the zero-set route stays
+# inconclusive, on shapes its collision ordering does not take: const 0.5's
+# atom at z = 1 holds two zeros of h_n within 1e-10 around one of s_n (odd
+# n from 45), and at lambda = 1, in const -0.5's gap, s_n has a zero within
+# 1e-10 on either side of lambda (n from 44)
+NEWLY_DECIDED = {"const+0.5@pi": set(range(45, 151, 2)), "const-0.5@1": set(range(44, 151))}
+
+
+def _zero_set_verdict(ctx, n):
+    """theorem 2's verdict from the two zero sets (interlace), as the
+    check gives it without the certificate."""
+    try:
+        return theorems._interlacing(ctx, n, "theorem2", "second", 0).verdict
+    except ResolutionError:
+        return "error"
+
+
+class TestSecondKindCertificate:
+    @pytest.mark.parametrize("case", list(CERTIFICATE_CASES))
+    def test_verdicts_equal_the_zero_set_route(self, case, monkeypatch, record_property):
+        seq, theta = CERTIFICATE_CASES[case]
+        laddered, order = set(), precision.order
+
+        def spy(groups):
+            laddered.update(f.n for f, _, _ in groups)
+            return order(groups)
+
+        monkeypatch.setattr(precision, "order", spy)
+        ctx = pa.TheoremContext(seq=seq, lam=np.exp(1j * theta), degrees=range(1, 151))
+        certified = {n for n in range(1, 151) if ctx.second_kind_interlaces(n)}
+        new = {n: pa.check_interlacing_first_second(ctx, n).verdict for n in range(1, 151)}
+        old = {n: _zero_set_verdict(ctx, n) for n in range(1, 151)}
+        changed = {n for n in new if new[n] != old[n]}
+        assert changed == NEWLY_DECIDED.get(case, set())
+        assert all(old[n] == "inconclusive" and new[n] == "pass" for n in changed)
+        record_property("certified", len(certified))
+        record_property("windows_alone_share", len(certified - laddered) / 150)
+
+    def test_newly_decided_at_lambda_in_the_gap_interlace_by_angles(self):
+        # the zero-set route refuses s_n's zeros within 1e-10 of lambda, but
+        # they lie on either side of it, and every other pair is apart
+        ctx = pa.TheoremContext(seq=pa.ConstantSequence(-0.5), lam=1.0, degrees=range(44, 151))
+        for n in NEWLY_DECIDED["const-0.5@1"]:
+            h, s = ctx.zero_set("first", n).angles, ctx.zero_set("second", n).angles
+            arcs = np.append(h, TWO_PI)
+            assert np.array_equal(np.searchsorted(s, arcs[1:]) - np.searchsorted(s, arcs[:-1], side="right"),
+                                  np.ones(n, dtype=int))
+            assert min(s[0], TWO_PI - s[-1]) < zeros.COLLISION_TOL
+            assert np.min(_circular_gap(h[1:, None], s[None, :])) > zeros.COLLISION_TOL
+
+    def test_bench_fixture_reads_no_second_kind_zero_set(self, monkeypatch):
+        search = theorems._zero_sets
+
+        def first_only(polys):
+            if any(p.kind == "second" for p in polys.values()):
+                raise AssertionError(f"second-kind zero sets searched at {list(polys)}")
+            return search(polys)
+
+        monkeypatch.setattr(theorems, "_zero_sets", first_only)
+        ctx = pa.TheoremContext(seq=pa.ConstantSequence(-0.5), lam=np.exp(1j * np.pi), degrees=range(2, 102))
+        assert all(pa.check_interlacing_first_second(ctx, n).passed for n in range(2, 101))
+
+    def test_a_sign_against_the_pattern_falls_back(self, monkeypatch):
+        # const 0.5 at lambda = pi, n = 45: the certificate passes where the
+        # zero sets leave the verdict inconclusive.  s_n's sign flipped at
+        # one window goes to the ladder, which restores it; flipped in the
+        # ladder as well, the degree falls back to the zero sets and gives
+        # their verdict and witness
+        seq, lam, n, site = pa.ConstantSequence(0.5), np.exp(1j * np.pi), 45, 3
+        today = theorems._interlacing(pa.TheoremContext(seq=seq, lam=lam), n, "theorem2", "second", 0)
+        assert today.verdict == "inconclusive" and today.witnesses
+        theta = pa.TheoremContext(seq=seq, lam=lam).zero_set("first", n).interior_angles()[site]
+        trace_signs, order = precision.trace_signs, precision.order
+
+        def flip_window(groups):
+            out = trace_signs(groups)
+            for (p, points), (signs, _) in zip(groups, out):
+                if p.kind == "second" and p.n == n:
+                    signs[points == theta - theorems.WINDOW] *= -1
+                    signs[points == theta + theorems.WINDOW] *= -1
+            return out
+
+        def flip_site(groups):
+            out = order(groups)
+            for (f, g, points), (signs, _) in zip(groups, out):
+                if f.n == n and g is not None and g.kind == "second":
+                    signs[np.atleast_1d(points) == theta] *= -1
+            return out
+
+        ladder = []
+
+        def spy(groups):
+            ladder.extend(np.atleast_1d(t) for f, _, t in groups if f.n == n)
+            return order(groups)
+
+        monkeypatch.setattr(precision, "trace_signs", flip_window)
+        monkeypatch.setattr(precision, "order", spy)
+        rep = pa.check_interlacing_first_second(pa.TheoremContext(seq=seq, lam=lam), n)
+        assert rep.passed and theta in np.concatenate(ladder)
+        monkeypatch.setattr(precision, "order", flip_site)
+        rep = pa.check_interlacing_first_second(pa.TheoremContext(seq=seq, lam=lam), n)
+        assert dataclasses.asdict(rep) == dataclasses.asdict(today)
+
+    def test_errors_at_lambda_minus_one_become_passes(self):
+        # at lambda = -1 exactly no double separates s_n's two zeros at
+        # z = 1 for even n from 70, so the zero-set route errs; the
+        # certificate needs only h_n's zeros, and the ladder decides s_n's
+        # sign at h_n's zero z = 1 (checked against mpmath in
+        # test_precision)
+        ctx = pa.TheoremContext(seq=pa.ConstantSequence(-0.5), lam=-1.0, degrees=range(60, 102))
+        reports = [pa.check_interlacing_first_second(ctx, n) for n in range(60, 101)]
+        assert all(rep.passed for rep in reports)
+        errors = [n for n in range(60, 101) if _zero_set_verdict(ctx, n) == "error"]
+        assert errors == list(range(70, 101, 2))

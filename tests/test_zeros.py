@@ -477,7 +477,7 @@ class TestInterlace:
         # reach at 2^-104 once the derivatives are long double ones;
         # seed 2, h_179 against h_180: decided below 40 digits; seed 5,
         # h_179 against h_180: 6 pairs that only the 40-digit stage decides
-        for seed, n, stage in ((5, 150, "fixed-104"), (2, 179, None), (5, 179, "mpmath-40")):
+        for seed, n, stage in ((5, 150, "fixed-104"), (2, 179, None), (5, 179, "fixed-136")):
             seq = pa.RandomSequence(0.7, seed)
             a = pa.find_zeros(pa.ParaPolynomial("first", n, 1.0, seq))
             b = pa.find_zeros(pa.ParaPolynomial("first", n + 1, 1.0, seq))
