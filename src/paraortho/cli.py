@@ -288,6 +288,17 @@ def _point_argument(cfg: RunConfig, theorem: str, name: str):
     return np.exp(1j * value)
 
 
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _report_fields(rep: TheoremReport) -> dict:
+    """The report as dataclasses.asdict writes it, bound-audit rows
+    included, without its deep copy of every value: json serializes the
+    gap tuple and the witness dicts as they are."""
+    return {**_fields(rep), "checks": [_fields(c) for c in rep.checks]}
+
+
 def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
     """Run the theorem's check at each --n degree; with --svg (interlace),
     draw the zero sets the check compares at the last degree."""
@@ -318,7 +329,7 @@ def _cmd_verify(cfg: RunConfig, theorem: str) -> int:
             reports.append(check(ctx, *args, n))
         except ResolutionError as exc:
             reports.append(TheoremReport(theorem, n, "error", error=str(exc)))
-    results = [dataclasses.asdict(rep) for rep in reports]
+    results = [_report_fields(rep) for rep in reports]
     failures = sum(not rep.passed for rep in reports)
 
     doc = _report_skeleton(cfg)

@@ -34,6 +34,10 @@ from .coeffs import VerblunskySequence, unit_circle_point
 from .szego import _as_points, _level_form, _maybe_scalar, _pair, _szego_levels
 
 DEFINITIONS = ("kernel", "level_n", "level_nm1")
+# a group of phase levels (see _phase_levels) closes before the level
+# that would bring its sum of asin|alpha_k| to this; below pi, so the
+# argument of a group's product of q_k never wraps
+PHASE_GROUP = 0.9 * np.pi
 
 
 class ParaPolynomial:
@@ -174,22 +178,59 @@ def _trace_at_levels(p: ParaPolynomial, thetas, n_for_each) -> np.ndarray:
     return _trace_from(p, _szego_levels(p._z_alphas(top), z, (top,), active)[0], z, th, nn)
 
 
+def _phase_groups(alphas) -> list:
+    """The levels at which _phase_levels closes a group: greedy from
+    level 0, a group takes levels while their asin|alpha_k| add up to
+    less than PHASE_GROUP.  Each end depends only on the coefficients
+    before it, so a prefix of alphas gets the leading ends."""
+    ends, total = [], 0.0
+    for k, width in enumerate(np.arcsin(np.abs(alphas)).tolist()):
+        if total + width >= PHASE_GROUP:
+            ends.append(k)
+            total = 0.0
+        total += width
+    return ends
+
+
 def _phase_levels(alphas, z, levels, active=None) -> list:
     """sum_{k < L} arg q_k of the b_k recursion (see _phase_at_levels) at
     each level L of levels, from one pass over the m coefficients of
     alphas; levels within 0..m, active as in szego._szego_levels, and
-    one array per level."""
+    one array per level.
+
+    The sum takes one arctan2 per group of levels (_phase_groups), of
+    the product P of its q_k: |arg q_k| <= asin|alpha_k|, so a group's
+    args add up to less than PHASE_GROUP < pi, and arg P is their sum
+    with no wrap (|P| stays below e^PHASE_GROUP).  The recursion runs
+    through P itself: from a group's first level g, b_k = w_k conj(P_k) /
+    P_k with w_k = b_g z^(k-g), so P_{k+1} = q_k P_k = P_k - alpha_k w_k
+    conj(P_k) takes no division, and one division per group gives b at
+    its end.  A point's open group is also closed where its row is read
+    or it leaves the active prefix; the group ends come from the
+    coefficients alone, so a point gets the same value in a batch, in a
+    nested pass or alone.
+    """
     row_of = {level: i for i, level in enumerate(levels)}
-    b, acc, rows = z.copy(), np.zeros(z.size), [None] * len(levels)
+    ends = set(_phase_groups(alphas))
+    w, acc, rows = z.copy(), np.zeros(z.size), [None] * len(levels)
+    prod, live = np.ones(z.size, dtype=complex), z.size
     for k in range(len(alphas) + 1):
+        c = 0 if k == len(alphas) else z.size if active is None else active[k]
+        if k in ends:
+            acc[:live] += np.angle(prod[:live])
+            w[:c] *= np.conj(prod[:c]) / prod[:c]
+            prod[:c] = 1.0
+        elif c < live:
+            acc[c:live] += np.angle(prod[c:live])
+        live = c
         if k in row_of:
             rows[row_of[k]] = acc.copy()
+            if k not in ends:
+                rows[row_of[k]][:c] += np.angle(prod[:c])
         if k == len(alphas):
             break
-        c = z.size if active is None else active[k]
-        q = 1.0 - alphas[k] * b[:c]
-        acc[:c] += np.arctan2(q.imag, q.real)
-        b[:c] *= z[:c] * np.conj(q) / q
+        prod[:c] -= alphas[k] * (w[:c] * np.conj(prod[:c]))
+        w[:c] *= z[:c]
     return rows
 
 

@@ -60,11 +60,12 @@ PHASE_GRID = 4
 PHASE_SPLIT = 7
 # a phase within this many turns of a whole turn marks a sample on a
 # zero, where the trace sign decides the count.  Against the same b_k
-# recursion run in 60 digits at the same points, the lifted phase was off
-# by at most 1.6e-11 turns, about 350 n u (const -0.5 at lambda = pi,
-# first kind, n = 401, 0.0085 inside the support arc's end), by 2.7e-12
-# on the arc + atom fixture and by 6e-14 on random 0.7 sequences: the
-# worst measured lies 60 times below this
+# recursion run in 60 digits at the same points, the lifted phase of
+# para._phase_levels (in groups of levels) was off by at most 4.4e-12
+# turns, about 100 n u (const -0.5 at lambda = pi, first kind, n = 401,
+# 0.0085 inside the support arc's end), by 9.1e-13 on the arc + atom
+# fixture and by 6e-14 on random 0.7 seeds 1, 5 and 9, both kinds: the
+# worst measured lies 200 times below this
 ON_ZERO = 1e-9
 # residual allowance of a refined zero, relative to the largest trace
 # sampled
@@ -121,13 +122,15 @@ class ZeroSet:
 CSV_COLUMNS = ["index", "theta", "theta_abs", "residual"]
 
 
-def _polish(fun, lo, hi, side, flo, fhi, tol):
+def _polish(fun, lo, hi, side, flo, fhi, tol, points=1):
     """Vectorized safeguarded regula falsi on sign changes; returns bracket midpoints.
 
     side is the sign of the trace just above lo, flo and fhi are its
-    values at the bracket ends, and fun(thetas, sel) evaluates it at one
-    point in each of the brackets `sel`.  As in bisection, the sign at
-    the new point against side alone decides which part keeps the zero.
+    values at the bracket ends, and fun(thetas, sel) evaluates it at
+    thetas, sel[i] the bracket of thetas[i]: `points` points in each open
+    bracket, next to each other in the brackets' order.  As in bisection,
+    the signs at the new points against side alone decide which part
+    keeps the zero.
     The values only place the point: where the chord through (lo, |flo|)
     and (hi, -|fhi|) crosses zero, but at least tol/2 inside the bracket,
     so that a point on the zero closes the bracket one pass later.  An
@@ -144,6 +147,16 @@ def _polish(fun, lo, hi, side, flo, fhi, tol):
     before.  Every three passes therefore at least halve a bracket: one
     of width w is at most tol wide after at most 3 ceil(log2(w / tol))
     passes, three times bisection's count.
+
+    With points > 1, each pass also evaluates the bracket's midpoint and
+    steps from the chord point towards both ends (see _around), and the
+    bracket shrinks to the two neighbouring samples whose signs differ;
+    where those are both new, both ends move and neither is scaled.  The
+    new bracket lies inside the one a single point keeps, so the bound
+    holds, while a chord point near the zero closes most brackets in a
+    few passes of many points each.  The count is the caller's, never
+    the batch's, so a bracket does not depend on those polished with it;
+    points = 1 is the plain method.
     """
     lo, hi, side = (np.array(v, dtype=float) for v in (lo, hi, side))
     flo, fhi = np.abs(flo), np.abs(fhi)
@@ -166,19 +179,37 @@ def _polish(fun, lo, hi, side, flo, fhi, tol):
             step = np.sqrt(0.5 * tol * w)
             x = np.where((clip != 0.0) & (clip == clipped[sel]), np.where(clip < 0.0, l + step, h - step), x)
             x = np.where(regular, np.clip(x, l + 0.5 * tol, h - 0.5 * tol), 0.5 * (l + h))
-        fx = fun(x, sel)
-        left = side[sel] * np.sign(fx) <= 0.0
-        moved = np.where(left, -1.0, 1.0)
+        xs = x[:, None] if points == 1 else _around(x, l, h, points)
+        fx = fun(xs.ravel(), np.repeat(sel, points)).reshape(xs.shape)
+        # j: the first sample at or past the zero, whose sign is not
+        # side's, or points where none is (the zero lies past the last)
+        past = side[sel, None] * np.sign(fx) <= 0.0
+        j = np.where(past.any(axis=1), np.argmax(past, axis=1), points)
+        rows = np.arange(sel.size)
+        below, above = (rows, np.maximum(j - 1, 0)), (rows, np.minimum(j, points - 1))
+        f_below, f_above = np.abs(fx[below]), np.abs(fx[above])
+        left, right = j == 0, j == points  # only hi moves, only lo moves
+        moved = np.where(left, -1.0, np.where(right, 1.0, 0.0))
         with np.errstate(all="ignore"):
-            factor = 1.0 - np.abs(fx) / np.where(left, b, a)
+            factor = 1.0 - np.where(left, f_above / b, f_below / a)
         kept = np.where(moved != last[sel], 1.0, np.where((factor > 0.0) & (factor < 1.0), factor, 0.5))
-        lo[sel], flo[sel] = np.where(left, l, x), np.where(left, kept * a, np.abs(fx))
-        hi[sel], fhi[sel] = np.where(left, x, h), np.where(left, np.abs(fx), kept * b)
-        side[sel] = np.where(left, side[sel], np.sign(fx))
+        lo[sel], flo[sel] = np.where(left, l, xs[below]), np.where(left, kept * a, f_below)
+        hi[sel], fhi[sel] = np.where(right, h, xs[above]), np.where(right, kept * b, f_above)
+        side[sel] = np.where(left, side[sel], np.sign(fx[below]))
         last[sel] = np.where(regular, moved, last[sel])
         clipped[sel] = np.where(regular & (clip != clipped[sel]), clip, 0.0)
         w2[sel], w1[sel] = w1[sel], w
     return 0.5 * (lo + hi)
+
+
+def _around(x, lo, hi, points):
+    """points sorted samples in each bracket (lo, hi): the chord point x,
+    the midpoint, then x - (x - lo) / 8^i and x + (hi - x) / 8^i for i =
+    1, 2, ... in turn, which close in on a zero near x from either side."""
+    steps = 8.0 ** -np.arange(1, (points + 1) // 2)
+    near = np.stack([x[:, None] - (x - lo)[:, None] * steps, x[:, None] + (hi - x)[:, None] * steps], axis=2)
+    xs = np.concatenate([x[:, None], 0.5 * (lo + hi)[:, None], near.reshape(x.size, -1)], axis=1)
+    return np.sort(xs[:, :points], axis=1)
 
 
 def _at_levels(level_fun, top: ParaPolynomial, parts: dict) -> dict:
@@ -416,14 +447,16 @@ def _zero_sets(polys: dict[int, ParaPolynomial]) -> dict[int, ZeroSet | Resoluti
     return out
 
 
-def _refine(top: ParaPolynomial, cells: dict) -> dict[int, np.ndarray]:
+def _refine(top: ParaPolynomial, cells: dict, points: int = 1) -> dict[int, np.ndarray]:
     """The zeros in cells {n: (lo, hi, side, f_lo, f_hi, ...)} of degrees
-    up to top's, narrowed to THETA_TOL in one _polish batch through top's
-    recursion, laid out deepest first as _trace_at_levels takes it."""
+    up to top's, narrowed to THETA_TOL in one _polish batch of `points`
+    points per bracket through top's recursion, laid out deepest first as
+    _trace_at_levels takes it."""
     cells = dict(sorted(cells.items(), reverse=True))
     lo, hi, side, flo, fhi = (np.concatenate([c[i] for c in cells.values()]) for i in range(5))
     nn = np.concatenate([np.full(c[0].size, n) for n, c in cells.items()])
-    roots = _polish(lambda th, sel: _trace_at_levels(top, th, nn[sel]), lo, hi, side, flo, fhi, THETA_TOL)
+    roots = _polish(lambda th, sel: _trace_at_levels(top, th, nn[sel]), lo, hi, side, flo, fhi, THETA_TOL,
+                    points)
     return {n: roots[nn == n] for n in cells}
 
 
@@ -431,9 +464,15 @@ def _refined_zeros(polys: dict[int, ParaPolynomial], cells: dict, picks: dict) -
     """The zeros in the cells picks[n] (indices) of each degree's
     _phase_brackets cells, refined in one batch (see _refine) and held to
     _assemble's residual check; raises the ResolutionError of the lowest
-    degree that fails it."""
+    degree that fails it.
+
+    The picks are a handful of zeros (estimate_support's), where a pass
+    costs its walk through the levels, nearly whatever its points: each
+    pass takes PHASE_SPLIT + 1 points per bracket, which closes most
+    brackets in five passes instead of nine or ten."""
     top = polys[max(polys)]
-    roots = _refine(top, {n: tuple(v[k] for v in cells[n][:5]) for n, k in picks.items() if k.size})
+    roots = _refine(top, {n: tuple(v[k] for v in cells[n][:5]) for n, k in picks.items() if k.size},
+                    PHASE_SPLIT + 1)
     values = _at_levels(_trace_at_levels, top, roots)
     for n in sorted(roots):
         error = _residual_error(n, np.abs(values[n]), cells[n][-1])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -6,8 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from paraortho import theorems, zeros
-from paraortho.cli import _VERIFY_CHECKS, build_parser, parse_alpha_spec, parse_angle, parse_range, run
+from paraortho import cli, theorems, zeros
+from paraortho.cli import (_VERIFY_CHECKS, _json_default, build_parser, parse_alpha_spec, parse_angle, parse_range,
+                           run)
 
 TWO_PI = 2.0 * math.pi
 
@@ -596,6 +598,32 @@ def test_verify_rows_share_one_key_set(tmp_path):
         table = list(csv.DictReader(handle))
     assert [(float(c["delta"]), float(c["delta_nu"])) for c in table] == [
         (r["delta"], r["delta_nu"]) for r in rows["bounds"]]
+
+
+def test_report_fields_serialize_as_asdict(tmp_path, monkeypatch):
+    # the reports of every check, an error row and a witness dict write
+    # the JSON bytes of dataclasses.asdict
+    reports, convert = [], cli._report_fields
+
+    def spy(rep):
+        reports.append(rep)
+        return convert(rep)
+
+    monkeypatch.setattr(cli, "_report_fields", spy)
+    out = ["--out", str(tmp_path / "r.json")]
+    for theorem in _VERIFY_CHECKS:
+        argv = ["verify", theorem, *verify_fixture(tmp_path), *VERIFY_POINTS.get(theorem, []), "--n", "2..4"]
+        assert run(argv + out) == 0
+    # the unresolvable degree of test_unresolved_degrees_become_error_verdicts
+    alternating = "list:" + ",".join(str(0.5 * (-1) ** (k + 1)) for k in range(72))
+    assert run(["verify", "consecutive", "--alpha", alternating, "--n", "69"] + out) == 1
+    assert {r.theorem_id for r in reports} == set(_VERIFY_CHECKS)
+    assert "error" in {r.verdict for r in reports}
+    assert any(r.checks for r in reports) and any(r.gap for r in reports)
+    reports.append(theorems.TheoremReport("theorem2", 5, "fail", witnesses=[{"arc": (0.25, 0.5), "count": 2}]))
+    for rep in reports:
+        want = json.dumps(dataclasses.asdict(rep), indent=2, sort_keys=True, default=_json_default)
+        assert json.dumps(convert(rep), indent=2, sort_keys=True, default=_json_default) == want
 
 
 def test_verify_looks_its_check_up_when_it_runs(tmp_path, monkeypatch):

@@ -6,8 +6,8 @@ import pytest
 
 import paraortho as pa
 from paraortho.coeffs import exact_arc_mass_moments, verblunsky_from_moments_hp
-from paraortho.para import (_nested_levels, _phase_at_levels, _trace_at_levels, kernel_to_monic_factor,
-                            para_scale, real_form_grid)
+from paraortho.para import (PHASE_GROUP, _nested_levels, _phase_at_levels, _phase_groups, _phase_levels,
+                            _trace_at_levels, kernel_to_monic_factor, para_scale, real_form_grid)
 from paraortho.szego import eval_pair, mixed_form, monic_norm
 from paraortho.zeros import ON_ZERO
 
@@ -175,11 +175,16 @@ class TestLevelPasses:
         (pa.ConstantSequence(-0.5), np.exp(1j * np.pi)),
         (pa.RandomSequence(0.7, 1), np.exp(0.3j)),
         (pa.RandomSequence(0.9, 2), 1.0),
-    ], ids=["const-0.5", "random0.7-seed1", "random0.9-seed2"])
+        (pa.DecayingSequence(0.5, 1.0), np.exp(2.0j)),
+        (pa.RandomSequence(0.99, 4), np.exp(-1.0j)),
+    ], ids=["const-0.5", "random0.7-seed1", "random0.9-seed2", "decaying0.5", "random0.99-seed4"])
     @pytest.mark.parametrize("kind", ["first", "second"])
     def test_batched_degrees_match_each_degree_alone(self, seq, lam, kind):
         # a deepest-first batch of 4,604 samples, past one kernel block,
-        # and nested prefixes of one grid
+        # and nested prefixes of one grid.  The phase groups run five
+        # levels on const -0.5, all 100 levels on the decaying sequence
+        # (every row is read inside an open group), mostly two to four on
+        # random 0.99
         rng = np.random.default_rng(11)
         sizes = {101: 2500, 100: 1700, 65: 300, 64: 64, 33: 33, 5: 7}
         polys = {n: pa.ParaPolynomial(kind, n, lam, seq) for n in sizes}
@@ -197,6 +202,55 @@ class TestLevelPasses:
                 assert got_phase.tobytes() == _phase_at_levels(p, t, alone).tobytes()
                 want = _trace_at_levels(p, t, alone)
                 assert np.max(np.abs(got_trace - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("seq", [
+        pa.ConstantSequence(-0.5), pa.ConstantSequence(0.95), pa.ConstantSequence(0.99),
+        pa.RandomSequence(0.7, 1), pa.RandomSequence(0.99, 4), pa.DecayingSequence(0.5, 1.0),
+    ], ids=["const-0.5", "const0.95", "const0.99", "random0.7-seed1", "random0.99-seed4", "decaying0.5"])
+    def test_phase_groups_stay_below_a_wrap(self, seq):
+        # greedy from level 0: no group's asin|alpha_k| reach 0.9 pi, each
+        # but the last would reach PHASE_GROUP with one more level, and a
+        # prefix of the coefficients gets the leading ends; const 0.99 has
+        # groups of one level
+        alphas = seq.alphas(400)
+        width = np.arcsin(np.abs(alphas))
+        ends = _phase_groups(alphas)
+        for start, end in zip([0, *ends], [*ends, alphas.size]):
+            assert math.fsum(width[start:end]) < 0.9 * math.pi
+            if end < alphas.size:
+                assert math.fsum(width[start:end + 1]) >= PHASE_GROUP
+        for m in (1, 57, 200, 399):
+            assert _phase_groups(alphas[:m]) == [e for e in ends if e < m]
+
+    @staticmethod
+    def per_level_phase(alphas, z, levels):
+        """_phase_levels as the b_k recursion itself, one arctan2 per
+        level and no groups."""
+        b, acc, rows = z.copy(), np.zeros(z.size), []
+        for k in range(max(levels) + 1):
+            if k in levels:
+                rows.append(acc.copy())
+            if k < max(levels):
+                q = 1.0 - alphas[k] * b
+                acc += np.arctan2(q.imag, q.real)
+                b *= z * np.conj(q) / q
+        return rows
+
+    @pytest.mark.parametrize("seq", [
+        pa.ConstantSequence(-0.5), pa.ConstantSequence(0.95), pa.RandomSequence(0.7, 1),
+        pa.RandomSequence(0.99, 4), pa.DecayingSequence(0.5, 1.0),
+    ], ids=["const-0.5", "const0.95", "random0.7-seed1", "random0.99-seed4", "decaying0.5"])
+    def test_grouped_phase_matches_the_per_level_sum(self, seq):
+        # the same recursion rounded another way: a phase, which moves by
+        # a sum's change over pi, within a tenth of ON_ZERO.  Measured at
+        # most 6e-11 turns apart (const 0.95, level 199); at level 400
+        # the per-level sum lies up to 7e-11 turns from the recursion in
+        # 60 digits, and the grouped one 3.4e-11
+        alphas, levels = seq.alphas(400), (1, 50, 199, 400)
+        z = np.exp(1j * np.random.default_rng(3).uniform(0.0, TWO_PI, 2048))
+        got, want = _phase_levels(alphas, z, levels), self.per_level_phase(alphas, z, levels)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) / np.pi <= ON_ZERO / 10
 
     @staticmethod
     def mp_phase(p, thetas, dps=60):
@@ -227,7 +281,7 @@ class TestLevelPasses:
     def test_phase_rounding_is_far_below_on_zero(self, fixture, kind, request):
         # at lambda = pi the support arc [pi/3, 5pi/3] runs from 4pi/3 to
         # 2pi/3 through 0 in angles from lambda; the phase of h_401 on
-        # const -0.5 is off by 1.6e-11 turns at the first point, 0.0085
+        # const -0.5 is off by 4.4e-12 turns at the first point, 0.0085
         # inside the arc's end
         seq = pa.ConstantSequence(-0.5) if fixture == "const-0.5" else request.getfixturevalue("arc_atom")
         p = pa.ParaPolynomial(kind, 401, np.exp(1j * np.pi), seq)

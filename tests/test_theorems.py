@@ -508,12 +508,18 @@ class TestEstimateSupport:
         # the estimate refines only the zeros it reports or cannot decide
         # from their cells; the random cases leave zeros' marking undecided
         # by the cells, which seed 5 decides only once zeros of degree
-        # n + 1 are refined as well
-        brackets, polish = [], zeros._polish
+        # n + 1 are refined as well.  Each pass takes PHASE_SPLIT + 1
+        # points per bracket
+        brackets, passes, polish = [], [], zeros._polish
 
         def counting(fun, lo, *args):
+            def evaluate(thetas, sel):
+                passes[-1] += 1
+                return fun(thetas, sel)
+
             brackets.append(len(lo))
-            return polish(fun, lo, *args)
+            passes.append(0)
+            return polish(evaluate, lo, *args)
 
         monkeypatch.setattr(zeros, "_polish", counting)
         lam = np.exp(1j * np.pi)
@@ -523,6 +529,7 @@ class TestEstimateSupport:
         for seq, lam, n in cases:
             arcs, points = self.every_zero_estimate(seq, lam, n)
             brackets.clear()
+            passes.clear()
             model = estimate_support(seq, lam, n)
             case = f"{seq!r} lambda {lam} n {n}"
             assert len(model.arcs) == len(arcs) and len(model.points) == len(points), case
@@ -531,6 +538,7 @@ class TestEstimateSupport:
             assert np.all(_circular_gap(got, want) <= THETA_TOL), case
             if n == 400:
                 assert sum(brackets) <= 32, case
+                assert sum(passes) <= 6, case
 
     def test_sweep_of_both_degrees_matches_single_degrees(self):
         # estimate_support takes both degrees' cells from one phase count;

@@ -257,7 +257,23 @@ class TestPhaseRoute:
 
 
 class TestPolish:
+    # one point per bracket per pass, as zero sets polish, and
+    # PHASE_SPLIT + 1, as the support estimate's few zeros do; on finite
+    # end values the latter takes at most a third of bisection's passes
     def test_matches_bisection(self):
+        self.check_matches_bisection(1)
+
+    def test_matches_bisection_at_eight_points(self):
+        self.check_matches_bisection(zeros.PHASE_SPLIT + 1)
+
+    def test_worst_case_on_a_steep_trace(self):
+        self.check_worst_case_on_a_steep_trace(1)
+
+    def test_worst_case_on_a_steep_trace_at_eight_points(self):
+        self.check_worst_case_on_a_steep_trace(zeros.PHASE_SPLIT + 1)
+
+    @staticmethod
+    def check_matches_bisection(points):
         # phase brackets of both kinds, traces past 1e123 at radius 0.9,
         # and first-kind cells whose low end is the pinned zero (value 0)
         tol, pinned = zeros.THETA_TOL, 0
@@ -287,14 +303,17 @@ class TestPolish:
             # the low ends once more as if the trace had overflowed there
             for ends in (flo, np.where(flo == 0.0, 0.0, np.inf)):
                 passes = []
-                roots = zeros._polish(trace, lo, hi, side, ends, fhi, tol)
+                roots = zeros._polish(trace, lo, hi, side, ends, fhi, tol, points)
                 assert np.max(np.abs(roots - want)) <= tol, case
                 assert len(passes) <= worst, case
-                if ends is flo:
+                if ends is flo and points == 1:
                     assert len(passes) < bisection, case
+                elif ends is flo:
+                    assert len(passes) <= bisection // 3, case
         assert pinned == 2
 
-    def test_worst_case_on_a_steep_trace(self):
+    @staticmethod
+    def check_worst_case_on_a_steep_trace(points):
         # a zero between values 1 and 1e262 in size, as at the edge of a
         # support gap: chord steps alone would creep from the low end
         tol, zero = 1e-12, 0.1234
@@ -306,9 +325,11 @@ class TestPolish:
         passes, lo, hi = [], np.array([0.0]), np.array([1.0])
         flo, fhi = steep(lo), steep(hi)
         passes.clear()
-        root = zeros._polish(steep, lo, hi, [-1.0], flo, fhi, tol)
+        root = zeros._polish(steep, lo, hi, [-1.0], flo, fhi, tol, points)
         assert abs(root[0] - zero) <= tol
         assert len(passes) <= 3 * math.ceil(math.log2(1.0 / tol))
+        if points > 1:
+            assert len(passes) <= math.ceil(math.log2(1.0 / tol)) // 3
 
 
 class TestOracle:
