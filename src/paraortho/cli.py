@@ -118,6 +118,8 @@ def parse_alpha_spec(text: str):
 
 
 def support_model_from_dict(doc: dict, path="<support>") -> SupportModel:
+    if not isinstance(doc, dict):
+        raise SpecFileError(path, None, "support document must be a JSON object")
     try:
         return support_model(
             [(float(a), float(b)) for a, b in doc.get("arcs", [])],

@@ -715,8 +715,9 @@ def measure_from_dict(doc: dict, path="<measure>") -> MeasureSpec:
              "masses": [{"theta": float, "w": float}, ...],
              "panels": int}
     """
-    if not isinstance(doc, dict):
-        raise SpecFileError(path, None, "measure document must be a JSON object")
+    if not (isinstance(doc, dict) and isinstance(doc.get("masses", []), list)
+            and isinstance(doc.get("weight"), (dict, type(None)))):
+        raise SpecFileError(path, None, 'measure document must be {"weight": object | null, "masses": list, ...}')
     panels = doc.get("panels", 1024)
     masses = []
     for entry in doc.get("masses", []):

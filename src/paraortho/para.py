@@ -147,16 +147,17 @@ def real_form_grid(p: ParaPolynomial, thetas):
     return t.real, np.abs(t.imag), scale
 
 
-def _trace_from(p: ParaPolynomial, pair, z, th, n) -> np.ndarray:
+def _trace_from(p: ParaPolynomial, pair, z, th, n, lam=None):
     """Real trace at z = lambda e^{i th} of degree n (one for all points
-    or one each), from the z-side pair at level n - 1."""
-    lam_phi, lam_star = p._lambda_values
+    or one each) and its value, from the z-side pair at level n - 1 and
+    lambda's pairs lam to level n - 1 or more (p's _lambda_values if None)."""
+    lam_phi, lam_star = p._lambda_values if lam is None else lam
     val, _ = _level_form((lam_phi[n - 1], lam_star[n - 1]), pair, z * np.conj(p.lam),
                          -1 if p.kind == "first" else 1)
     tr = val * np.exp(-0.5j * n * th)
     if p.kind == "first":
         tr = tr * -1j
-    return tr.real
+    return tr.real, val
 
 
 def _trace_at_levels(p: ParaPolynomial, thetas, n_for_each) -> np.ndarray:
@@ -175,7 +176,7 @@ def _trace_at_levels(p: ParaPolynomial, thetas, n_for_each) -> np.ndarray:
     z = p.lam * np.exp(1j * th)
     active = np.searchsorted(1 - nn, -np.arange(1, nn[0]), side="right")
     top = int(nn[0]) - 1  # z-side values are taken at level n-1
-    return _trace_from(p, _szego_levels(p._z_alphas(top), z, (top,), active)[0], z, th, nn)
+    return _trace_from(p, _szego_levels(p._z_alphas(top), z, (top,), active)[0], z, th, nn)[0]
 
 
 def _phase_groups(alphas) -> list:
@@ -280,5 +281,5 @@ def _nested_levels(p: ParaPolynomial, thetas, widths: dict) -> dict:
     levels, kept = [n - 1 for n in degrees], [widths[n] for n in degrees]
     alphas = p._z_alphas(levels[-1])
     acc, pairs = _phase_levels(alphas, z, levels), _szego_levels(alphas, z, levels)
-    return {n: (_lift(p, a[:w], th[:w], n), _trace_from(p, pair[:, :w], z[:w], th[:w], n))
+    return {n: (_lift(p, a[:w], th[:w], n), _trace_from(p, pair[:, :w], z[:w], th[:w], n)[0])
             for n, w, a, pair in zip(degrees, kept, acc, pairs)}

@@ -63,8 +63,9 @@ Im(x conj(lambda)), exact in integers, plus Im(d1 conj(lambda)).
 
 `trace_signs` is the float64 pass of theorem 2's sign certificate
 (theorems._certified_interlacing): the real traces of polynomials of
-either kind at many points, one row per point, on the orthonormal form
-of the same recursion.  On the support the monic values decay like
+either kind at many points, from one orthonormal pass of
+szego._szego_levels per kind (the second kind on the negated
+coefficients).  On the support the monic values decay like
 prod rho_j, far below the start magnitude 1 that their running
 magnitude keeps, while the orthonormal ones keep their size, so the
 bound below follows the values.  Every sign it and the ladder decided
@@ -95,6 +96,9 @@ pinned-zero sides (seeds 1 to 15, same and consecutive degrees 60, 70,
 from __future__ import annotations
 
 import numpy as np
+
+from .para import _trace_from
+from .szego import _szego_levels
 
 ROUNDING_FACTOR = 1024.0
 # precisions in the order they are tried: (label, p), p the binary
@@ -173,60 +177,43 @@ def _fused_values(groups, z):
 
 def trace_signs(groups):
     """The signs of real traces at given angles from lambda, from one
-    float64 pass, and which of them are decided.
+    float64 pass per kind, and which of them are decided.
 
     groups lists (p, theta), polynomials of either kind and any degree
-    sharing one coefficient sequence and base point.  Each point is one
-    row of the orthonormal recursion, started at (1, 1) or (1, -1) by p's
-    kind, with the rows laid out deepest first, so that step j runs only
-    the leading rows whose degree reads a level above j; lambda's row
-    runs to the top and keeps its pair at every level.  A value is
-    trusted to ROUNDING_FACTOR n U_DOUBLE S, S combining the running
-    magnitudes of the point's row and of lambda's as the long double
-    pass does, and its trace's sign is decided where the trace clears
-    that bound plus 8 U_DOUBLE times the value (the rounding of the trace
-    factor).  Returns one (signs, decided) per group.
+    sharing one coefficient sequence and base point.  A kind's points are
+    the rows of one active szego._szego_levels pass on p._z_alphas (the
+    negated coefficients for the second kind), laid out deepest first, so
+    that step j runs only the leading rows whose degree reads a level
+    above j; the pass keeps each row's running magnitude.  lambda's pairs
+    and their running magnitude come from the deepest polynomial's
+    _lambda_values, for both kinds, and each value v from
+    para._trace_from.  v is trusted to ROUNDING_FACTOR n U_DOUBLE S, S
+    combining the running magnitudes of the point's row and of lambda's
+    as the long double pass does, and its trace's sign is decided where
+    the trace clears that bound plus 8 U_DOUBLE |v| (the rounding of the
+    trace factor).  Returns one (signs, decided) per group.
     """
-    p0 = groups[0][0]
-    thetas = [np.atleast_1d(np.asarray(t, dtype=float)) for _, t in groups]
+    out = [None] * len(groups)
     deep = sorted(range(len(groups)), key=lambda i: -groups[i][0].n)
-    sizes = [thetas[i].size for i in deep]
-    th = np.concatenate([thetas[i] for i in deep])
-    z = p0.lam * np.exp(1j * th)
-    n = np.repeat([groups[i][0].n for i in deep], sizes)
-    sigma = np.repeat([1.0 if groups[i][0].kind == "first" else -1.0 for i in deep], sizes)
-    top = int(n[0]) - 1
-    alphas = p0.seq.alphas(top)
-    r = 1.0 / np.sqrt(1.0 - np.abs(alphas) ** 2)
-    # the step (phi, phi*) <- K_j (z phi, phi*), as in szego._szego_levels
-    steps = np.stack([r, -np.conj(alphas) * r, -alphas * r, r], axis=-1).reshape(-1, 2, 2)
-    # the rows that take step j: those reading a level above j
-    active = np.searchsorted(1 - n, -np.arange(1, top + 1), side="right").tolist()
-    cur, nxt = np.ones((2, z.size), dtype=complex), np.empty((2, z.size), dtype=complex)
-    cur[1] = sigma
-    mag, size, live = np.ones(z.size), np.empty(z.size), z.size
-    lam_rows = [(np.ones(2, dtype=complex), 1.0)]  # lambda's (phi, phi*) and running |phi| per level
-    for k, c in zip(steps, active):
-        if c < live:  # rows past the prefix keep their values in both buffers
-            nxt[:, c:live] = cur[:, c:live]
-            live = c
-        np.multiply(z[:c], cur[0, :c], out=cur[0, :c])
-        np.matmul(k, cur[:, :c], out=nxt[:, :c])
-        np.maximum(mag[:c], np.abs(nxt[0, :c], out=size[:c]), out=mag[:c])
-        cur, nxt = nxt, cur
-        pair, lm = lam_rows[-1]
-        pair = k @ (pair * [p0.lam, 1.0])
-        lam_rows.append((pair, max(lm, abs(pair[0]))))
-    phi, star = cur
-    pairs, lm = (np.array(v)[n - 1] for v in zip(*lam_rows))
-    lp, ls = pairs.T
-    v = sigma * (np.conj(ls) * star - z * np.conj(p0.lam) * np.conj(lp) * phi)
-    bound = ROUNDING_FACTOR * n * U_DOUBLE * (np.abs(lp) * mag + lm * np.abs(phi))
-    trace = (v * np.exp(-0.5j * n * th) * np.where(sigma > 0, -1j, 1.0)).real
-    decided = np.abs(trace) > bound + 8 * U_DOUBLE * np.abs(v)
-    cuts, out = np.cumsum(sizes)[:-1], [None] * len(groups)
-    for i, signs, known in zip(deep, np.split(np.sign(trace), cuts), np.split(decided, cuts)):
-        out[i] = signs, known
+    for kind in {q.kind for q, _ in groups}:
+        rows = [i for i in deep if groups[i][0].kind == kind]
+        lam = groups[deep[0]][0]._lambda_values
+        p = groups[rows[0]][0]
+        thetas = [np.atleast_1d(np.asarray(groups[i][1], dtype=float)) for i in rows]
+        sizes = [t.size for t in thetas]
+        th = np.concatenate(thetas)
+        z = p.lam * np.exp(1j * th)
+        n = np.repeat([groups[i][0].n for i in rows], sizes)
+        top = p.n - 1
+        active = np.searchsorted(1 - n, -np.arange(1, top + 1), side="right")
+        (pair,), mag = _szego_levels(p._z_alphas(top), z, (top,), active, peak=True)
+        trace, v = _trace_from(p, pair, z, th, n, lam)
+        lp, lm = lam[0][n - 1], np.maximum.accumulate(np.abs(lam[0]))[n - 1]
+        bound = ROUNDING_FACTOR * n * U_DOUBLE * (np.abs(lp) * mag + lm * np.abs(pair[0]))
+        decided = np.abs(trace) > bound + 8 * U_DOUBLE * np.abs(v)
+        cuts = np.cumsum(sizes)[:-1]
+        for i, signs, known in zip(rows, np.split(np.sign(trace), cuts), np.split(decided, cuts)):
+            out[i] = signs, known
     return out
 
 

@@ -12,12 +12,13 @@ the coefficients do not decay, and can leave double range (the trace of
 const 0.95 at lambda = pi overflows near z = 1 at n = 400).  `z` may be
 a scalar or any ndarray; results broadcast.
 
-Every float64 pass of the recursion, here and in the para module (the
-second kind on the negated coefficients), runs through `_szego_levels`:
-per level one product z phi and the fixed 2 x 2 step (phi, phi*) <-
-K_j (z phi, phi*), K_j = (1 / rho_j) [[1, -conj(a_j)], [-a_j, 1]], both
-into preallocated buffers, over blocks of BLOCK points at a time.  Every
-closed form at one level, here and in the para module, is `_level_form`.
+Every float64 pass of the recursion, here and in the para and precision
+modules (the second kind on the negated coefficients), runs through
+`_szego_levels`: per level one product z phi and the fixed 2 x 2 step
+(phi, phi*) <- K_j (z phi, phi*),
+K_j = (1 / rho_j) [[1, -conj(a_j)], [-a_j, 1]], both into preallocated
+buffers, over blocks of BLOCK points at a time.  Every closed form at
+one level, here and in the para module, is `_level_form`.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _rho(alphas: np.ndarray) -> np.ndarray:
 BLOCK = 4096
 
 
-def _szego_levels(alphas, z, levels, active=None, weights=None):
+def _szego_levels(alphas, z, levels, active=None, weights=None, peak=False):
     """The pairs (phi_j(z), phi_j*(z)) at the given levels, from one pass.
 
     alphas holds the m coefficients to run (negated for the second
@@ -76,13 +77,15 @@ def _szego_levels(alphas, z, levels, active=None, weights=None):
     point walks every level, so a caller whose point sets nest, each a
     prefix of z, reads each set off its own level's row.
 
-    Two modes change that.  active, for a flat z ordered deepest point
+    Three modes change that.  active, for a flat z ordered deepest point
     first: active[j] leading points take step j (level j to j + 1) and
     the others keep their last values, so the row at level L holds each
     point at min(L, its depth).  weights, one per level 0..m (a scalar
     each, or an array of z's shape), without active: the kernel then
     returns (rows, sum, largest), the sum over j of weights[j] phi_j(z)
-    and the largest such term in modulus.
+    and the largest such term in modulus.  peak, with or without active:
+    the kernel then returns (rows, peak), each point's running magnitude
+    max |phi_j(z)| over the levels it walks, 0 to min(m, its depth).
     """
     a = np.asarray(alphas, dtype=complex)
     shape = np.shape(z)
@@ -90,7 +93,7 @@ def _szego_levels(alphas, z, levels, active=None, weights=None):
     size = zf.size
     r = 1.0 / _rho(a)
     k = list(np.stack([r, -np.conj(a) * r, -a * r, r], axis=-1).reshape(-1, 2, 2))
-    rows = np.empty((len(levels), 2, size), dtype=complex)
+    rows, peaks = np.empty((len(levels), 2, size), dtype=complex), np.ones(size)
     row_of = {level: i for i, level in enumerate(levels)}
     if weights is not None:
         w = np.asarray(weights, dtype=complex)
@@ -134,10 +137,14 @@ def _szego_levels(alphas, z, levels, active=None, weights=None):
             np.multiply(zc, head, out=head)
             np.matmul(k[j], cur, out=nxt)
             cur, nxt, head, head_nxt = nxt, cur, head_nxt, head
+            if peak:
+                np.maximum(peaks[b0 : b0 + c], np.abs(head), out=peaks[b0 : b0 + c])
         for level in levels:
             if level > steps:
                 rows[row_of[level], :, b0 : b0 + width] = full[steps % 2]
     rows = rows.reshape((len(levels), 2) + shape)
+    if peak:
+        return rows, peaks.reshape(shape)
     if weights is None:
         return rows
     return rows, total.reshape(shape), largest.reshape(shape)

@@ -452,16 +452,16 @@ def _certified_interlacing(ctx: TheoremContext, polys: dict[int, ParaPolynomial]
     of h_n its sign change shows: the two interlace.  Two sites at one
     zero of h_n would have equal signs, against the pattern.
 
-    One float64 pass (precision.trace_signs) takes both polynomials at
-    every window of every degree.  The windows it does not close (an
-    s_n zero within WINDOW of h_n's, say) go to one precision.order
-    call for the whole degree range, which gives s_n's sign at h_n's
-    zero.  A degree where the pass leaves most windows undecided is not
-    certified: its bound is then loose throughout (a base point at an
-    atom, where phi_{n-1}(lambda) decays below the rounding of lambda's
-    row), and the ladder would take every site to its fixed-point
-    stages.  On the radius-0.7 corpus a degree leaves at most 2% of its
-    windows undecided, each at a collision.
+    One float64 pass per kind (precision.trace_signs) takes both
+    polynomials at every window of every degree.  The windows they do
+    not close (an s_n zero within WINDOW of h_n's, say) go to one
+    precision.order call for the whole degree range, which gives s_n's
+    sign at h_n's zero.  A degree where the passes leave most windows
+    undecided is not certified: its bound is then loose throughout (a
+    base point at an atom, where phi_{n-1}(lambda) decays below the
+    rounding of lambda's row), and the ladder would take every site to
+    its fixed-point stages.  On the radius-0.7 corpus a degree leaves at
+    most 2% of its windows undecided, each at a collision.
     """
     angles = {}
     for m in polys:
@@ -472,7 +472,7 @@ def _certified_interlacing(ctx: TheoremContext, polys: dict[int, ParaPolynomial]
     second = {m: ParaPolynomial("second", m, ctx.lam, ctx.seq) for m in angles}
     groups = [(p, np.concatenate([t - WINDOW, t + WINDOW])) for m, t in angles.items() if t.size
               for p in (polys[m], second[m])]
-    values = iter(precision.trace_signs(groups) if groups else [])
+    values = iter(precision.trace_signs(groups))
     out, ladder = dict.fromkeys(polys, False), []
     for m, t in angles.items():
         if not t.size:

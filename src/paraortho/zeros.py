@@ -60,12 +60,13 @@ PHASE_GRID = 4
 PHASE_SPLIT = 7
 # a phase within this many turns of a whole turn marks a sample on a
 # zero, where the trace sign decides the count.  Against the same b_k
-# recursion run in 60 digits at the same points, the lifted phase of
-# para._phase_levels (in groups of levels) was off by at most 4.4e-12
-# turns, about 100 n u (const -0.5 at lambda = pi, first kind, n = 401,
-# 0.0085 inside the support arc's end), by 9.1e-13 on the arc + atom
-# fixture and by 6e-14 on random 0.7 seeds 1, 5 and 9, both kinds: the
-# worst measured lies 200 times below this
+# recursion in 60 digits at the same points, para._phase_levels was off
+# by at most 4.4e-12 turns on const -0.5 at lambda = pi (n = 401, 0.0085
+# inside the support arc's end), 9.1e-13 on the arc + atom fixture and
+# 6e-14 on random 0.7 seeds 1, 5 and 9, both kinds: 200 times below
+# this.  On const 0.99 at lambda = 1, n = 400, at 2048 points across its
+# short support arc, it was off by 3.5e-10 within 0.01 turn of a whole
+# turn (first kind), and by 2.5e-9 (both kinds) where it climbs half a turn between samples
 ON_ZERO = 1e-9
 # residual allowance of a refined zero, relative to the largest trace
 # sampled

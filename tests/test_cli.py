@@ -409,6 +409,25 @@ class TestExitCodes:
         assert run(["coeffs", "--measure", str(spec), "--n", "1", "--out", "/dev/null"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, doc", [
+        ("--support", [[1.0, 5.0]]),
+        ("--measure", {"weight": {"kind": "lebesgue"}, "masses": 5}),
+        ("--measure", {"weight": 5}),
+    ], ids=["support-list", "masses-int", "weight-int"])
+    def test_malformed_documents_are_usage_errors(self, tmp_path, capsys, option, doc):
+        # a document of the wrong JSON shape is reported against its path,
+        # with no traceback and no report
+        spec, out = tmp_path / "doc.json", tmp_path / "report.json"
+        spec.write_text(json.dumps(doc))
+        if option == "--support":
+            argv = ["verify", "theorem1", "--alpha", "const:-0.5", "--lambda-theta", "pi", "--z0-theta", "0",
+                    "--support", str(spec), "--n", "2"]
+        else:
+            argv = ["coeffs", "--measure", str(spec), "--n", "1"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert f"error: {spec}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_source(self):
         assert run(["zeros", "--n", "2", "--out", "/dev/null"]) == 2
 

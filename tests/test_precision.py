@@ -13,7 +13,7 @@ import pytest
 
 import paraortho as pa
 from paraortho import precision
-from paraortho.precision import U_LONG
+from paraortho.precision import U_DOUBLE, U_LONG
 from paraortho.zeros import _circular_gap
 
 
@@ -337,6 +337,82 @@ def recording(monkeypatch, name):
 
     monkeypatch.setattr(precision, name, record)
     return calls
+
+
+def reference_trace_signs(groups):
+    """The loop trace_signs replaced, kept as its reference: one pass over
+    the rows of every group at once, each started at (1, 1) or (1, -1) by
+    its kind on the plain coefficients, with lambda's pair stepped
+    alongside by 2 x 2 products and its running |phi| kept per level."""
+    p0 = groups[0][0]
+    thetas = [np.atleast_1d(np.asarray(t, dtype=float)) for _, t in groups]
+    deep = sorted(range(len(groups)), key=lambda i: -groups[i][0].n)
+    sizes = [thetas[i].size for i in deep]
+    th = np.concatenate([thetas[i] for i in deep])
+    z = p0.lam * np.exp(1j * th)
+    n = np.repeat([groups[i][0].n for i in deep], sizes)
+    sigma = np.repeat([1.0 if groups[i][0].kind == "first" else -1.0 for i in deep], sizes)
+    top = int(n[0]) - 1
+    alphas = p0.seq.alphas(top)
+    r = 1.0 / np.sqrt(1.0 - np.abs(alphas) ** 2)
+    steps = np.stack([r, -np.conj(alphas) * r, -alphas * r, r], axis=-1).reshape(-1, 2, 2)
+    active = np.searchsorted(1 - n, -np.arange(1, top + 1), side="right").tolist()
+    cur, nxt = np.ones((2, z.size), dtype=complex), np.empty((2, z.size), dtype=complex)
+    cur[1] = sigma
+    mag, size, live = np.ones(z.size), np.empty(z.size), z.size
+    lam_rows = [(np.ones(2, dtype=complex), 1.0)]
+    for k, c in zip(steps, active):
+        if c < live:
+            nxt[:, c:live] = cur[:, c:live]
+            live = c
+        np.multiply(z[:c], cur[0, :c], out=cur[0, :c])
+        np.matmul(k, cur[:, :c], out=nxt[:, :c])
+        np.maximum(mag[:c], np.abs(nxt[0, :c], out=size[:c]), out=mag[:c])
+        cur, nxt = nxt, cur
+        pair, lm = lam_rows[-1]
+        pair = k @ (pair * [p0.lam, 1.0])
+        lam_rows.append((pair, max(lm, abs(pair[0]))))
+    phi, star = cur
+    pairs, lm = (np.array(v)[n - 1] for v in zip(*lam_rows))
+    lp, ls = pairs.T
+    v = sigma * (np.conj(ls) * star - z * np.conj(p0.lam) * np.conj(lp) * phi)
+    bound = precision.ROUNDING_FACTOR * n * U_DOUBLE * (np.abs(lp) * mag + lm * np.abs(phi))
+    trace = (v * np.exp(-0.5j * n * th) * np.where(sigma > 0, -1j, 1.0)).real
+    decided = np.abs(trace) > bound + 8 * U_DOUBLE * np.abs(v)
+    cuts, out = np.cumsum(sizes)[:-1], [None] * len(groups)
+    for i, signs, known in zip(deep, np.split(np.sign(trace), cuts), np.split(decided, cuts)):
+        out[i] = signs, known
+    return out
+
+
+@pytest.mark.parametrize("seq, lam, degrees, undecided", [
+    (pa.ConstantSequence(0.5), np.exp(1j * np.pi), range(40, 61), False),
+    (pa.RandomSequence(0.7, 5), 1.0, (60, 150), False),
+    (pa.ConstantSequence(0.5), 1.0, range(20, 41), True),
+], ids=["const0.5@pi", "seed5@1", "const0.5@1"])
+def test_trace_signs_match_the_reference_loop(monkeypatch, seq, lam, degrees, undecided):
+    # the certificate's windows, one kernel pass per kind, against the loop
+    # over all rows at once: the same signs and the same decisions, also
+    # for the second kind alone with its degrees shuffled; with the base
+    # point on the atom (const 0.5 at lambda = 1) most windows stay open
+    windows = recording(monkeypatch, "trace_signs")
+    ctx = pa.TheoremContext(seq=seq, lam=lam, degrees=degrees)
+    for n in degrees:
+        ctx.second_kind_interlaces(n)
+    (groups, result), = windows
+    order = np.random.default_rng(8).permutation(len(groups))
+    one_kind = [groups[i] for i in order if groups[i][0].kind == "second"]
+    assert [p.n for p, _ in one_kind] != sorted(p.n for p, _ in one_kind)
+    for gs, got in ((groups, result), (one_kind, precision.trace_signs(one_kind))):
+        for (signs, decided), (want, known) in zip(got, reference_trace_signs(gs), strict=True):
+            assert np.array_equal(signs, want) and np.array_equal(decided, known)
+    # the groups come in pairs (h_n, s_n), each point list the windows'
+    # left ends, then their right ends; a window is decided at all four
+    open_windows = []
+    for (_, hd), (_, sd) in zip(result[::2], result[1::2]):
+        k = hd.size // 2
+        open_windows.append(~(hd[:k] & hd[k:] & sd[:k] & sd[k:]))
+    assert (np.mean(np.concatenate(open_windows)) > 0.5) == undecided
 
 
 def test_signs_the_theorem2_certificate_trusts_agree_with_mpmath_80(monkeypatch, record_property):

@@ -86,6 +86,24 @@ class TestRecursionKernel:
             want = tuple(t[at, points] for t in table)
             assert_matches_reference(rows[level], want, level)
 
+    @pytest.mark.parametrize("nested", [False, True], ids=["every-level", "active"])
+    def test_running_peak_is_the_largest_phi_of_the_rows(self, nested):
+        # each point's running max |phi_j|, against its rows at every level,
+        # which hold it at min(level, depth); with active some points never
+        # step, and a block boundary is crossed either way
+        rng = np.random.default_rng(45)
+        n = 60
+        a = pa.RandomSequence(0.9, 35).alphas(n)
+        z = mixed_points(rng, BLOCK + 300)
+        active = None
+        if nested:
+            depth = np.sort(rng.integers(0, n + 1, z.size))[::-1]
+            active = np.searchsorted(-depth, -np.arange(1, n + 1), side="right")
+        rows, peak = _szego_levels(a, z, range(n + 1), active, peak=True)
+        assert np.array_equal(rows, _szego_levels(a, z, range(n + 1), active))
+        assert peak.shape == z.shape and np.any(peak > 1.0)
+        assert np.array_equal(peak, np.abs(rows[:, 0]).max(axis=0))
+
     def test_scalar_and_2d_points(self):
         rng = np.random.default_rng(43)
         a = pa.RandomSequence(0.7, 33).alphas(40)
