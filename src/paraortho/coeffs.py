@@ -11,6 +11,15 @@ moment matrix.
 
 All providers are immutable after construction and deterministic:
 querying the same index twice returns bit-identical values.
+
+Memory stays linear in the node count with small constants.  A panel
+grid keeps 32 bytes per node (angles t, raw weights w, z = e^{i t}) and
+is shared by the measures of equal support and panel count; a measure
+keeps 8 bytes per node, its quadrature weights.  No other array spans
+the grid: z, a Bernstein-Szego density and the moments are computed
+CHUNK or BLOCK nodes at a time, so ingestion holds at most the density
+(8 bytes per node, while the weights are formed) and a few buffers of
+CHUNK nodes beyond what it keeps.
 """
 
 from __future__ import annotations
@@ -212,6 +221,11 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # the most panel grids _panel_grid keeps
 GRID_CAP = 4
 
+# nodes that a pass over a whole panel grid (z = e^{i t}, a Bernstein-Szego
+# weight) takes at once; a multiple of BLOCK, so a chunk splits into the
+# same Szego blocks as one pass over every node would
+CHUNK = 16 * BLOCK
+
 
 class _PanelGrid(NamedTuple):
     """Composite Gauss-Legendre nodes of one support and panel count: node
@@ -235,10 +249,16 @@ def _panel_grid(support: tuple[tuple[float, float], ...], panels: int) -> _Panel
     """The grid of `support` at `panels`, shared while it stays among the
     GRID_CAP most recently used: panels shared out over the intervals in
     proportion to their length, at least one each, 8 Gauss-Legendre
-    nodes per panel."""
+    nodes per panel.
+
+    It keeps 32 bytes per node (t, w and z) and builds them in place:
+    t and w one support interval at a time, with about 3 bytes per node
+    of panel edges, midpoints and half widths besides, and z = e^{i t}
+    CHUNK nodes at a time."""
     total_len = sum(b - a for a, b in support)
-    thetas, weights = [], []
-    remaining = panels
+    size = _GL_NODES.size * panels
+    t, w = np.empty(size), np.empty(size)
+    at, remaining = 0, panels
     for idx, (a, b) in enumerate(support):
         if idx == len(support) - 1:
             count = remaining
@@ -246,16 +266,29 @@ def _panel_grid(support: tuple[tuple[float, float], ...], panels: int) -> _Panel
             count = max(1, round(panels * (b - a) / total_len))
             count = min(count, remaining - (len(support) - 1 - idx))
         remaining -= count
-        edges = np.linspace(a, b, count + 1)
-        half = np.diff(edges) / 2.0
-        mid = (edges[:-1] + edges[1:]) / 2.0
-        thetas.append((mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel())
-        weights.append((half[:, None] * _GL_WEIGHTS[None, :]).ravel())
-    t = np.concatenate(thetas)
-    grid = _PanelGrid(t, np.concatenate(weights), np.exp(1j * t))
+        end = at + _GL_NODES.size * count
+        _fill_panels(a, b, count, t[at:end].reshape(count, -1), w[at:end].reshape(count, -1))
+        at = end
+    z = np.empty(size, dtype=complex)
+    for b0 in range(0, size, CHUNK):
+        np.exp(1j * t[b0 : b0 + CHUNK], out=z[b0 : b0 + CHUNK])
+    grid = _PanelGrid(t, w, z)
     for arr in grid:
         arr.flags.writeable = False
     return grid
+
+
+def _fill_panels(a: float, b: float, count: int, t: np.ndarray, w: np.ndarray) -> None:
+    """Nodes and weights of `count` equal panels on [a, b] into the
+    (count, 8) arrays t and w: t = mid + half * node, w = half * weight."""
+    edges = np.linspace(a, b, count + 1)
+    half = np.diff(edges)
+    half /= 2.0
+    mid = edges[:-1] + edges[1:]
+    mid /= 2.0
+    np.multiply(half[:, None], _GL_NODES, out=t)
+    t += mid[:, None]
+    np.multiply(half[:, None], _GL_WEIGHTS, out=w)
 
 
 class MeasureSpec:
@@ -317,7 +350,10 @@ class MeasureSpec:
 
     @functools.cached_property
     def _quadrature(self) -> tuple[_PanelGrid, np.ndarray]:
-        """The panel grid and its weights W_i with sum W_i f(t_i) ~ int f w dtheta/2pi."""
+        """The panel grid and its weights W_i with sum W_i f(t_i) ~ int f w dtheta/2pi.
+
+        The weights are 8 bytes per node, formed with one array beside
+        the density the weight returns, which is only read."""
         if self.weight is None:
             return _NO_GRID, _NO_GRID.w
         grid = _panel_grid(self.support, self.panels)
@@ -326,7 +362,9 @@ class MeasureSpec:
             raise MeasureIngestionError("weight function must return one value per angle")
         if np.any(dens < 0) or not np.all(np.isfinite(dens)):
             raise MeasureIngestionError("weight function produced negative or non-finite values")
-        return grid, grid.w * dens / TWO_PI
+        w = grid.w * dens
+        w /= TWO_PI
+        return grid, w
 
     @functools.cached_property
     def _raw_mass(self) -> float:
@@ -400,7 +438,11 @@ def arc_measure(
 
 
 def bernstein_szego_measure(alphas: Sequence[complex], panels: int = 2048) -> MeasureSpec:
-    """Measure with density 1/|phi_N|^2, whose coefficients are `alphas` then zeros."""
+    """Measure with density 1/|phi_N|^2, whose coefficients are `alphas` then zeros.
+
+    The density runs the Szego pair over CHUNK nodes at a time (on its
+    grid, reading z off it) and writes 1/|phi_N|^2 into one array of 8
+    bytes per node, so no pair of full-grid complex rows is held."""
     avec = [complex(a) for a in alphas]
     seq = ExplicitSequence(avec, tail=0.0)
     order = len(avec)
@@ -410,8 +452,16 @@ def bernstein_szego_measure(alphas: Sequence[complex], panels: int = 2048) -> Me
 
         # nodes of another size are not its grid's: build no grid for them
         grid = _panel_grid(_CIRCLE, panels) if np.size(t) == _GL_NODES.size * panels else _NO_GRID
-        pv = eval_pair(seq, order, grid.z if t is grid.t else np.exp(1j * np.asarray(t)))
-        return 1.0 / np.abs(pv.phi) ** 2
+        on_grid, t = t is grid.t, np.asarray(t)
+        dens = np.empty(t.shape)
+        flat_t, flat = t.reshape(-1), dens.reshape(-1)
+        for b0 in range(0, flat.size, CHUNK):
+            part = slice(b0, b0 + CHUNK)
+            z = grid.z[part] if on_grid else np.exp(1j * flat_t[part])
+            out = np.abs(eval_pair(seq, order, z).phi, out=flat[part])
+            np.square(out, out=out)
+            np.divide(1.0, out, out=out)
+        return dens
 
     return MeasureSpec(weight=weight, panels=panels)
 
@@ -457,7 +507,9 @@ def moments_table(measure: MeasureSpec, order: int) -> MomentTable:
     of e^{-i theta} stay in cache while all order + 1 moments of a block
     are summed; the result differs from one pass over all nodes only in
     the order of summation.  e^{-i theta} is the conjugate of the panel
-    grid's e^{i theta}, which np.exp gives bit for bit.
+    grid's e^{i theta}, which np.exp gives bit for bit.  Beyond the
+    measure's grid and weights (32 + 8 bytes per node) it holds two
+    complex arrays of BLOCK nodes.
     """
     norm = measure.normalization()
     grid, w = measure._quadrature

@@ -223,13 +223,11 @@ def trace_signs(groups):
 
 def _to_fixed(z, bits: int):
     """Double or long double complex numbers as fixed point: the object
-    arrays of their real and imaginary parts as ints at scale 2^bits,
-    exact down to 2^-bits (a long double by its hi/lo double split)."""
+    arrays of their real and imaginary parts as ints at scale 2^bits, each
+    trunc(x 2^bits) exactly, whatever the long double's format: ldexp
+    scales without rounding, and int() of a long double is exact."""
     z = np.atleast_1d(np.asarray(z, dtype=CLONG))
-    hi = z.astype(complex)
-    lo = (z - hi).astype(complex)
-    parts = [np.ldexp(v, bits).tolist() for v in (hi.real, lo.real, hi.imag, lo.imag)]
-    return tuple(np.array([int(a) + int(b) for a, b in zip(h, l)], dtype=object) for h, l in (parts[:2], parts[2:]))
+    return tuple(np.array([int(v) for v in np.ldexp(part, bits).tolist()], dtype=object) for part in (z.real, z.imag))
 
 
 def _to_long(n, bits: int):

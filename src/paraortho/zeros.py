@@ -183,13 +183,20 @@ def _polish(fun, lo, hi, side, flo, fhi, tol, points=1):
         xs = x[:, None] if points == 1 else _around(x, l, h, points)
         fx = fun(xs.ravel(), np.repeat(sel, points)).reshape(xs.shape)
         # j: the first sample at or past the zero, whose sign is not
-        # side's, or points where none is (the zero lies past the last)
+        # side's, or points where none is (the zero lies past the last);
+        # the new ends are the samples at columns j - 1 and j, clipped to
+        # the row, which for one point are column 0, a plain index
         past = side[sel, None] * np.sign(fx) <= 0.0
-        j = np.where(past.any(axis=1), np.argmax(past, axis=1), points)
-        rows = np.arange(sel.size)
-        below, above = (rows, np.maximum(j - 1, 0)), (rows, np.minimum(j, points - 1))
+        if points == 1:
+            left = past[:, 0]
+            right = ~left
+            below = above = (slice(None), 0)
+        else:
+            j = np.where(past.any(axis=1), np.argmax(past, axis=1), points)
+            left, right = j == 0, j == points  # only hi moves, only lo moves
+            rows = np.arange(sel.size)
+            below, above = (rows, np.maximum(j - 1, 0)), (rows, np.minimum(j, points - 1))
         f_below, f_above = np.abs(fx[below]), np.abs(fx[above])
-        left, right = j == 0, j == points  # only hi moves, only lo moves
         moved = np.where(left, -1.0, np.where(right, 1.0, 0.0))
         with np.errstate(all="ignore"):
             factor = 1.0 - np.where(left, f_above / b, f_below / a)

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from functools import partial
 from operator import mul
 
@@ -31,7 +32,7 @@ from paraortho.errors import (
     ProviderRangeError,
     SpecFileError,
 )
-from paraortho.szego import BLOCK
+from paraortho.szego import BLOCK, eval_pair
 
 TWO_PI = 2.0 * math.pi
 ARC = (np.pi / 3, 5 * np.pi / 3)
@@ -184,6 +185,22 @@ def bs_lists():
         [0.7 * math.sqrt(rng.random()) * complex(np.exp(2j * np.pi * rng.random())) for _ in range(n)]
         for n in range(1, 9)
     ]
+
+
+def traced_peak(work) -> int:
+    """The most bytes tracemalloc sees allocated during work(), above
+    what was held when it started."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        work()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not outer:
+            tracemalloc.stop()
 
 
 class TestProviders:
@@ -369,6 +386,52 @@ class TestPanelGrid:
         assert shared.c.tobytes() == fresh.c.tobytes()
         count = 8
         assert verblunsky_from_moments(shared, count) == verblunsky_from_moments(fresh, count)
+
+    @pytest.mark.parametrize("support", [coeffs._CIRCLE, ((0.3, 2.0), (2.5, 6.0))], ids=["circle", "two_arcs"])
+    def test_cold_grid_build_peaks_near_the_bytes_it_keeps(self, support):
+        # t, w and z are 32 bytes per node; panel edges, midpoints and half
+        # widths and one chunk of 1j t are all the build holds besides
+        panels = 65536
+        grid = []
+        peak = traced_peak(lambda: grid.append(coeffs._panel_grid.__wrapped__(support, panels)))
+        kept = sum(arr.nbytes for arr in grid[0])
+        assert kept == 32 * 8 * panels
+        assert peak < 1.15 * kept
+
+    def test_bernstein_szego_ingestion_peaks_near_its_weights(self):
+        # on a cached grid a measure keeps its weights, 8 bytes per node, and
+        # at the peak holds its density too; the Szego pair runs CHUNK nodes
+        # at a time
+        panels = 65536
+        coeffs._panel_grid(coeffs._CIRCLE, panels)
+
+        def ingest():
+            measure = pa.bernstein_szego_measure(bs_lists()[7], panels=panels)
+            measure._quadrature
+            moments_table(measure, 11)
+
+        assert traced_peak(ingest) < 2.5 * 8 * (8 * panels)
+
+    @pytest.mark.parametrize("panels", [65536, 10001])
+    def test_bernstein_szego_weights_match_one_full_grid_pass(self, panels):
+        # 10001 panels end in a part chunk
+        for alphas in bs_lists()[::3]:
+            grid, w = pa.bernstein_szego_measure(alphas, panels=panels)._quadrature
+            phi = eval_pair(pa.ExplicitSequence(alphas, tail=0.0), len(alphas), grid.z).phi
+            assert w.tobytes() == (grid.w * (1 / np.abs(phi) ** 2) / TWO_PI).tobytes()
+
+    @pytest.mark.parametrize("kind", ["read_only", "kept"])
+    def test_a_density_the_weight_owns_is_left_unwritten(self, kind):
+        panels = 64
+        kept = np.full(8 * panels, 2.0)
+        weight = (lambda t: np.broadcast_to(2.0, t.shape)) if kind == "read_only" else (lambda t: kept)
+        measure = pa.MeasureSpec(weight=weight, panels=panels)
+        # twice the Lebesgue density: every sum doubles exactly, so the
+        # normalized moments are Lebesgue's bit for bit
+        got = moments_table(measure, 4).c
+        assert got.tobytes() == moments_table(pa.lebesgue_measure(panels), 4).c.tobytes()
+        assert not np.shares_memory(measure._quadrature[1], kept)
+        assert np.all(kept == 2.0)
 
     def test_equal_support_and_panels_share_read_only_nodes(self):
         a = pa.bernstein_szego_measure([0.5, 0.3j], panels=4096)

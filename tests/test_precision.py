@@ -6,6 +6,8 @@ the value it gives.  Each pass must agree within the bound it states.
 """
 
 import functools
+import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -144,6 +146,22 @@ def test_values_past_the_double_range_round_from_their_top_bits():
     want = [np.ldexp(precision.LONG(1), 2000 - bits), -np.ldexp(precision.LONG(3), 1500 - bits),
             np.ldexp(precision.LONG(2.0**60) + 1, 40 - bits)]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("bits", [80, 120])
+def test_to_fixed_is_the_exact_truncation(bits):
+    # long doubles with every significand bit set at random, from 1 down
+    # to 1e-30, both signs; a hi + lo split truncated part by part is off
+    # by one unit where the two fractions straddle
+    rng = np.random.default_rng(23)
+    size = 4000
+    L = precision.LONG
+    mant = rng.random((2, size)).astype(L) + rng.random((2, size)).astype(L) * L(2.0**-53)
+    x = mant * np.power(L(10), -rng.uniform(0, 30, (2, size)).astype(L)) * rng.choice([-1, 1], (2, size))
+    z = x[0] + 1j * x[1].astype(precision.CLONG)
+    for got, part in zip(precision._to_fixed(z, bits), (z.real, z.imag)):
+        want = [math.trunc(Fraction(*v.as_integer_ratio()) * 2**bits) for v in part.tolist()]
+        assert list(got) == want
 
 
 def test_newton_steps_recover_a_start_off_the_zero(monkeypatch):
